@@ -32,7 +32,6 @@ from .compat import (
 from .errors import (
     BlockLengthOutOfRange,
     CapExceeded,
-    DeadEnd,
     Incomplete,
     NonConvergence,
     NotCompatible,

@@ -15,15 +15,19 @@ is required.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .alphabet import Alphabet
 from .compat import CompatibilityWitness, is_shift_complete
-from .errors import NotIrreducible, NotShiftComplete, UndefinedTransition, UnrealizableRun
-from .machines import Automaton, SccReport, scc_decomposition, snake_automaton
-from .measures import Distribution, MarkovMeasure, StochasticMatrix, conditional_word_measure
+from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun
+from .machines import (
+    Automaton, SccReport, scc_decomposition, snake_automaton, transition_rows, walk,
+)
+from .measures import (
+    Distribution, MarkovMeasure, StochasticMatrix, _solve_balance, conditional_word_measure,
+)
 
 
 @dataclass(frozen=True)
@@ -54,38 +58,14 @@ class StateChain:
         return self.scc.strongly_connected
 
 
-def _solve_stationary(matrix: np.ndarray, idx: Iterable[int]) -> np.ndarray:
-    """Stationary vector of the stochastic submatrix over ``idx`` (a closed
-    class), embedded as zeros elsewhere."""
-    idx = list(idx)
-    sub = matrix[np.ix_(idx, idx)]
-    n = len(idx)
-    A = sub.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        x, *_ = np.linalg.lstsq(
-            np.vstack([sub.T - np.eye(n), np.ones(n)]),
-            np.append(np.zeros(n), 1.0),
-            rcond=None,
-        )
-    x = np.clip(x, 0.0, None)
-    x /= x.sum()
-    out = np.zeros(matrix.shape[0])
-    out[idx] = x
-    return out
-
-
 def _chain_from_matrix(machine, matrix: np.ndarray) -> StateChain:
     scc = scc_decomposition(machine)
     closed = [i for i, rec in enumerate(scc.recurrent) if rec]
     stationary = None
     if len(closed) == 1:
         idx = [machine.state_index(q) for q in scc.components[closed[0]]]
-        stationary = _solve_stationary(matrix, idx)
+        stationary = np.zeros(matrix.shape[0])
+        stationary[idx] = _solve_balance(matrix[np.ix_(idx, idx)])
         stationary.setflags(write=False)
     matrix.setflags(write=False)
     return StateChain(machine=machine, matrix=matrix, scc=scc, stationary=stationary)
@@ -285,22 +265,9 @@ def empirical_state_frequencies(
     idx = idx[:n]
     if len(idx) < n:
         raise ValueError(f"input has only {len(idx)} symbols, need {n}")
-    if isinstance(machine, Automaton):
-        nxt, _defined = machine.tables()
-    else:
-        nxt, _keep, _defined = machine.tables()
-    counts = np.zeros(len(machine.states), dtype=np.int64)
+    rows = transition_rows(machine.tables()[0])
     state = machine.state_index(machine.initial if start is None else start)
-    pos = 0
-    for a in idx.tolist():
-        pos += 1
-        counts[state] += 1
-        t = nxt[state, a]
-        if t < 0:
-            raise UndefinedTransition(
-                machine.states[state], alpha.symbol(a), position=pos
-            )
-        state = t
+    counts = np.bincount(walk(machine, rows, idx, state)[:-1], minlength=len(machine.states))
     deviation = float(np.max(np.abs(counts / n - reference))) if n else float("nan")
     count_map = {q: int(counts[i]) for i, q in enumerate(machine.states)}
     return StateFrequencyReport(

@@ -18,7 +18,6 @@ from .compat import check_automaton_compatibility, check_selector_compatibility
 from .errors import (
     BlockLengthOutOfRange,
     CapExceeded,
-    DeadEnd,
     Incomplete,
     NotCompatible,
     NotIrreducible,
@@ -72,7 +71,6 @@ _DOMAIN_ERRORS = (
     Incomplete,
     UndefinedTransition,
     UnrealizableRun,
-    DeadEnd,
     CapExceeded,
 )
 

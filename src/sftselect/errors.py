@@ -98,12 +98,6 @@ class CapExceeded(SftSelectError):
         self.cap = cap
 
 
-class DeadEnd(SftSelectError):
-    def __init__(self, symbol):
-        super().__init__(f"sampler reached symbol {symbol!r} whose transition row is all zero")
-        self.symbol = symbol
-
-
 class BlockLengthOutOfRange(SftSelectError):
     pass
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .chains import scc_decomposition
 from .compat import CompatibilityResult, check_selector_compatibility
-from .errors import NotCompatible, NotOblivious, UndefinedTransition, ValidationError
+from .errors import NotCompatible, NotOblivious, ValidationError
 from .formats import machine_digest
-from .machines import Selector, is_oblivious
+from .machines import Selector, is_oblivious, transition_rows, walk
 from .measures import MarkovMeasure, block_measure_array, support_forbidden_blocks, uniform_measure
 from .seqgen import (
     SLIDING,
@@ -118,14 +118,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     alpha = selector.alphabet
     na = len(alpha)
     nxt, keep, _defined = selector.tables()
-    nxt_list = nxt.tolist()
-    keep_list = keep.tolist()
+    rows = transition_rows(nxt)
 
     scc = scc_decomposition(selector)
-    recurrent_flags = [scc.recurrent[scc.component_of(q)] for q in selector.states]
+    recurrent = np.array([scc.recurrent[scc.component_of(q)] for q in selector.states])
     state = selector.state_index(selector.initial)
-    entered = bool(recurrent_flags[state])
-    entry_pos: Optional[int] = 0 if entered else None
+    entry_pos: Optional[int] = 0 if recurrent[state] else None
 
     in_counters = {k: BlockCounter(na, k, config.mode) for k in config.ks}
     out_counters = {k: BlockCounter(na, k, config.mode) for k in config.ks}
@@ -133,46 +131,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     pos = 0
     for chunk in generate_chunks(config.generator, config.chunk):
-        symbols = chunk.tolist()
-        out = []
-        append = out.append
-        split_in = 0 if entered else len(symbols)
-        split_out = 0 if entered else None
-        if entered:
-            for i, a in enumerate(symbols):
-                t = nxt_list[state][a]
-                if t < 0:
-                    raise UndefinedTransition(
-                        selector.states[state], alpha.symbol(a), position=pos + i + 1
-                    )
-                if keep_list[state][a]:
-                    append(a)
-                state = t
-        else:
-            for i, a in enumerate(symbols):
-                t = nxt_list[state][a]
-                if t < 0:
-                    raise UndefinedTransition(
-                        selector.states[state], alpha.symbol(a), position=pos + i + 1
-                    )
-                if keep_list[state][a]:
-                    append(a)
-                state = t
-                if not entered and recurrent_flags[state]:
-                    entered = True
-                    entry_pos = pos + i + 1
-                    split_in = i + 1
-                    split_out = len(out)
-        pos += len(symbols)
-        if split_out is None:
-            split_out = len(out)
-        out_arr = np.array(out, dtype=np.int64)
+        path = walk(selector, rows, chunk, state, pos)
+        kept = keep[path[:-1], chunk]
+        out = chunk[kept]
+        split_in = split_out = 0
+        if entry_pos is None:
+            hits = np.flatnonzero(recurrent[path[1:]])
+            split_in = int(hits[0]) + 1 if hits.size else chunk.size
+            split_out = int(np.count_nonzero(kept[:split_in]))
+            if hits.size:
+                entry_pos = pos + split_in
+        pos += chunk.size
+        state = int(path[-1])
         if config.after_recurrent:
             in_chunk = chunk[split_in:]
-            out_chunk = out_arr[split_out:]
+            out_chunk = out[split_out:]
         else:
             in_chunk = chunk
-            out_chunk = out_arr
+            out_chunk = out
         for counter in in_counters.values():
             counter.update(in_chunk)
         for counter in out_counters.values():

@@ -10,6 +10,15 @@ which is a separate validation rather than a construction requirement.
 All machine types are immutable after construction and safe to share across
 threads.  The only mutable object here is :class:`SelectionCursor`, which is
 single-owner while being fed.
+
+Every deterministic walk over an index array goes through one kernel,
+:func:`run_states`: given the rows of a dense next-state table (see
+:func:`transition_rows`), letters and a start state, it returns the path
+of states, the start included.  A selector's output on the walk is then
+``letters[keep[path[:-1], letters]]`` and state-visit counts are
+``np.bincount(path[:-1])``.  Markov sampling in :mod:`sftselect.seqgen` is
+the same walk over a draw table.  The scalar :func:`run_word` stays as the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -344,6 +353,47 @@ def run_word(machine, start, word) -> Run:
     return Run(start=start, input=word, output=tuple(out), visits=visits, end=state)
 
 
+def transition_rows(nxt: np.ndarray) -> list:
+    """The rows of a next-state table in the form :func:`run_states` walks:
+    nested lists in which undefined (-1) entries lead to an absorbing dead
+    state numbered ``len(nxt)``.  Building them costs one list entry per
+    table entry, so a caller that walks in chunks builds them once."""
+    dead = len(nxt)
+    rows = np.where(nxt < 0, dead, nxt).tolist()
+    rows.append([dead] * nxt.shape[1])
+    return rows
+
+
+def run_states(rows: list, letters: np.ndarray, state: int) -> np.ndarray:
+    """The states of the walk from ``state`` over the :func:`transition_rows`
+    ``rows``: the start, then the state after each letter (one more entry
+    than ``letters``).  A walk that falls off the table ends in the dead
+    state."""
+    out = [state]
+    append = out.append
+    for a in letters.tolist():
+        state = rows[state][a]
+        append(state)
+    return np.array(out, dtype=np.int64)
+
+
+def walk(machine, rows: list, letters: np.ndarray, state: int, position: int = 0) -> np.ndarray:
+    """:func:`run_states` over ``machine``'s transition rows, raising
+    UndefinedTransition at the first undefined step; ``position`` is the
+    number of input symbols consumed before ``letters`` (errors report the
+    1-based position of the offending symbol)."""
+    path = run_states(rows, letters, state)
+    dead = len(rows) - 1
+    if path[-1] == dead:
+        i = int(np.argmax(path == dead))
+        raise UndefinedTransition(
+            machine.states[path[i - 1]],
+            machine.alphabet.symbol(int(letters[i - 1])),
+            position=position + i,
+        )
+    return path
+
+
 class SelectionCursor:
     """Resumable streaming application of a selector.
 
@@ -355,9 +405,8 @@ class SelectionCursor:
     def __init__(self, selector: Selector, start=None):
         self._selector = selector
         self._position = 0
-        nxt, keep, _ = selector.tables()
-        self._nxt = nxt.tolist()
-        self._keep = keep.tolist()
+        nxt, self._keep, _ = selector.tables()
+        self._rows = transition_rows(nxt)
         self._state_idx = selector.state_index(
             selector.initial if start is None else start
         )
@@ -387,29 +436,21 @@ class SelectionCursor:
         return out
 
     def feed_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Fast path over symbol-index arrays; returns emitted indices."""
-        nxt, keep = self._nxt, self._keep
-        state = self._state_idx
-        out = []
-        append = out.append
-        pos = self._position
-        for a in indices.tolist():
-            pos += 1
-            t = nxt[state][a]
-            if t < 0:
-                self._position = pos
-                self._state_idx = state
-                raise UndefinedTransition(
-                    self._selector.states[state],
-                    self._selector.alphabet.symbol(a),
-                    position=pos,
-                )
-            if keep[state][a]:
-                append(a)
-            state = t
-        self._position = pos
-        self._state_idx = int(state)
-        return np.array(out, dtype=np.int64)
+        """Fast path over symbol-index arrays; returns emitted indices.
+
+        On an undefined transition the cursor stops at the offending
+        symbol: ``position`` is its 1-based position and ``state`` the state
+        that has no transition on it, as after the same error from :meth:`feed`.
+        """
+        try:
+            path = walk(self._selector, self._rows, indices, self._state_idx, self._position)
+        except UndefinedTransition as err:
+            self._position = err.position
+            self._state_idx = self._selector.state_index(err.state)
+            raise
+        self._position += len(indices)
+        self._state_idx = int(path[-1])
+        return indices[self._keep[path[:-1], indices]].astype(np.int64)
 
 
 def apply_selector(selector: Selector, stream: Iterable) -> Iterator:

@@ -217,6 +217,29 @@ def uniform_measure(alphabet) -> MarkovMeasure:
     return make_bernoulli(alphabet, np.full(n, 1.0 / n))
 
 
+def _solve_balance(P: np.ndarray) -> np.ndarray:
+    """Probability vector x with x P = x for a stochastic matrix with one
+    closed class: the balance equations with the last one replaced by the
+    normalization, least squares if that system is singular, then clipped
+    to be nonnegative and renormalized."""
+    n = P.shape[0]
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        x, *_ = np.linalg.lstsq(
+            np.vstack([P.T - np.eye(n), np.ones(n)]),
+            np.append(np.zeros(n), 1.0),
+            rcond=None,
+        )
+    x = np.clip(x, 0.0, None)
+    x /= x.sum()
+    return x
+
+
 def stationary_distribution(P: StochasticMatrix) -> Distribution:
     """The unique probability vector fixed by an irreducible stochastic matrix.
 
@@ -231,17 +254,7 @@ def stationary_distribution(P: StochasticMatrix) -> Distribution:
             f"nonzero pattern is not strongly connected: no path from {a!r} to {b!r}",
             components=(a, b),
         )
-    n = len(P.alphabet)
-    A = P.entries.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        x, *_ = np.linalg.lstsq(np.vstack([P.entries.T - np.eye(n), np.ones(n)]), np.append(np.zeros(n), 1.0), rcond=None)
-    x = np.clip(x, 0.0, None)
-    x /= x.sum()
+    x = _solve_balance(P.entries)
     resid = np.max(np.abs(x @ P.entries - x))
     if resid > 1e-12:
         raise NonConvergence(1)

@@ -9,7 +9,16 @@ identical across platforms and languages: the state advances by adding
 0x9E3779B97F4A7C15 modulo 2**64 and each output is the mixed state
 (z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27; z *= 0x94D049BB133111EB;
 z ^= z>>31); a uniform real in [0,1) is the top 53 bits over 2**53.
-Symbols are drawn by inverse CDF in alphabet order.
+Seeds are integers in [0, 2**64), checked by :class:`GeneratorSpec`.
+
+Symbols are drawn by inverse CDF in alphabet order: the symbol drawn with
+u from weights w is the first i with u < w[0] + ... + w[i], summed left
+to right, or the last positive weight when u reaches the row total.  A
+Markov sample is therefore a deterministic walk (see
+:func:`sftselect.machines.run_states`) over a draw table built once per
+measure.  Its letters are the intervals that the distinct cumulative sums
+of every row of P, and of pi, cut out of [0,1); its states are the
+symbols plus a start state whose row is pi.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .alphabet import Alphabet
-from .errors import BlockLengthOutOfRange, DeadEnd, ValidationError
+from .errors import BlockLengthOutOfRange, ValidationError
+from .machines import run_states, transition_rows
 from .measures import MarkovMeasure, block_measure_array
 
 SLIDING = "sliding"
@@ -31,12 +41,14 @@ MARKOV_SAMPLE = "markov-sample"
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
-    """Scalar splitmix64 stream; the reference for the vectorized path."""
+    """Scalar splitmix64 stream; the reference for the vectorized path.
+    The seed is taken modulo 2**64 (range checks belong to callers)."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
@@ -54,8 +66,8 @@ class SplitMix64:
 
 def splitmix64_floats(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Values offset+1 .. offset+count of the splitmix64 [0,1) stream for
-    ``seed``, computed in one vectorized pass (the generator is counter
-    based: the i-th state is seed + i * gamma)."""
+    ``seed`` taken modulo 2**64, computed in one vectorized pass (the
+    generator is counter based: the i-th state is seed + i * gamma)."""
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
@@ -64,25 +76,26 @@ def splitmix64_floats(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def _cumulative(weights) -> tuple[tuple, int]:
-    """Inverse-CDF table in alphabet order plus the fallback index (the last
-    positive weight, guarding the never-hit u >= total edge)."""
-    cum = []
-    acc = 0.0
-    fallback = -1
-    for i, w in enumerate(weights):
-        acc += float(w)
-        cum.append(acc)
-        if w > 0.0:
-            fallback = i
-    return tuple(cum), fallback
+def _draw_table(mu: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """(breaks, table) for inverse-CDF sampling of ``mu`` as a table walk.
 
-
-def _pick(cum, fallback, u) -> int:
-    for i, c in enumerate(cum):
-        if u < c:
-            return i
-    return fallback
+    ``breaks`` holds the sorted distinct cumulative sums of the rows of P
+    and of pi; the letter of u is ``searchsorted(breaks, u, "right")``.
+    ``table[r, L]`` is the symbol drawn from row r (row #A is pi) by every
+    u with that letter: the number of row-r sums <= ``breaks[L-1]``, or the
+    row's last positive weight when that number is #A.  The table takes
+    (#A+1) * (U+1) entries, where U <= #A * (#A+1) is the number of breaks.
+    """
+    weights = np.vstack([mu.P.entries, mu.pi.weights])
+    cums = np.cumsum(weights, axis=1)
+    breaks = np.unique(cums)
+    na = weights.shape[1]
+    table = np.zeros((na + 1, breaks.size + 1), dtype=np.int64)
+    for r in range(na + 1):
+        table[r, 1:] = np.searchsorted(cums[r], breaks, side="right")
+        last = np.flatnonzero(weights[r] > 0.0)[-1]
+        table[r, table[r] == na] = last
+    return breaks, table
 
 
 def _champernowne_chunks(base: int, n: int, chunk: int):
@@ -113,37 +126,16 @@ def champernowne(alphabet, n: int) -> np.ndarray:
     by length and then lexicographically; the canonical normal sequence."""
     if not isinstance(alphabet, Alphabet):
         alphabet = Alphabet(alphabet)
-    if n < 0:
-        raise ValidationError("length must be nonnegative")
-    pieces = list(_champernowne_chunks(len(alphabet), n, 1 << 16))
-    if not pieces:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(pieces)
+    return generate(GeneratorSpec(kind=CHAMPERNOWNE, alphabet=alphabet, n=n))
 
 
 def sample_markov(mu: MarkovMeasure, seed: int, n: int) -> np.ndarray:
     """Sample the first ``n`` symbols of a mu-distributed sequence: the first
     symbol from the stationary vector, each next one from the row of its
     predecessor, consuming one splitmix64 value per symbol."""
-    if n < 0:
-        raise ValidationError("length must be nonnegative")
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    pi_cum, pi_fb = _cumulative(mu.pi.weights.tolist())
-    if pi_fb < 0:
-        raise DeadEnd("<initial>")
-    rows = [_cumulative(row) for row in mu.P.entries.tolist()]
-    us = splitmix64_floats(seed, n).tolist()
-    prev = _pick(pi_cum, pi_fb, us[0])
-    out[0] = prev
-    for j in range(1, n):
-        cum, fb = rows[prev]
-        if fb < 0:
-            raise DeadEnd(mu.alphabet.symbol(prev))
-        prev = _pick(cum, fb, us[j])
-        out[j] = prev
-    return out
+    return generate(
+        GeneratorSpec(kind=MARKOV_SAMPLE, alphabet=mu.alphabet, n=n, measure=mu, seed=seed)
+    )
 
 
 @dataclass(frozen=True)
@@ -163,45 +155,39 @@ class GeneratorSpec:
             raise ValidationError("markov-sample generation needs a measure")
         if self.measure is not None and self.measure.alphabet != self.alphabet:
             raise ValidationError("generator measure alphabet mismatch")
+        if self.n < 0:
+            raise ValidationError("length must be nonnegative")
+        if not 0 <= self.seed <= _MASK:
+            raise ValidationError(f"seed {self.seed} is outside [0, 2**64)")
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
-    if spec.kind == CHAMPERNOWNE:
-        return champernowne(spec.alphabet, spec.n)
-    return sample_markov(spec.measure, spec.seed, spec.n)
+    pieces = list(generate_chunks(spec))
+    if not pieces:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate(pieces)
 
 
 def generate_chunks(spec: GeneratorSpec, chunk: int = 1 << 16) -> Iterable[np.ndarray]:
     """Yield the sequence of ``spec`` in bounded chunks so consumers never
     hold the whole sequence (the splitmix64 stream is counter based, so a
     Markov sample continues exactly across chunk boundaries)."""
+    if chunk < 1:
+        raise ValidationError(f"chunk size must be positive, got {chunk}")
     if spec.kind == CHAMPERNOWNE:
         yield from _champernowne_chunks(len(spec.alphabet), spec.n, chunk)
         return
-    mu = spec.measure
-    pi_cum, pi_fb = _cumulative(mu.pi.weights.tolist())
-    if pi_fb < 0:
-        raise DeadEnd("<initial>")
-    rows = [_cumulative(row) for row in mu.P.entries.tolist()]
+    breaks, table = _draw_table(spec.measure)
+    rows = transition_rows(table)
+    state = len(spec.alphabet)  # the start row, pi
     produced = 0
-    prev = None
     while produced < spec.n:
         take = min(chunk, spec.n - produced)
-        us = splitmix64_floats(spec.seed, take, offset=produced).tolist()
-        out = np.empty(take, dtype=np.int64)
-        start = 0
-        if prev is None:
-            prev = _pick(pi_cum, pi_fb, us[0])
-            out[0] = prev
-            start = 1
-        for j in range(start, take):
-            cum, fb = rows[prev]
-            if fb < 0:
-                raise DeadEnd(mu.alphabet.symbol(prev))
-            prev = _pick(cum, fb, us[j])
-            out[j] = prev
+        us = splitmix64_floats(spec.seed, take, offset=produced)
+        path = run_states(rows, np.searchsorted(breaks, us, side="right"), state)
+        state = int(path[-1])
         produced += take
-        yield out
+        yield path[1:]
 
 
 class BlockCounter:
@@ -209,12 +195,19 @@ class BlockCounter:
 
     SLIDING counts every window of length k (n-k+1 of them over n symbols);
     ALIGNED counts the disjoint blocks w1 w2 ... (floor(n/k) of them).
-    Memory is one #A**k count vector plus a k-sized carry.
+    Memory is one #A**k count vector plus a k-sized carry; block codes are
+    int64, so #A**k may not exceed 2**63 - 1.
     """
 
     def __init__(self, alphabet_size: int, k: int, mode: str = SLIDING):
         if k < 1:
             raise BlockLengthOutOfRange("block length must be at least 1")
+        # past k = 63 even two symbols overflow; stop before a huge power
+        if alphabet_size > 1 and (k >= 64 or alphabet_size**k > _INT64_MAX):
+            raise BlockLengthOutOfRange(
+                f"block length {k} over {alphabet_size} symbols gives "
+                f"{alphabet_size}**{k} blocks, past the int64 code range"
+            )
         if mode not in (SLIDING, ALIGNED):
             raise ValidationError(f"unknown counting mode {mode!r}")
         self.base = alphabet_size

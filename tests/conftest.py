@@ -63,8 +63,9 @@ def random_complete_dfa(rng: random.Random, max_states: int = 4):
     return dfa, accepting
 
 
-def random_selector(rng: random.Random, max_states: int = 4) -> ss.Selector:
-    """Seeded random complete binary selector with per-transition actions."""
+def random_selector(rng: random.Random, max_states: int = 4, partial: bool = False) -> ss.Selector:
+    """Seeded random binary selector with per-transition actions; complete
+    unless ``partial``, which leaves out each transition with probability 1/4."""
     n = rng.randint(1, max_states)
     states = [f"s{i}" for i in range(n)]
     transitions = [
@@ -72,6 +73,8 @@ def random_selector(rng: random.Random, max_states: int = 4) -> ss.Selector:
         for q in states
         for a in ("0", "1")
     ]
+    if partial:
+        transitions = [t for t in transitions if rng.random() >= 0.25]
     return ss.Selector(["0", "1"], states, states[0], transitions)
 
 
@@ -88,3 +91,27 @@ def random_irreducible_measure(rng: random.Random, size: int) -> ss.MarkovMeasur
 def random_word(rng: random.Random, alphabet, max_len: int, min_len: int = 0):
     length = rng.randint(min_len, max_len)
     return tuple(rng.choice(alphabet.symbols) for _ in range(length))
+
+
+def reference_pick(weights, u: float) -> int:
+    """Scalar inverse CDF: the first i with u < w[0] + ... + w[i], summed
+    left to right, else the last positive weight."""
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return max(i for i, w in enumerate(weights) if w > 0.0)
+
+
+def reference_sample(mu: ss.MarkovMeasure, seed: int, n: int) -> np.ndarray:
+    """Scalar Markov sampling: one ``SplitMix64`` float per symbol, the first
+    symbol drawn from pi and each next one from its predecessor's row."""
+    rows = mu.P.entries.tolist()
+    weights = mu.pi.weights.tolist()
+    gen = ss.SplitMix64(seed)
+    out = []
+    for _ in range(n):
+        out.append(reference_pick(weights, gen.next_float()))
+        weights = rows[out[-1]]
+    return np.array(out, dtype=np.int64)

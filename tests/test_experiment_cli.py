@@ -303,6 +303,16 @@ class TestCliExitCodes:
         assert capsys.readouterr().out == first
         assert len(first.strip()) == 32
 
+    def test_gen_seed_out_of_range_exit_one(self, capsys):
+        for seed in ("-1", str(2**64)):
+            assert main(["gen", "--kind", "uniform", "--n", "8", "--seed", seed]) == 1
+            assert capsys.readouterr().err.startswith("error: seed")
+
+    def test_freq_block_length_past_int64_exit_one(self, tmp_path, capsys):
+        p = self._write(tmp_path, "seq.txt", "0110" * 40)
+        assert main(["freq", "--k", "64", "--in", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: block length 64")
+
     def test_gen_champernowne(self, capsys):
         assert main(["gen", "--kind", "champernowne", "--n", "10"]) == 0
         assert capsys.readouterr().out.strip() == "0100011011"

@@ -91,6 +91,26 @@ class TestSampleMarkov:
         with pytest.raises(ss.ValidationError):
             ss.GeneratorSpec(kind=ss.MARKOV_SAMPLE, alphabet=binary, n=10)
 
+    def test_chunk_size_must_be_positive(self, binary, golden):
+        for kind, measure in ((ss.CHAMPERNOWNE, None), (ss.MARKOV_SAMPLE, golden)):
+            spec = ss.GeneratorSpec(kind=kind, alphabet=binary, n=10, measure=measure)
+            for chunk in (0, -1):
+                with pytest.raises(ss.ValidationError):
+                    next(ss.generate_chunks(spec, chunk))
+
+    def test_seed_range(self, binary, uniform2):
+        for seed in (-1, 2**64):
+            with pytest.raises(ss.ValidationError):
+                ss.GeneratorSpec(
+                    kind=ss.MARKOV_SAMPLE, alphabet=binary, n=8, measure=uniform2, seed=seed
+                )
+            with pytest.raises(ss.ValidationError):
+                ss.sample_markov(uniform2, seed, 8)
+        top = 2**64 - 1
+        gen = ss.SplitMix64(top)
+        expected = [int(gen.next_float() >= 0.5) for _ in range(8)]
+        assert ss.sample_markov(uniform2, top, 8).tolist() == expected
+
 
 class TestBlockFrequencies:
     def test_sliding_example(self, binary):
@@ -146,6 +166,13 @@ class TestBlockFrequencies:
             ss.block_frequencies(binary, "0101", 0)
         with pytest.raises(ss.BlockLengthOutOfRange):
             ss.block_frequencies(binary, "0101", 5)
+
+    def test_block_codes_past_int64_rejected(self):
+        # only sizes past the int64 code range: these fail before allocating
+        for size, k in ((2, 63), (2, 64), (3, 40), (2, 10**9)):
+            with pytest.raises(ss.BlockLengthOutOfRange):
+                ss.BlockCounter(size, k)
+        assert ss.BlockCounter(1, 100).counts.size == 1
 
     def test_streaming_counter_matches_oneshot(self, binary):
         rng = random.Random(31)
