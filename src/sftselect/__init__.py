@@ -91,6 +91,7 @@ from .oracles import (
     count_output_prefix_runs,
     enumerate_runs,
     equirun_scan,
+    lemma_check,
     measure_output_prefix_runs,
 )
 from .seqgen import (

@@ -52,7 +52,7 @@ from .measures import (
     uniform_measure,
 )
 from .seqgen import block_frequencies
-from .oracles import count_output_prefix_runs, equirun_scan, measure_output_prefix_runs
+from .oracles import equirun_scan, lemma_check
 from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, generate
 
 _PARSE_ERRORS = (
@@ -310,20 +310,11 @@ def cmd_lemma_check(args) -> int:
         if scan.passed:
             lines.append(f"# equirun witness n={scan.witness_n}")
     else:
-        for p in selector.states:
-            for n in range(0, args.n_max + 1):
-                for wlen in range(0, min(n, args.w_max) + 1):
-                    for w in selector.alphabet.words(wlen):
-                        if mu is None:
-                            _value, r = count_output_prefix_runs(
-                                selector, p, n, w, cap=args.max_enum
-                            )
-                        else:
-                            _value, r = measure_output_prefix_runs(
-                                selector, mu, witness, p, n, w, cap=args.max_enum
-                            )
-                        all_pass = all_pass and r.passed
-                        lines.append(_format_lemma_line(r))
+        for r in lemma_check(
+            selector, args.n_max, args.w_max, mu=mu, witness=witness, cap=args.max_enum
+        ):
+            all_pass = all_pass and r.passed
+            lines.append(_format_lemma_line(r))
     _emit(args, "\n".join(lines) + "\n")
     return 0 if all_pass else 3
 
@@ -438,12 +429,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure")
     p.add_argument("-n", type=int, required=True)
 
-    p = add("lemma-check", cmd_lemma_check, "enumerate runs and check the counting bounds")
+    p = add("lemma-check", cmd_lemma_check, "check the run-counting bounds exactly")
     p.add_argument("--selector", required=True)
     p.add_argument("--measure")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--w-max", type=int, default=4)
-    p.add_argument("--max-enum", type=int, default=1 << 20)
+    p.add_argument(
+        "--max-enum",
+        type=int,
+        default=1 << 20,
+        help="cap on the nominal runs (#A**n) of a measure walk; counts are not capped",
+    )
     p.add_argument("--equirun", type=int, help="run the two-sided scan for this block length")
     p.add_argument("--epsilon", type=float, default=0.1)
 

@@ -117,7 +117,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     target = config.target
     alpha = selector.alphabet
     na = len(alpha)
-    nxt, keep, _defined = selector.tables()
+    nxt, keep = selector.tables()
     rows = transition_rows(nxt)
 
     scc = scc_decomposition(selector)

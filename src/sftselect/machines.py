@@ -250,14 +250,14 @@ class Automaton(_MachineBase):
                 if a in row:
                     yield q, a, row[a]
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (next_state, defined) arrays indexed by (state, symbol);
-        undefined entries hold -1."""
+    def tables(self) -> tuple[np.ndarray]:
+        """The dense next-state array indexed by (state, symbol), as a
+        1-tuple like :meth:`Selector.tables`; undefined entries hold -1."""
         nq, na = len(self._states), len(self._alphabet)
         nxt = np.full((nq, na), -1, dtype=np.int64)
         for q, a, t in self.transitions():
             nxt[self._state_index[q], self._alphabet.index(a)] = self._state_index[t]
-        return nxt, nxt >= 0
+        return (nxt,)
 
 
 class Selector(_MachineBase):
@@ -316,8 +316,9 @@ class Selector(_MachineBase):
         )
         return automaton
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense (next_state, keep, defined) arrays indexed by (state, symbol)."""
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (next_state, keep) arrays indexed by (state, symbol);
+        undefined next states hold -1."""
         nq, na = len(self._states), len(self._alphabet)
         nxt = np.full((nq, na), -1, dtype=np.int64)
         keep = np.zeros((nq, na), dtype=bool)
@@ -325,7 +326,7 @@ class Selector(_MachineBase):
             qi, ai = self._state_index[q], self._alphabet.index(a)
             nxt[qi, ai] = self._state_index[t]
             keep[qi, ai] = act == KEEP
-        return nxt, keep, nxt >= 0
+        return nxt, keep
 
 
 def run_word(machine, start, word) -> Run:
@@ -405,7 +406,7 @@ class SelectionCursor:
     def __init__(self, selector: Selector, start=None):
         self._selector = selector
         self._position = 0
-        nxt, self._keep, _ = selector.tables()
+        nxt, self._keep = selector.tables()
         self._rows = transition_rows(nxt)
         self._state_idx = selector.state_index(
             selector.initial if start is None else start

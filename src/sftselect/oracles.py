@@ -1,21 +1,31 @@
-"""Brute-force enumeration oracles for the run-counting bounds.
+"""Run-counting bounds, checked exactly, and the enumeration oracle.
 
-Everything here enumerates runs outright (depth-first, lexicographic) and
-checks the counting statements by direct inspection at small length, so
-these functions double as independent references for the streaming and
-chain machinery.  Enumerations are capped; past the cap the statistical
-path is the right tool.
+The checks read per-start-state tables that map every output prefix of
+length <= K to its count or measure at every run length n <= n_max:
+
+* counts come from a forward dynamic program over (state, output truncated
+  to K) with exact integers, so they cost O(n * |Q| * #A**K * #A) and need
+  no cap;
+* measures come from one pre-order walk of the run tree with children in
+  alphabet order, so every sum is taken over the runs in lexicographic
+  order, exactly as the enumeration adds them, and its floats are bit for
+  bit the enumeration's.  The walk visits #A**n nodes and is capped.
+
+Enumerating runs outright (:func:`enumerate_runs`, ``_walk_runs``) is the
+oracle the tables are tested against; it stays capped, and past the cap the
+statistical path is the right tool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 from .alphabet import as_word
 from .compat import CompatibilityWitness
 from .errors import CapExceeded, NotCompatible, NotOblivious, NotStronglyConnected
-from .machines import Automaton, Selector, is_oblivious, scc_decomposition
+from .machines import KEEP, Automaton, Selector, is_oblivious, scc_decomposition
 from .measures import MarkovMeasure, conditional_word_measure
 
 DEFAULT_RUN_CAP = 1 << 20
@@ -123,12 +133,151 @@ def _require_oblivious(selector: Selector):
         raise NotOblivious(witness)
 
 
+def _require_last_selected(witness: CompatibilityWitness):
+    if witness.last_selected is None:
+        raise NotCompatible(["witness lacks the last-selected labeling"])
+
+
+def _steps(selector: Selector) -> list:
+    """Per state index, the defined transitions in alphabet order as
+    (symbol index, symbol, target index, keeps)."""
+    alpha = selector.alphabet
+    index = selector.state_index
+    steps = [[] for _ in selector.states]
+    for q, a, act, t in selector.transitions():
+        steps[index(q)].append((alpha.index(a), a, index(t), act == KEEP))
+    return steps
+
+
+def _count_layers(selector: Selector, start, k: int, word: Optional[tuple] = None) -> Iterator[dict]:
+    """Yield, for n = 0, 1, 2, ..., the number of length-n runs from
+    ``start`` per (state index, output truncated to k).
+
+    Counts are exact integers and runs with the same key are merged, so
+    each step costs O(|Q| * #A**k * #A).  Given ``word`` (with k = |word|),
+    runs whose output stops being a prefix of it are dropped on the way,
+    which leaves O(|Q| * k) keys."""
+    steps = _steps(selector)
+    layer = {(selector.state_index(start), ()): 1}
+    while True:
+        yield layer
+        following: dict = {}
+        for (q, out), c in layer.items():
+            for _ai, a, t, keeps in steps[q]:
+                if keeps and len(out) < k:
+                    if word is not None and word[len(out)] != a:
+                        continue
+                    key = (t, out + (a,))
+                else:
+                    key = (t, out)
+                following[key] = following.get(key, 0) + c
+        layer = following
+
+
+def _prefix_counts(layer: dict) -> dict:
+    """The table of a :func:`_count_layers` layer: every output prefix w
+    (|w| <= k) -> the number of its runs whose output begins with w.
+    Prefixes no run outputs are absent."""
+    table: dict = {}
+    for (_q, out), c in layer.items():
+        for i in range(len(out) + 1):
+            w = out[:i]
+            table[w] = table.get(w, 0) + c
+    return table
+
+
+def _step_weight_rows(selector: Selector, mu: MarkovMeasure, witness: CompatibilityWitness) -> dict:
+    """State index -> the weight of reading each selector symbol (by index)
+    from that state: the transition-matrix entry out of its last-read label."""
+    entries = mu.P.entries.tolist()
+    alpha = mu.alphabet
+    cols = [alpha.index(a) for a in selector.alphabet]
+    return {
+        selector.state_index(q): [entries[alpha.index(s)][c] for c in cols]
+        for q, s in witness.last_read.items()
+    }
+
+
+def _measure_tables(
+    selector: Selector, start, n_max: int, k: int, weight_rows, word: Optional[tuple] = None
+) -> list:
+    """For n = 0..n_max, the table mapping every output prefix w with
+    |w| <= k to the total weight of the length-n runs from ``start`` whose
+    output begins with w (prefixes no run outputs are absent).
+
+    A run weighs the product, in reading order, of
+    ``weight_rows[state][symbol]`` over its steps.  One pre-order walk
+    visits the run tree with children in alphabet order, so the runs of
+    each length reach their sums in lexicographic order, and each sum
+    starts from 0.0: the floats are bit for bit those of adding up the
+    enumeration.  The value types match it too: 1.0 at n = 0 and
+    ``np.float64`` from n = 1 (the weights the enumeration multiplies are
+    numpy scalars).  Given ``word`` (with k = |word|), subtrees whose output
+    stops being a prefix of it are skipped; the runs that remain are summed
+    in the same order."""
+    import numpy as np
+
+    steps = _steps(selector)
+    tables: list = [{} for _ in range(n_max + 1)]
+    stack = [(selector.state_index(start), 0, 1.0, ((),))] if tables else []
+    while stack:
+        q, d, acc, prefixes = stack.pop()
+        table = tables[d]
+        for w in prefixes:
+            table[w] = table.get(w, 0.0) + acc
+        if d == n_max:
+            continue
+        row = weight_rows[q]
+        out = prefixes[-1]
+        for ai, a, t, keeps in reversed(steps[q]):
+            child = prefixes
+            if keeps and len(out) < k:
+                if word is not None and word[len(out)] != a:
+                    continue
+                child = prefixes + (out + (a,),)
+            stack.append((t, d + 1, acc * row[ai], child))
+    for table in tables[1:]:
+        for w, value in table.items():
+            table[w] = np.float64(value)
+    return tables
+
+
+def _count_result(selector: Selector, start, n: int, w: tuple, count: int) -> LemmaCheckResult:
+    bound = len(selector.alphabet) ** (n - len(w))
+    return LemmaCheckResult(
+        lemma="count-upper",
+        state=start,
+        n=n,
+        word=w,
+        value=count,
+        upper=bound,
+        passed=count <= bound,
+        strict=count < bound,
+    )
+
+
+def _measure_result(
+    mu: MarkovMeasure, witness: CompatibilityWitness, start, n: int, w: tuple, value, tol: float
+) -> LemmaCheckResult:
+    bound = conditional_word_measure(mu, witness.last_selected[start], w)
+    return LemmaCheckResult(
+        lemma="measure-upper",
+        state=start,
+        n=n,
+        word=w,
+        value=value,
+        upper=bound,
+        passed=value <= bound + tol,
+        strict=value < bound - tol,
+    )
+
+
 def count_output_prefix_runs(
     selector: Selector,
     start,
     n: int,
     word,
-    cap: int = DEFAULT_RUN_CAP,
+    *,
     require_oblivious: bool = True,
 ) -> tuple[int, LemmaCheckResult]:
     """Count length-n runs from ``start`` whose output begins with ``word``
@@ -143,34 +292,9 @@ def count_output_prefix_runs(
         raise ValueError(f"|word| = {len(w)} exceeds run length {n}")
     if require_oblivious:
         _require_oblivious(selector)
-    _check_cap(selector, n, cap)
-    count = 0
-    for _u, v, _end, _wt in _walk_runs(selector, start, n):
-        if v[: len(w)] == w:
-            count += 1
-    bound = len(selector.alphabet) ** (n - len(w))
-    result = LemmaCheckResult(
-        lemma="count-upper",
-        state=start,
-        n=n,
-        word=w,
-        value=count,
-        upper=bound,
-        passed=count <= bound,
-        strict=count < bound,
-    )
-    return count, result
-
-
-def _read_step_weight(mu: MarkovMeasure, witness: CompatibilityWitness):
-    entries = mu.P.entries
-    alpha = mu.alphabet
-    labels = {q: alpha.index(s) for q, s in witness.last_read.items()}
-
-    def weight(state, a):
-        return entries[labels[state], alpha.index(a)]
-
-    return weight
+    layer = next(islice(_count_layers(selector, start, len(w), w), n, None))
+    count = _prefix_counts(layer).get(w, 0)
+    return count, _count_result(selector, start, n, w, count)
 
 
 def measure_output_prefix_runs(
@@ -189,32 +313,55 @@ def measure_output_prefix_runs(
 
     The stated bound is strict except in degenerate base cases (n = 0 with
     the empty word makes both sides 1), so the check accepts equality and
-    records strictness separately.
+    records strictness separately.  The walk is capped at ``cap`` nominal
+    runs (#A**n).
     """
     w = as_word(word)
     if len(w) > n:
         raise ValueError(f"|word| = {len(w)} exceeds run length {n}")
     _require_oblivious(selector)
-    if witness.last_selected is None:
-        raise NotCompatible(["witness lacks the last-selected labeling"])
+    _require_last_selected(witness)
     _check_cap(selector, n, cap)
-    weight = _read_step_weight(mu, witness)
-    value = 0.0
-    for _u, v, _end, wt in _walk_runs(selector, start, n, weight):
-        if v[: len(w)] == w:
-            value += wt
-    bound = conditional_word_measure(mu, witness.last_selected[start], w)
-    result = LemmaCheckResult(
-        lemma="measure-upper",
-        state=start,
-        n=n,
-        word=w,
-        value=value,
-        upper=bound,
-        passed=value <= bound + tol,
-        strict=value < bound - tol,
-    )
-    return value, result
+    rows = _step_weight_rows(selector, mu, witness)
+    value = _measure_tables(selector, start, n, len(w), rows, w)[n].get(w, 0.0)
+    return value, _measure_result(mu, witness, start, n, w, value, tol)
+
+
+def lemma_check(
+    selector: Selector,
+    n_max: int,
+    w_max: int,
+    mu: Optional[MarkovMeasure] = None,
+    witness: Optional[CompatibilityWitness] = None,
+    cap: int = DEFAULT_RUN_CAP,
+    tol: float = 1e-12,
+) -> Iterator[LemmaCheckResult]:
+    """Every check of :func:`count_output_prefix_runs` (or, given ``mu`` and
+    ``witness``, of :func:`measure_output_prefix_runs`) for each state p,
+    n = 0..n_max and word w with |w| <= min(n, w_max), in that order.
+
+    All checks from one state read one table, built once.  Only the
+    measure walk is capped at ``cap`` nominal runs (#A**n_max).
+    """
+    _require_oblivious(selector)
+    if mu is not None:
+        _require_last_selected(witness)
+        _check_cap(selector, n_max, cap)
+        rows = _step_weight_rows(selector, mu, witness)
+    alpha = selector.alphabet
+    words = [tuple(alpha.words(length)) for length in range(min(n_max, w_max) + 1)]
+    for p in selector.states:
+        if mu is None:
+            tables = map(_prefix_counts, islice(_count_layers(selector, p, w_max), n_max + 1))
+        else:
+            tables = _measure_tables(selector, p, n_max, w_max, rows)
+        for n, table in enumerate(tables):
+            for length in range(min(n, w_max) + 1):
+                for w in words[length]:
+                    if mu is None:
+                        yield _count_result(selector, p, n, w, table.get(w, 0))
+                    else:
+                        yield _measure_result(mu, witness, p, n, w, table.get(w, 0.0), tol)
 
 
 @dataclass(frozen=True)
@@ -248,7 +395,8 @@ def equirun_scan(
 
     Uniform mode bounds run counts by #A**(n-k); Markov mode (measure plus
     witness) bounds the conditional run measure by the conditional measure
-    of w after the last-selected label of p.
+    of w after the last-selected label of p.  Only Markov mode walks runs,
+    and only it is capped at ``cap`` nominal runs (#A**n).
     """
     _require_oblivious(selector)
     if not scc_decomposition(selector).strongly_connected:
@@ -258,24 +406,27 @@ def equirun_scan(
         raise NotCompatible(["equirun scan in Markov mode needs a selector witness"])
     alpha = selector.alphabet
     words = list(alpha.words(k))
-    weight = _read_step_weight(mu, witness) if markov else None
+    if markov:
+        rows = _step_weight_rows(selector, mu, witness)
+    else:
+        counts = [
+            islice(map(_prefix_counts, _count_layers(selector, p, k)), k, None)
+            for p in selector.states
+        ]
 
     last_results: tuple = ()
     for n in range(k, n_max + 1):
-        _check_cap(selector, n, cap)
+        if markov:
+            _check_cap(selector, n, cap)
         results = []
         all_ok = True
-        for p in selector.states:
-            buckets: dict = {}
-            for _u, v, _end, wt in _walk_runs(selector, p, n, weight):
-                if len(v) >= k:
-                    key = v[:k]
-                    if markov:
-                        buckets[key] = buckets.get(key, 0.0) + wt
-                    else:
-                        buckets[key] = buckets.get(key, 0) + 1
+        for i, p in enumerate(selector.states):
+            if markov:
+                table = _measure_tables(selector, p, n, k, rows)[n]
+            else:
+                table = next(counts[i])
             for w in words:
-                value = buckets.get(w, 0.0 if markov else 0)
+                value = table.get(w, 0.0 if markov else 0)
                 if markov:
                     upper = conditional_word_measure(mu, witness.last_selected[p], w)
                     lower = (1.0 - epsilon) * upper

@@ -414,3 +414,40 @@ class TestCliExitCodes:
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == "# equirun witness n=9"
+
+    def test_lemma_check_counts_reach_n_64(self, capsys):
+        code = main(
+            [
+                "lemma-check",
+                "--selector",
+                str(fx.data_path("after_ones.sel")),
+                "--n-max",
+                "64",
+                "--w-max",
+                "6",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 * (1 + 3 + 7 + 15 + 31 + 63 + 127 * 59)
+        assert all(line.endswith(" PASS") for line in out)
+        assert (
+            "LEMMA count-upper p=q0 n=64 w=eps value=18446744073709551616 "
+            "bound=18446744073709551616 PASS"
+        ) in out
+
+    def test_lemma_check_caps_measure_walks_only(self, capsys):
+        even = str(fx.data_path("even_positions.sel"))
+        golden = str(fx.data_path("golden_parry.msr"))
+        args = ["lemma-check", "--selector", even, "--n-max", "6", "--w-max", "1"]
+        assert main([*args, "--measure", golden, "--max-enum", "32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: enumeration of 64 runs exceeds the cap of 32")
+        assert "raise --max-enum" in captured.err
+        assert main([*args, "--max-enum", "32"]) == 0
+
+    def test_lemma_check_max_enum_help(self, capsys):
+        assert main(["lemma-check", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "cap on the nominal runs (#A**n) of a measure walk; counts are not capped" in help_text
