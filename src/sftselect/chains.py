@@ -21,7 +21,7 @@ import numpy as np
 
 from .alphabet import Alphabet
 from .compat import CompatibilityWitness, is_shift_complete
-from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun
+from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun, ValidationError
 from .machines import (
     Automaton, SccReport, scc_decomposition, snake_automaton, transition_rows, walk,
 )
@@ -166,17 +166,17 @@ def snake_distribution(
         snake_chain = uniform_chain(snake)
     else:
         if witness is None:
-            raise ValueError("Markov snake distribution needs a compatibility witness")
+            raise ValidationError("Markov snake distribution needs a compatibility witness")
         base = compatible_chain(machine, mu, witness)
         base_pi = base.require_stationary()
         if labeling == "last_read":
             labels = witness.last_read
         elif labeling == "last_selected":
             if witness.last_selected is None:
-                raise ValueError("witness carries no last-selected labeling")
+                raise ValidationError("witness carries no last-selected labeling")
             labels = witness.last_selected
         else:
-            raise ValueError(f"unknown labeling {labeling!r}")
+            raise ValidationError(f"unknown labeling {labeling!r}")
         values = np.array(
             [
                 base_pi[machine.state_index(p)]
@@ -264,7 +264,7 @@ def empirical_state_frequencies(
         n = len(idx)
     idx = idx[:n]
     if len(idx) < n:
-        raise ValueError(f"input has only {len(idx)} symbols, need {n}")
+        raise ValidationError(f"input has only {len(idx)} symbols, need {n}")
     rows = transition_rows(machine.tables()[0])
     state = machine.state_index(machine.initial if start is None else start)
     counts = np.bincount(walk(machine, rows, idx, state)[:-1], minlength=len(machine.states))

@@ -41,7 +41,7 @@ from .formats import (
     serialize_measure,
     write_symbol_text,
 )
-from .machines import SelectionCursor, snake_state_label
+from .machines import SelectionCursor, Selector, snake_state_label
 from .measures import (
     Distribution,
     MarkovMeasure,
@@ -51,9 +51,8 @@ from .measures import (
     stationary_distribution,
     uniform_measure,
 )
-from .seqgen import block_frequencies
 from .oracles import equirun_scan, lemma_check
-from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, generate
+from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequencies, generate
 
 _PARSE_ERRORS = (
     ParseError,
@@ -208,28 +207,36 @@ def cmd_compat(args) -> int:
 
 
 def _load_machine_for_chain(args):
+    """The machine given (selector or automaton) and its automaton."""
     if args.selector:
         selector = parse_selector(args.selector)
         return selector, selector.underlying_automaton()
     automaton = parse_automaton(args.automaton)
-    return None, automaton
+    return automaton, automaton
+
+
+def _compatible_witness(machine, mu):
+    """The compatibility witness of ``machine`` for ``mu``, or None after
+    printing the violations to stdout (the command then exits 2)."""
+    if isinstance(machine, Selector):
+        result = check_selector_compatibility(machine, mu)
+    else:
+        result = check_automaton_compatibility(machine, mu)
+    if result.ok:
+        return result.witness
+    for violation in result.violations:
+        print(violation)
+    return None
 
 
 def cmd_chain(args) -> int:
-    selector, automaton = _load_machine_for_chain(args)
+    machine, automaton = _load_machine_for_chain(args)
     if args.measure:
         mu = parse_measure(args.measure)
-        machine = selector if selector is not None else automaton
-        result = (
-            check_selector_compatibility(machine, mu)
-            if selector is not None
-            else check_automaton_compatibility(machine, mu)
-        )
-        if not result.ok:
-            for violation in result.violations:
-                print(violation)
+        witness = _compatible_witness(machine, mu)
+        if witness is None:
             return 2
-        chain = compatible_chain(machine, mu, result.witness)
+        chain = compatible_chain(machine, mu, witness)
     else:
         chain = uniform_chain(automaton)
     pi, matrix = chain_as_measure(chain)
@@ -238,20 +245,13 @@ def cmd_chain(args) -> int:
 
 
 def cmd_snake(args) -> int:
-    selector, automaton = _load_machine_for_chain(args)
+    machine, automaton = _load_machine_for_chain(args)
     if args.measure:
         mu = parse_measure(args.measure)
-        machine = selector if selector is not None else automaton
-        result = (
-            check_selector_compatibility(machine, mu)
-            if selector is not None
-            else check_automaton_compatibility(machine, mu)
-        )
-        if not result.ok:
-            for violation in result.violations:
-                print(violation)
+        witness = _compatible_witness(machine, mu)
+        if witness is None:
             return 2
-        dist = snake_distribution(automaton, args.n, mu=mu, witness=result.witness)
+        dist = snake_distribution(automaton, args.n, mu=mu, witness=witness)
     else:
         dist = snake_distribution(automaton, args.n)
     alpha = automaton.alphabet
@@ -286,12 +286,9 @@ def cmd_lemma_check(args) -> int:
     mu = parse_measure(args.measure) if args.measure else None
     witness = None
     if mu is not None:
-        result = check_selector_compatibility(selector, mu)
-        if not result.ok:
-            for violation in result.violations:
-                print(violation)
+        witness = _compatible_witness(selector, mu)
+        if witness is None:
             return 2
-        witness = result.witness
     lines = []
     all_pass = True
     if args.equirun is not None:
@@ -321,12 +318,7 @@ def cmd_lemma_check(args) -> int:
 
 def cmd_experiment(args) -> int:
     selector = parse_selector(args.selector)
-    if args.measure:
-        mu = parse_measure(args.measure)
-        target = mu
-    else:
-        mu = None
-        target = None
+    target = parse_measure(args.measure) if args.measure else None
     alphabet = selector.alphabet
     if args.gen == "champernowne":
         spec = GeneratorSpec(kind=CHAMPERNOWNE, alphabet=alphabet, n=args.n)
@@ -348,12 +340,7 @@ def cmd_experiment(args) -> int:
         tolerance=args.tolerance,
         after_recurrent=args.after_recurrent,
     )
-    try:
-        report = run_experiment(config)
-    except NotCompatible as exc:
-        for violation in exc.violations:
-            print(violation, file=sys.stderr)
-        return 2
+    report = run_experiment(config)
     out = _open_out(args)
     try:
         write_experiment_csv(report, out if out else sys.stdout)

@@ -14,11 +14,10 @@ from typing import Optional, TextIO
 
 import numpy as np
 
-from .chains import scc_decomposition
 from .compat import CompatibilityResult, check_selector_compatibility
-from .errors import NotCompatible, NotOblivious, ValidationError
+from .errors import NotCompatible, ValidationError
 from .formats import machine_digest
-from .machines import Selector, is_oblivious, transition_rows, walk
+from .machines import Selector, _require_oblivious, scc_decomposition, transition_rows, walk
 from .measures import MarkovMeasure, block_measure_array, support_forbidden_blocks, uniform_measure
 from .seqgen import (
     SLIDING,
@@ -105,9 +104,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     by default the transient prefix is counted too, tolerances absorb it.
     """
     selector = config.selector
-    ok, bad_state = is_oblivious(selector)
-    if not ok:
-        raise NotOblivious(bad_state)
+    _require_oblivious(selector)
     compat = None
     if config.measure is not None:
         compat = check_selector_compatibility(selector, config.measure)

@@ -19,6 +19,10 @@ of states, the start included.  A selector's output on the walk is then
 ``np.bincount(path[:-1])``.  Markov sampling in :mod:`sftselect.seqgen` is
 the same walk over a draw table.  The scalar :func:`run_word` stays as the
 reference the kernel is tested against.
+
+Every connectivity question goes through one graph routine, Tarjan's
+algorithm in :func:`_strong_components`: :func:`scc_decomposition`,
+:meth:`check_trim` and the irreducibility test of :mod:`sftselect.measures`.
 """
 
 from __future__ import annotations
@@ -182,25 +186,26 @@ class _MachineBase:
     def check_trim(self) -> tuple[bool, list]:
         """Verify every state is reachable from the initial state and lies on
         some infinite run (i.e. can reach a cycle).  Records the verification
-        flag and returns (ok, offending states)."""
-        reachable = {self._initial}
-        frontier = [self._initial]
-        while frontier:
-            q = frontier.pop()
-            for t in self.successors(q):
-                if t not in reachable:
-                    reachable.add(t)
-                    frontier.append(t)
-        # states that can reach a cycle: iteratively strip states with no successor
-        alive = set(self._states)
-        changed = True
-        while changed:
-            changed = False
-            for q in list(alive):
-                if not any(t in alive for t in self.successors(q)):
-                    alive.discard(q)
-                    changed = True
-        bad = [q for q in self._states if q not in reachable or q not in alive]
+        flag and returns (ok, offending states).  Condensation edges point to
+        lower component indices, so reachability sweeps down from the initial
+        component; a component is alive if cyclic or with an alive successor."""
+        report = scc_decomposition(self)
+        comps = report.components
+        out = [[] for _ in comps]
+        for src, dst in report.condensation_edges:
+            out[src].append(dst)
+        reached = [False] * len(comps)
+        reached[report.component_of(self._initial)] = True
+        for c in reversed(range(len(comps))):
+            if reached[c]:
+                for t in out[c]:
+                    reached[t] = True
+        alive = []
+        for c, members in enumerate(comps):
+            cyclic = len(members) > 1 or members[0] in self.successors(members[0])
+            alive.append(cyclic or any(alive[t] for t in out[c]))
+        good = [r and a for r, a in zip(reached, alive)]
+        bad = [q for q in self._states if not good[report.component_of(q)]]
         ok = not bad
         self._trim_checked = ok
         return ok, bad
@@ -488,6 +493,13 @@ def is_oblivious(selector: Selector) -> tuple[bool, Optional[object]]:
     return True, None
 
 
+def _require_oblivious(selector: Selector):
+    """Raise NotOblivious at the first state with mixed actions."""
+    ok, witness = is_oblivious(selector)
+    if not ok:
+        raise NotOblivious(witness)
+
+
 def state_action(selector: Selector, state) -> Optional[str]:
     """The common action of a state's outgoing transitions, or None if the
     state has no outgoing transitions.  Raises NotOblivious on mixed actions."""
@@ -527,67 +539,69 @@ class SccReport:
         return frozenset(out)
 
 
-def scc_decomposition(machine) -> SccReport:
-    """Tarjan's algorithm, iterative so snake machines of ~10^6 states fit."""
-    states = machine.states
-    succ = {q: machine.successors(q) for q in states}
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
+def _strong_components(succ: list) -> list:
+    """Tarjan's algorithm on successor index lists: the strongly connected
+    components as ascending index lists in reverse-topological order (a
+    component comes after every component it reaches).  Iterative, so
+    graphs of ~10^6 vertices fit."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list = []
     components: list = []
     counter = 0
-
-    for root in states:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(succ[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
+                    on_stack[w] = True
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(comp)
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(comp))
+    return components
 
-    order = {q: machine.state_index(q) for q in states}
-    comps = tuple(tuple(sorted(c, key=order.get)) for c in components)
+
+def scc_decomposition(machine) -> SccReport:
+    """Strongly connected components of the transition graph, found by
+    :func:`_strong_components` over state indices."""
+    states = machine.states
+    succ = [[machine.state_index(t) for t in machine.successors(q)] for q in states]
+    comps = tuple(tuple(states[v] for v in c) for c in _strong_components(succ))
     comp_index = {q: i for i, c in enumerate(comps) for q in c}
     edges = set()
-    for q in states:
-        for t in succ[q]:
-            ci, cj = comp_index[q], comp_index[t]
+    for v, q in enumerate(states):
+        for w in succ[v]:
+            ci, cj = comp_index[q], comp_index[states[w]]
             if ci != cj:
                 edges.add((ci, cj))
-    recurrent = tuple(
-        all(src != i for src, _dst in edges) for i in range(len(comps))
-    )
+    sources = {src for src, _dst in edges}
+    recurrent = tuple(i not in sources for i in range(len(comps)))
     return SccReport(
         components=comps,
         recurrent=recurrent,
@@ -663,10 +677,6 @@ def dfa_to_selector(machine: Automaton, accepting) -> Selector:
 def selector_to_dfa(selector: Selector) -> tuple[Automaton, frozenset]:
     """Inverse of :func:`dfa_to_selector` for oblivious selectors: drop the
     actions and report the KEEP states as accepting."""
-    ok, witness = is_oblivious(selector)
-    if not ok:
-        raise NotOblivious(witness)
-    accepting = frozenset(
-        q for q in selector.states if state_action(selector, q) == KEEP
-    )
+    _require_oblivious(selector)
+    accepting = frozenset(q for q, _a, act, _t in selector.transitions() if act == KEEP)
     return selector.underlying_automaton(), accepting

@@ -23,6 +23,7 @@ from .errors import (
     ValidationError,
     WeightsNotNormalized,
 )
+from .machines import _strong_components
 
 ROW_SUM_TOL = 1e-12
 STATIONARITY_TOL = 1e-10
@@ -132,18 +133,24 @@ class SftSpec:
 
 
 def _pattern_gap(mask: np.ndarray):
-    """None when the boolean pattern is strongly connected, else an (i, j)
-    index pair with no path from i to j."""
+    """None when the boolean pattern is strongly connected, else the first
+    (i, j) index pair, row by row, with no path from i to j.  A component
+    reaches itself and what its successors, listed earlier, reach."""
     n = mask.shape[0]
-    reach = mask | np.eye(n, dtype=bool)
-    while True:
-        nxt = reach | (reach @ reach)
-        if (nxt == reach).all():
-            break
-        reach = nxt
-    holes = np.argwhere(~reach)
-    if holes.size:
-        return int(holes[0][0]), int(holes[0][1])
+    succ = [np.flatnonzero(row).tolist() for row in mask]
+    comp_of = [0] * n
+    reach: list = []
+    for c, members in enumerate(_strong_components(succ)):
+        for v in members:
+            comp_of[v] = c
+        reach.append(set(members).union(
+            *(reach[comp_of[w]] for v in members for w in succ[v] if comp_of[w] != c)
+        ))
+    everything = set(range(n))
+    for i in range(n):
+        missing = everything - reach[comp_of[i]]
+        if missing:
+            return i, min(missing)
     return None
 
 

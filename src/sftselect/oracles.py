@@ -24,8 +24,8 @@ from typing import Iterator, Optional
 
 from .alphabet import as_word
 from .compat import CompatibilityWitness
-from .errors import CapExceeded, NotCompatible, NotOblivious, NotStronglyConnected
-from .machines import KEEP, Automaton, Selector, is_oblivious, scc_decomposition
+from .errors import CapExceeded, NotCompatible, NotStronglyConnected, ValidationError
+from .machines import KEEP, Automaton, Selector, _require_oblivious, scc_decomposition
 from .measures import MarkovMeasure, conditional_word_measure
 
 DEFAULT_RUN_CAP = 1 << 20
@@ -125,12 +125,6 @@ class LemmaCheckResult:
     epsilon: Optional[float] = None
     passed: bool = False
     strict: bool = False
-
-
-def _require_oblivious(selector: Selector):
-    ok, witness = is_oblivious(selector)
-    if not ok:
-        raise NotOblivious(witness)
 
 
 def _require_last_selected(witness: CompatibilityWitness):
@@ -289,7 +283,7 @@ def count_output_prefix_runs(
     """
     w = as_word(word)
     if len(w) > n:
-        raise ValueError(f"|word| = {len(w)} exceeds run length {n}")
+        raise ValidationError(f"|word| = {len(w)} exceeds run length {n}")
     if require_oblivious:
         _require_oblivious(selector)
     layer = next(islice(_count_layers(selector, start, len(w), w), n, None))
@@ -318,7 +312,7 @@ def measure_output_prefix_runs(
     """
     w = as_word(word)
     if len(w) > n:
-        raise ValueError(f"|word| = {len(w)} exceeds run length {n}")
+        raise ValidationError(f"|word| = {len(w)} exceeds run length {n}")
     _require_oblivious(selector)
     _require_last_selected(witness)
     _check_cap(selector, n, cap)

@@ -140,6 +140,16 @@ class TestSnakeDistribution:
                 )
                 assert mass == pytest.approx(base.stationary_of(p), abs=1e-12)
 
+    def test_markov_mode_argument_errors_are_typed(self, even_positions, golden, golden_witness):
+        auto = even_positions.underlying_automaton()
+        with pytest.raises(ss.ValidationError, match="needs a compatibility witness"):
+            ss.snake_distribution(auto, 1, mu=golden)
+        plain = ss.CompatibilityWitness(last_read=golden_witness.last_read)
+        with pytest.raises(ss.ValidationError, match="no last-selected labeling"):
+            ss.snake_distribution(auto, 1, mu=golden, witness=plain, labeling="last_selected")
+        with pytest.raises(ss.ValidationError, match="unknown labeling"):
+            ss.snake_distribution(auto, 1, mu=golden, witness=golden_witness, labeling="first")
+
     def test_last_selected_variant_differs_on_mixed_states(
         self, even_positions, golden, golden_witness
     ):
@@ -209,6 +219,10 @@ class TestEmpiricalFrequencies:
         assert report.max_deviation < 0.01
         assert abs(report.ratio_of("q0") - 0.5) < 0.01
         assert abs(report.ratio_of("q1") - 0.5) < 0.01
+
+    def test_short_input_is_typed(self, after_ones):
+        with pytest.raises(ss.ValidationError, match="input has only 3 symbols, need 5"):
+            ss.empirical_state_frequencies(after_ones.underlying_automaton(), "010", n=5)
 
     def test_undefined_transition(self, even_positions, golden, golden_witness):
         chain = ss.compatible_chain(even_positions, golden, golden_witness)

@@ -315,3 +315,102 @@ class TestValidationAndTrim:
         ok, bad = machine.check_trim()
         assert not ok
         assert set(bad) == {"a", "b"}  # no infinite run exists at all
+
+
+def _warshall(machine):
+    """Reflexive-transitive reachability of a machine's transition graph by
+    Warshall's algorithm: ``reach[i][j]`` when state j can be reached from
+    state i in zero or more steps."""
+    n = len(machine.states)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for q in machine.states:
+        for t in machine.successors(q):
+            reach[machine.state_index(q)][machine.state_index(t)] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+@st.composite
+def partial_automata(draw):
+    n = draw(st.integers(1, 7))
+    symbols = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    states = [f"s{i}" for i in draw(st.permutations(range(n)))]
+    transitions = [
+        (q, a, states[draw(st.integers(0, n - 1))])
+        for q in states
+        for a in symbols
+        if draw(st.booleans())
+    ]
+    return ss.Automaton(symbols, states, states[draw(st.integers(0, n - 1))], transitions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine=partial_automata())
+def test_check_trim_matches_warshall(machine):
+    reach = _warshall(machine)
+    idx = machine.state_index
+    states = range(len(machine.states))
+    on_cycle = [
+        any(reach[idx(t)][c] for t in machine.successors(machine.states[c])) for c in states
+    ]
+    init = idx(machine.initial)
+    expected = [
+        q
+        for i, q in enumerate(machine.states)
+        if not (reach[init][i] and any(reach[i][c] and on_cycle[c] for c in states))
+    ]
+    assert machine.check_trim() == (not expected, expected)
+    assert machine.trim_checked == (not expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(machine=partial_automata())
+def test_scc_decomposition_matches_warshall(machine):
+    reach = _warshall(machine)
+    idx = machine.state_index
+    report = ss.scc_decomposition(machine)
+    classes = {
+        frozenset(t for t in machine.states if reach[idx(q)][idx(t)] and reach[idx(t)][idx(q)])
+        for q in machine.states
+    }
+    assert {frozenset(c) for c in report.components} == classes
+    for c in report.components:
+        assert list(c) == sorted(c, key=idx)  # declaration order inside a component
+        for q in c:
+            assert report.component_of(q) == report.components.index(c)
+    # reverse-topological: no component reaches a later one
+    firsts = [idx(c[0]) for c in report.components]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1:]:
+            assert not reach[a][b]
+    expected_edges = {
+        (report.component_of(q), report.component_of(t))
+        for q in machine.states
+        for t in machine.successors(q)
+        if report.component_of(q) != report.component_of(t)
+    }
+    assert report.condensation_edges == expected_edges
+    for c, recurrent in zip(report.components, report.recurrent):
+        closed = all(
+            not reach[idx(c[0])][j] or reach[j][idx(c[0])] for j in range(len(machine.states))
+        )
+        assert recurrent == closed
+
+
+def test_long_path():
+    n = 4000
+    path = ss.Automaton(["a"], range(n), 0, [(i, "a", i + 1) for i in range(n - 1)])
+    report = ss.scc_decomposition(path)
+    assert report.components == tuple((i,) for i in reversed(range(n)))
+    assert report.recurrent == (True,) + (False,) * (n - 1)
+    assert report.condensation_edges == {(n - 1 - i, n - 2 - i) for i in range(n - 1)}
+    assert path.check_trim() == (False, list(range(n)))  # no infinite run at all
+    looped = ss.Automaton(
+        ["a"], range(n), 0, [(i, "a", min(i + 1, n - 1)) for i in range(n)]
+    )
+    assert looped.check_trim() == (True, [])
+    assert ss.scc_decomposition(looped).recurrent_states() == {n - 1}

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect import fixtures as fx
@@ -206,3 +208,75 @@ class TestMeasureAxioms:
             for code, w in enumerate(golden.alphabet.words(k)):
                 assert arr[code] == pytest.approx(ss.word_measure(golden, w), abs=1e-15)
             assert arr.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _warshall(mask):
+    """Reflexive-transitive closure of a boolean pattern by Warshall's
+    algorithm: ``reach[i][j]`` when j can be reached from i in zero or more
+    steps."""
+    n = len(mask)
+    reach = [[i == j or bool(mask[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+def _first_gap(mask):
+    """The first (i, j), row by row, with no path from i to j, or None."""
+    reach = _warshall(mask)
+    n = len(mask)
+    return next(((i, j) for i in range(n) for j in range(n) if not reach[i][j]), None)
+
+
+def _primitive(mask):
+    """Whether some power of the pattern is everywhere positive; Wielandt's
+    bound (n - 1)**2 + 1 on the exponent makes the search finite."""
+    n = len(mask)
+    power = mask.copy()
+    for _ in range((n - 1) ** 2 + 1):
+        if power.all():
+            return True
+        power = (power.astype(int) @ mask.astype(int)) > 0
+    return False
+
+
+patterns = st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+        lambda cells: np.array(cells, dtype=bool).reshape(n, n)
+    )
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask=patterns)
+def test_pattern_connectivity_matches_warshall(mask):
+    n = mask.shape[0]
+    alphabet = ss.Alphabet([str(i) for i in range(n)])
+    gap = _first_gap(mask)
+    spec = ss.SftSpec(alphabet, mask.astype(float))
+    assert spec.irreducible == (gap is None)
+    assert spec.aperiodic == (gap is None and _primitive(mask))
+    # every row needs an entry to be stochastic; a self-loop keeps the gap honest
+    stoch = mask | np.diag(~mask.any(axis=1))
+    stoch_gap = _first_gap(stoch)
+    P = ss.StochasticMatrix(alphabet, stoch / stoch.sum(axis=1, keepdims=True))
+    if stoch_gap is None:
+        pi = ss.stationary_distribution(P)
+        assert np.allclose(pi.weights @ P.entries, pi.weights, atol=1e-12)
+    else:
+        a, b = (alphabet.symbol(i) for i in stoch_gap)
+        with pytest.raises(ss.NotIrreducible) as err:
+            ss.stationary_distribution(P)
+        assert err.value.components == (a, b)
+        assert str(err.value) == (
+            f"nonzero pattern is not strongly connected: no path from {a!r} to {b!r}"
+        )
+    if gap is not None:
+        a, b = (alphabet.symbol(i) for i in gap)
+        with pytest.raises(ss.NotIrreducible) as err:
+            ss.parry_measure(spec)
+        assert err.value.components == (a, b)
+        assert str(err.value) == f"SFT matrix is not irreducible: no path from {a!r} to {b!r}"

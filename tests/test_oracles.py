@@ -74,6 +74,10 @@ class TestCountOutputPrefixRuns:
         with pytest.raises(ss.NotOblivious):
             ss.count_output_prefix_runs(nonoblivious, "q0", 3, "0")
 
+    def test_word_longer_than_run_is_typed(self, after_ones):
+        with pytest.raises(ss.ValidationError, match="exceeds run length 2"):
+            ss.count_output_prefix_runs(after_ones, "q0", 2, "101")
+
     def test_mixed_machine_checked_per_agreeing_state(self, nonoblivious):
         # the bound assumes obliviousness; on a mixed machine it is probed
         # only from states whose own outgoing actions agree, others skipped
@@ -133,6 +137,10 @@ class TestMeasureOutputPrefixRuns:
         assert result.upper == ss.conditional_word_measure(golden, "0", "0")
         assert value <= result.upper + 1e-12
         assert result.passed
+
+    def test_word_longer_than_run_is_typed(self, even_positions, golden, golden_witness):
+        with pytest.raises(ss.ValidationError, match="exceeds run length 1"):
+            ss.measure_output_prefix_runs(even_positions, golden, golden_witness, "000", 1, "00")
 
     def test_all_drop_zero_measure(self, golden, binary):
         clean = ss.Selector(binary, ["a"], "a", [("a", "0", "drop", "a")])
