@@ -265,9 +265,9 @@ def empirical_state_frequencies(
     idx = idx[:n]
     if len(idx) < n:
         raise ValidationError(f"input has only {len(idx)} symbols, need {n}")
-    rows = transition_rows(machine.tables()[0])
+    table = transition_rows(machine.tables()[0])
     state = machine.state_index(machine.initial if start is None else start)
-    counts = np.bincount(walk(machine, rows, idx, state)[:-1], minlength=len(machine.states))
+    counts = np.bincount(walk(machine, table, idx, state)[:-1], minlength=len(machine.states))
     deviation = float(np.max(np.abs(counts / n - reference))) if n else float("nan")
     count_map = {q: int(counts[i]) for i, q in enumerate(machine.states)}
     return StateFrequencyReport(

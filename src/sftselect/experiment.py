@@ -9,6 +9,7 @@ however long the input is.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -28,6 +29,9 @@ from .seqgen import (
     discrepancy,
     generate_chunks,
 )
+
+# block rows formatted and written together in the CSV
+_CSV_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     alpha = selector.alphabet
     na = len(alpha)
     nxt, keep = selector.tables()
-    rows = transition_rows(nxt)
+    table = transition_rows(nxt)
 
     scc = scc_decomposition(selector)
     recurrent = np.array([scc.recurrent[scc.component_of(q)] for q in selector.states])
@@ -128,7 +132,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     pos = 0
     for chunk in generate_chunks(config.generator, config.chunk):
-        path = walk(selector, rows, chunk, state, pos)
+        path = walk(selector, table, chunk, state, pos)
         kept = keep[path[:-1], chunk]
         out = chunk[kept]
         split_in = split_out = 0
@@ -184,6 +188,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
+def _write_block_rows(rep: FrequencyReport, targets: np.ndarray, out: TextIO):
+    """The CSV rows of one block length, blocks in lexicographic order,
+    written ``_CSV_BATCH`` rows at a time.  A row's tail (count,
+    frequency, target, abs_error) depends only on the block's count and
+    target, so each distinct pair of a batch is formatted once."""
+    counts = np.asarray(rep.counts, dtype=np.int64)
+    bits = np.ascontiguousarray(targets, dtype=np.float64).view(np.uint64)
+    freqs = rep.frequencies
+    alpha = rep.alphabet
+    sep = "" if alpha.single_char else " "
+    labels = map(sep.join, itertools.product(alpha.symbols, repeat=rep.k))
+    for lo in range(0, counts.size, _CSV_BATCH):
+        hi = lo + _CSV_BATCH
+        pairs = np.stack([counts[lo:hi].view(np.uint64), bits[lo:hi]], axis=1)
+        _pairs, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+        first += lo
+        tails = [
+            f"{c},{f!r},{t!r},{abs(f - t)!r}\n"
+            for c, f, t in zip(
+                counts[first].tolist(), freqs[first].tolist(), targets[first].tolist()
+            )
+        ]
+        # the batch comes first, so zip takes no label past it
+        rows = zip(inverse.reshape(-1).tolist(), labels)
+        out.writelines(f"{label},{tails[u]}" for u, label in rows)
+
+
 def write_experiment_csv(report: ExperimentReport, out: TextIO):
     """Deterministic CSV: provenance comments, one block row per output
     block for every requested k (ascending k, blocks lexicographic), and a
@@ -205,14 +236,7 @@ def write_experiment_csv(report: ExperimentReport, out: TextIO):
     out.write("block,count,frequency,target,abs_error\n")
     target = config.target
     for k in sorted(config.ks):
-        rep = report.output_reports[k]
-        targets = block_measure_array(target, k)
-        freqs = rep.frequencies
-        for code, word in enumerate(rep.alphabet.words(k)):
-            label = rep.alphabet.word_label(word)
-            f = float(freqs[code])
-            t = float(targets[code])
-            out.write(f"{label},{int(rep.counts[code])},{f!r},{t!r},{abs(f - t)!r}\n")
+        _write_block_rows(report.output_reports[k], block_measure_array(target, k), out)
     failures = [
         f"D_{k}={report.output_discrepancies[k]!r}"
         for k in sorted(config.ks)

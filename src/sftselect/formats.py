@@ -224,18 +224,30 @@ def serialize_automaton(automaton: Automaton) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cells(values: np.ndarray) -> str:
+    """The ``repr`` of every entry, space separated.  Only entries whose
+    bits are not all zero go through ``repr``; the rest are ``0.0``, so
+    a sparse row costs one call per nonzero and -0.0 keeps its sign."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    cells = ["0.0"] * values.size
+    nonzero = np.flatnonzero(values.view(np.uint64))
+    for i, x in zip(nonzero.tolist(), values[nonzero].tolist()):
+        cells[i] = repr(x)
+    return " ".join(cells)
+
+
 def serialize_measure(mu: MarkovMeasure) -> str:
     lines = ["alphabet " + " ".join(mu.alphabet.symbols)]
-    lines.append("pi " + " ".join(repr(float(x)) for x in mu.pi.weights))
+    lines.append("pi " + _cells(mu.pi.weights))
     for row in mu.P.entries:
-        lines.append("row " + " ".join(repr(float(x)) for x in row))
+        lines.append("row " + _cells(row))
     return "\n".join(lines) + "\n"
 
 
 def serialize_matrix(spec: SftSpec) -> str:
     lines = ["alphabet " + " ".join(spec.alphabet.symbols)]
     for row in spec.M:
-        lines.append("row " + " ".join(repr(float(x)) for x in row))
+        lines.append("row " + _cells(row))
     return "\n".join(lines) + "\n"
 
 

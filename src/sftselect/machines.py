@@ -12,13 +12,27 @@ threads.  The only mutable object here is :class:`SelectionCursor`, which is
 single-owner while being fed.
 
 Every deterministic walk over an index array goes through one kernel,
-:func:`run_states`: given the rows of a dense next-state table (see
+:func:`run_states`: given the walk table of a dense next-state table (see
 :func:`transition_rows`), letters and a start state, it returns the path
 of states, the start included.  A selector's output on the walk is then
 ``letters[keep[path[:-1], letters]]`` and state-visit counts are
 ``np.bincount(path[:-1])``.  Markov sampling in :mod:`sftselect.seqgen` is
 the same walk over a draw table.  The scalar :func:`run_word` stays as the
 reference the kernel is tested against.
+
+The walk table is built once per stream.  Undefined transitions lead to
+an absorbing dead state, so partial machines walk like complete ones and
+:func:`walk` finds the first undefined step in the path.  For the largest
+block length k whose tables fit a fixed entry budget, it holds a block
+table (state, code of k letters) -> end state and a trace table of the k
+states inside each block.  :func:`run_states` encodes the letters as
+big-endian k-blocks (:func:`block_codes`, also used by aligned block
+counting), takes one Python step per block, writes the states inside the
+blocks with one ``np.take`` of the traces, and walks the fewer than k
+letters after the last block one at a time.  This is the block form of
+the data-parallel automaton walk of Mytkowicz, Musuvathi and Schulte
+(ASPLOS 2014): the remaining sequential loop is n/k steps long, so no
+prefix scan over the transition monoid is needed.
 
 Every connectivity question goes through one graph routine, Tarjan's
 algorithm in :func:`_strong_components`: :func:`scc_decomposition`,
@@ -43,6 +57,14 @@ from .errors import (
 
 KEEP = "keep"
 DROP = "drop"
+
+# Entries a walk table's block and trace tables may take, which fixes the
+# block length; the longest block (it bounds a unary alphabet's, and block
+# codes cost one numpy pass per letter); and the most letters
+# :func:`run_states` walks at a time.
+_BLOCK_BUDGET = 1 << 16
+_MAX_BLOCK = 16
+_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -359,37 +381,127 @@ def run_word(machine, start, word) -> Run:
     return Run(start=start, input=word, output=tuple(out), visits=visits, end=state)
 
 
-def transition_rows(nxt: np.ndarray) -> list:
-    """The rows of a next-state table in the form :func:`run_states` walks:
-    nested lists in which undefined (-1) entries lead to an absorbing dead
-    state numbered ``len(nxt)``.  Building them costs one list entry per
-    table entry, so a caller that walks in chunks builds them once."""
-    dead = len(nxt)
-    rows = np.where(nxt < 0, dead, nxt).tolist()
-    rows.append([dead] * nxt.shape[1])
-    return rows
+def block_codes(letters: np.ndarray, k: int, base: int) -> np.ndarray:
+    """Big-endian int64 codes of the ``len(letters) // k`` disjoint
+    k-blocks of ``letters`` over ``base`` letters: block ``a1..ak`` has
+    code ``(..(a1*base + a2)..)*base + ak``."""
+    blocks = np.asarray(letters[: len(letters) // k * k], dtype=np.int64).reshape(-1, k)
+    codes = blocks[:, 0].copy()
+    for j in range(1, k):
+        codes *= base
+        codes += blocks[:, j]
+    return codes
 
 
-def run_states(rows: list, letters: np.ndarray, state: int) -> np.ndarray:
-    """The states of the walk from ``state`` over the :func:`transition_rows`
-    ``rows``: the start, then the state after each letter (one more entry
-    than ``letters``).  A walk that falls off the table ends in the dead
-    state."""
-    out = [state]
-    append = out.append
-    for a in letters.tolist():
-        state = rows[state][a]
-        append(state)
-    return np.array(out, dtype=np.int64)
+@dataclass(frozen=True)
+class WalkTable:
+    """A next-state table in the form :func:`run_states` walks, built by
+    :func:`transition_rows`.
+
+    ``dead`` is the absorbing state that undefined transitions lead to.
+    ``rows[s][c]`` is the state reached from s by the k-letter block with
+    code c (see :func:`block_codes`), and row ``s * letters**k + c`` of
+    ``trace`` holds the k states visited on the way.  ``rows1`` is the
+    table for single letters, walked over the letters that do not fill a
+    block; it is ``rows`` when k = 1.
+    """
+
+    dead: int
+    letters: int
+    k: int
+    rows: list = field(repr=False)
+    rows1: list = field(repr=False)
+    trace: np.ndarray = field(repr=False)
 
 
-def walk(machine, rows: list, letters: np.ndarray, state: int, position: int = 0) -> np.ndarray:
-    """:func:`run_states` over ``machine``'s transition rows, raising
+def transition_rows(nxt: np.ndarray) -> WalkTable:
+    """The walk table of a next-state table: undefined (-1) entries lead
+    to an absorbing dead state numbered ``len(nxt)``, and the block length
+    k is the largest (at least 1, at most ``_MAX_BLOCK``) with
+    ``(len(nxt)+1) * letters**k * k`` within ``_BLOCK_BUDGET``.  Building
+    it costs one row entry per table entry plus that budget, so a caller
+    that walks in chunks builds it once."""
+    nq, na = nxt.shape
+    full = np.full((nq + 1, na), nq, dtype=np.int64)
+    full[:nq] = np.where(nxt < 0, nq, nxt)
+    k = 1
+    while k < _MAX_BLOCK and (nq + 1) * na ** (k + 1) * (k + 1) <= _BLOCK_BUDGET:
+        k += 1
+    # trace[s, c, j] is the state after the first j+1 letters of block c,
+    # which is end[s, c // na**(k-1-j)] for the (j+1)-letter end table
+    trace = np.empty((nq + 1, na**k, k), dtype=np.int64)
+    end = full
+    for j in range(k):
+        if j:
+            end = full[end].reshape(nq + 1, -1)
+        trace.reshape(nq + 1, na ** (j + 1), -1, k)[:, :, :, j] = end[:, :, None]
+    rows = _rows(end)
+    return WalkTable(nq, na, k, rows, rows if k == 1 else _rows(full), trace.reshape(-1, k))
+
+
+def _rows(ends: np.ndarray) -> list:
+    """``ends`` as a list of rows in which equal entries share one int
+    object, so the rows' referents stay few and cache-resident; past 257
+    rows, tuples, which take less memory per row than lists."""
+    if len(ends) <= 257:  # CPython shares the ints up to 256 already
+        return ends.tolist()
+    ids = list(range(len(ends)))
+    flat = map(ids.__getitem__, memoryview(ends.ravel()))
+    return list(zip(*[flat] * ends.shape[1]))
+
+
+def _block_ends(rows: list, codes: np.ndarray, state: int) -> list:
+    """The state after each block of ``codes`` from ``state``: the one
+    Python step per block.  Iterating a memoryview makes each code's int
+    as it is read, and the walrus keeps the state in a fast local."""
+    return [state := rows[state][c] for c in memoryview(codes)]
+
+
+def run_states(table: WalkTable, letters: np.ndarray, state: int) -> np.ndarray:
+    """The states of the walk from ``state`` over ``table``: the start,
+    then the state after each letter (one more entry than ``letters``).  A
+    walk that falls off the table ends in the dead state.
+
+    One Python step per k-letter block: the block rows give each block's
+    end state, and one ``np.take`` of the traces writes the states inside
+    the blocks into the path.  Letters are walked in slices of at most
+    ``_SLICE``, so the Python lists stay bounded; the letters that do not
+    fill a block are walked one at a time."""
+    n = len(letters)
+    k, na = table.k, table.letters
+    if n and (letters.min() < 0 or letters.max() >= na):
+        bad = letters[(letters < 0) | (letters >= na)][0]
+        raise ValidationError(f"letter {bad} is outside [0, {na})")
+    path = np.empty(n + 1, dtype=np.int64)
+    path[0] = state
+    rows, trace, width = table.rows, table.trace, na**k
+    whole = n - n % k
+    span = _SLICE - _SLICE % k
+    for lo in range(0, whole, span):
+        hi = min(lo + span, whole)
+        codes = block_codes(letters[lo:hi], k, na)
+        ends = _block_ends(rows, codes, state)
+        codes[0] += state * width
+        state = ends[-1]
+        starts = np.fromiter(ends, dtype=np.int64, count=len(ends) - 1)
+        starts *= width
+        codes[1:] += starts
+        np.take(trace, codes, axis=0, out=path[lo + 1 : hi + 1].reshape(-1, k), mode="clip")
+    rows1 = table.rows1
+    for i, a in enumerate(letters[whole:].tolist(), whole + 1):
+        state = path[i] = rows1[state][a]
+    return path
+
+
+def walk(
+    machine, table: WalkTable, letters: np.ndarray, state: int, position: int = 0
+) -> np.ndarray:
+    """:func:`run_states` over ``machine``'s walk table, raising
     UndefinedTransition at the first undefined step; ``position`` is the
     number of input symbols consumed before ``letters`` (errors report the
     1-based position of the offending symbol)."""
-    path = run_states(rows, letters, state)
-    dead = len(rows) - 1
+    path = run_states(table, letters, state)
+    dead = table.dead
     if path[-1] == dead:
         i = int(np.argmax(path == dead))
         raise UndefinedTransition(
@@ -412,7 +524,7 @@ class SelectionCursor:
         self._selector = selector
         self._position = 0
         nxt, self._keep = selector.tables()
-        self._rows = transition_rows(nxt)
+        self._table = transition_rows(nxt)
         self._state_idx = selector.state_index(
             selector.initial if start is None else start
         )
@@ -449,7 +561,7 @@ class SelectionCursor:
         that has no transition on it, as after the same error from :meth:`feed`.
         """
         try:
-            path = walk(self._selector, self._rows, indices, self._state_idx, self._position)
+            path = walk(self._selector, self._table, indices, self._state_idx, self._position)
         except UndefinedTransition as err:
             self._position = err.position
             self._state_idx = self._selector.state_index(err.state)

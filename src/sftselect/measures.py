@@ -36,6 +36,8 @@ def _as_matrix(entries, size) -> np.ndarray:
     m = np.array(entries, dtype=float)
     if m.shape != (size, size):
         raise ValidationError(f"expected a {size}x{size} matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix entries must be finite")
     if (m < 0).any():
         raise ValidationError("matrix entries must be nonnegative")
     m.setflags(write=False)
@@ -53,6 +55,8 @@ class Distribution:
         w = np.array(self.weights, dtype=float)
         if w.shape != (len(self.alphabet),):
             raise ValidationError("weight vector length does not match the alphabet")
+        if not np.isfinite(w).all():
+            raise ValidationError("weights must be finite")
         if (w < 0).any():
             raise ValidationError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
@@ -115,7 +119,8 @@ class SftSpec:
     """A shift of finite type given by a nonnegative symbol-adjacency matrix;
     the zero entries are the forbidden length-2 blocks.
 
-    ``irreducible`` records strong connectivity of the nonzero pattern and
+    ``irreducible`` records strong connectivity of the nonzero pattern of a
+    nonempty shift (a lone symbol without a self-loop has none) and
     ``aperiodic`` whether some power of the pattern is everywhere positive.
     """
 
@@ -128,7 +133,7 @@ class SftSpec:
         m = _as_matrix(self.M, len(self.alphabet))
         object.__setattr__(self, "M", m)
         mask = m > 0
-        object.__setattr__(self, "irreducible", _pattern_gap(mask) is None)
+        object.__setattr__(self, "irreducible", bool(mask.any()) and _pattern_gap(mask) is None)
         object.__setattr__(self, "aperiodic", self.irreducible and _pattern_period(mask) == 1)
 
 
@@ -307,6 +312,8 @@ def parry_measure(spec: SftSpec) -> ParryResult:
     """
     if not spec.irreducible:
         gap = _pattern_gap(spec.M > 0)
+        if gap is None:
+            raise NotIrreducible("SFT matrix is not irreducible: it has no nonzero entry")
         a, b = spec.alphabet.symbol(gap[0]), spec.alphabet.symbol(gap[1])
         raise NotIrreducible(
             f"SFT matrix is not irreducible: no path from {a!r} to {b!r}",

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 import sftselect as ss
@@ -161,6 +162,61 @@ class TestCsv:
             "1,144,0.5454545454545454,0.5,0.045454545454545414\n"
             "# RESULT PASS\n"
         )
+
+
+def _old_block_rows(rep, targets) -> str:
+    """The row writer before distinct tails were formatted once: one
+    ``repr`` triple per block, labels from ``Alphabet.words``."""
+    freqs = rep.frequencies
+    out = []
+    for code, word in enumerate(rep.alphabet.words(rep.k)):
+        label = rep.alphabet.word_label(word)
+        f = float(freqs[code])
+        t = float(targets[code])
+        out.append(f"{label},{int(rep.counts[code])},{f!r},{t!r},{abs(f - t)!r}\n")
+    return "".join(out)
+
+
+class TestCsvRowsMatchPerBlockWriter:
+    def rows(self, report):
+        config = report.config
+        return "".join(
+            _old_block_rows(report.output_reports[k], ss.block_measure_array(config.target, k))
+            for k in sorted(config.ks)
+        )
+
+    def test_markov_target(self, even_positions, golden):
+        report = ss.run_experiment(
+            make_config(even_positions, golden, golden, n=20_000, ks=(1, 2, 3, 7))
+        )
+        buf = io.StringIO()
+        write_experiment_csv(report, buf)
+        assert self.rows(report) in buf.getvalue()
+
+    def test_uniform_target_and_batches(self, after_ones, uniform2):
+        # k = 13 gives 8,192 rows, two write batches
+        report = ss.run_experiment(make_config(after_ones, None, uniform2, n=20_000, ks=(13, 2)))
+        buf = io.StringIO()
+        write_experiment_csv(report, buf)
+        assert self.rows(report) in buf.getvalue()
+
+    def test_signed_zero_targets_and_token_labels(self):
+        from sftselect.experiment import _write_block_rows
+
+        rng = np.random.default_rng(5)
+        alpha = ss.Alphabet(["x", "yy", "z"])
+        k = 3
+        counts = rng.integers(0, 4, size=3**k)
+        counts[::5] = 0
+        targets = rng.choice([0.0, -0.0, 0.125, 1 / 27, 0.5], size=3**k)
+        rep = ss.FrequencyReport(
+            alphabet=alpha, mode=ss.SLIDING, k=k, n=int(counts.sum()) + k - 1, counts=counts
+        )
+        buf = io.StringIO()
+        _write_block_rows(rep, targets, buf)
+        text = buf.getvalue()
+        assert text == _old_block_rows(rep, targets)
+        assert ",-0.0," in text and text.startswith("x x x,")
 
 
 class TestCliExitCodes:

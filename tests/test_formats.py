@@ -3,6 +3,7 @@ import pytest
 
 import sftselect as ss
 from sftselect import fixtures as fx
+from sftselect.chains import chain_as_measure
 from sftselect.formats import (
     machine_digest,
     parse_automaton_text,
@@ -168,3 +169,47 @@ class TestSequenceText:
     def test_unknown_symbol(self, binary):
         with pytest.raises(ss.UnknownSymbol):
             read_symbol_text(binary, "01021")
+
+
+def _old_serialize_measure(mu) -> str:
+    """The writer before zero cells skipped ``repr``: every entry formatted."""
+    lines = ["alphabet " + " ".join(mu.alphabet.symbols)]
+    lines.append("pi " + " ".join(repr(float(x)) for x in mu.pi.weights))
+    for row in mu.P.entries:
+        lines.append("row " + " ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _old_serialize_matrix(spec) -> str:
+    lines = ["alphabet " + " ".join(spec.alphabet.symbols)]
+    for row in spec.M:
+        lines.append("row " + " ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestSparseSerialization:
+    def test_signed_zero_and_sparse_rows_match_dense_writer(self):
+        alpha = ss.Alphabet(["a", "b", "c"])
+        rows = [[0.5, -0.0, 0.5], [0.0, 0.0, 1.0], [1 / 3, 2 / 3, -0.0]]
+        P = ss.StochasticMatrix(alpha, np.array(rows))
+        mu = ss.MarkovMeasure(ss.stationary_distribution(P), P)
+        text = serialize_measure(mu)
+        assert text == _old_serialize_measure(mu)
+        assert "-0.0" in text
+        spec = ss.SftSpec(alpha, np.array([[1.0, -0.0, 2.5], [0.0, 0.0, 1e-300], [3.0, 0.0, 0.0]]))
+        assert serialize_matrix(spec) == _old_serialize_matrix(spec)
+
+    def test_snake_chain_matches_dense_writer(self):
+        selector = fx.after_ones_selector()
+        snake = ss.snake_automaton(ss.selector_to_dfa(selector)[0], 5)
+        chain = ss.uniform_chain(snake)
+        pi, P = chain_as_measure(chain, lambda q: ss.snake_state_label(q, selector.alphabet))
+        mu = ss.MarkovMeasure(pi, P)
+        assert serialize_measure(mu) == _old_serialize_measure(mu)
+        back = parse_measure_text(serialize_measure(mu))
+        assert np.array_equal(back.P.entries, mu.P.entries)
+        assert np.array_equal(back.pi.weights, mu.pi.weights)
+
+    def test_golden_measure_matches_dense_writer(self):
+        mu = fx.golden_parry_measure()
+        assert serialize_measure(mu) == _old_serialize_measure(mu)

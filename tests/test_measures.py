@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,40 @@ class TestSftSpec:
         spec = ss.SftSpec(binary, [[1, 1], [0, 1]])
         assert not spec.irreducible
 
+    def test_empty_shift_is_not_irreducible(self):
+        spec = ss.SftSpec(ss.Alphabet(["a"]), [[0.0]])
+        assert not spec.irreducible and not spec.aperiodic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ss.NotIrreducible, match="no nonzero entry"):
+                ss.parry_measure(spec)
+
+    def test_lone_self_loop_is_irreducible(self):
+        spec = ss.SftSpec(ss.Alphabet(["a"]), [[2.0]])
+        assert spec.irreducible and spec.aperiodic
+        assert ss.parry_measure(spec).theta == pytest.approx(2.0)
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_stochastic_matrix(self, binary, bad):
+        with pytest.raises(ss.ValidationError, match="finite"):
+            ss.StochasticMatrix(binary, [[bad, 1.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_distribution(self, binary, bad):
+        with pytest.raises(ss.ValidationError, match="finite"):
+            ss.Distribution(binary, np.array([bad, 1.0]))
+
+    def test_sft_matrix(self, binary):
+        with pytest.raises(ss.ValidationError, match="finite"):
+            ss.SftSpec(binary, [[math.nan, 1.0], [1.0, 0.0]])
+
+    def test_measure_file(self):
+        text = "alphabet 0 1\npi 0.5 0.5\nrow nan 1\nrow 0.5 0.5\n"
+        with pytest.raises(ss.ValidationError, match="finite"):
+            ss.formats.parse_measure_text(text)
+
 
 class TestMeasureAxioms:
     def test_randomized_identities(self):
@@ -257,8 +292,11 @@ def test_pattern_connectivity_matches_warshall(mask):
     alphabet = ss.Alphabet([str(i) for i in range(n)])
     gap = _first_gap(mask)
     spec = ss.SftSpec(alphabet, mask.astype(float))
-    assert spec.irreducible == (gap is None)
-    assert spec.aperiodic == (gap is None and _primitive(mask))
+    # a strongly connected pattern is irreducible unless its shift is
+    # empty, which here means the 1x1 zero pattern
+    empty = not mask.any()
+    assert spec.irreducible == (gap is None and not empty)
+    assert spec.aperiodic == (gap is None and not empty and _primitive(mask))
     # every row needs an entry to be stochastic; a self-loop keeps the gap honest
     stoch = mask | np.diag(~mask.any(axis=1))
     stoch_gap = _first_gap(stoch)
@@ -280,3 +318,6 @@ def test_pattern_connectivity_matches_warshall(mask):
             ss.parry_measure(spec)
         assert err.value.components == (a, b)
         assert str(err.value) == f"SFT matrix is not irreducible: no path from {a!r} to {b!r}"
+    elif empty:
+        with pytest.raises(ss.NotIrreducible, match="no nonzero entry"):
+            ss.parry_measure(spec)
