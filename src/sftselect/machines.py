@@ -440,13 +440,11 @@ def transition_rows(nxt: np.ndarray) -> WalkTable:
 
 
 def _rows(ends: np.ndarray) -> list:
-    """``ends`` as a list of rows in which equal entries share one int
-    object, so the rows' referents stay few and cache-resident; past 257
-    rows, tuples, which take less memory per row than lists."""
-    if len(ends) <= 257:  # CPython shares the ints up to 256 already
-        return ends.tolist()
-    ids = list(range(len(ends)))
-    flat = map(ids.__getitem__, memoryview(ends.ravel()))
+    """``ends`` as a list of tuple rows in which equal entries share one
+    int object, so the rows' referents stay few and cache-resident: the
+    entries are read from an object array of the state numbers, so no
+    table-sized set of distinct ints is made."""
+    flat = iter(np.array(range(len(ends)), dtype=object)[ends].ravel().tolist())
     return list(zip(*[flat] * ends.shape[1]))
 
 
