@@ -61,7 +61,6 @@ from .machines import (
     is_oblivious,
     run_word,
     scc_decomposition,
-    select_text,
     selector_to_dfa,
     snake_automaton,
     snake_state_label,

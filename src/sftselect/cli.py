@@ -46,13 +46,13 @@ from .measures import (
     Distribution,
     MarkovMeasure,
     StochasticMatrix,
-    block_measure_array,
+    block_measure_ladder,
     parry_measure,
     stationary_distribution,
     uniform_measure,
 )
 from .oracles import equirun_scan, lemma_check
-from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequencies, generate
+from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate
 
 _PARSE_ERRORS = (
     ParseError,
@@ -145,9 +145,10 @@ def cmd_freq(args) -> int:
     lines = []
     header = "block,count,frequency" + (",target,abs_error" if mu else "")
     lines.append(header)
-    for k in sorted(set(args.k)):
-        report = block_frequencies(alphabet, idx, k, args.mode)
-        targets = block_measure_array(mu, k) if mu else None
+    reports = block_frequency_reports(alphabet, idx, args.k, args.mode)
+    ladder = dict(block_measure_ladder(mu, reports)) if mu else {}
+    for k, report in reports.items():
+        targets = ladder.get(k)
         freqs = report.frequencies
         for code, word in enumerate(alphabet.words(k)):
             label = alphabet.word_label(word)

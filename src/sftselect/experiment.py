@@ -4,7 +4,7 @@ An experiment generates a reproducible input sequence, streams it through a
 selector, counts length-k blocks on both sides, and compares the output
 frequencies against the target measure (uniform or Markov).  The sequence
 is processed in bounded chunks: memory stays O(#states + #A**max(k))
-however long the input is.
+however long the input is, with one count vector per side when sliding.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from .compat import CompatibilityResult, check_selector_compatibility
 from .errors import NotCompatible, ValidationError
 from .formats import machine_digest
 from .machines import Selector, _require_oblivious, scc_decomposition, transition_rows, walk
-from .measures import MarkovMeasure, block_measure_array, support_forbidden_blocks, uniform_measure
+from .measures import MarkovMeasure, block_measure_ladder, support_forbidden_blocks, uniform_measure
 from .seqgen import (
     SLIDING,
     ALIGNED,
     BlockCounter,
     FrequencyReport,
     GeneratorSpec,
-    discrepancy,
     generate_chunks,
 )
 
@@ -106,6 +105,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``check_selector_compatibility``).  With ``after_recurrent`` counting is
     restarted at the position where the run enters a recurrent component;
     by default the transient prefix is counted too, tolerances absorb it.
+    Sliding counts of every k, and of the forbidden-pair watch, are
+    marginals of one counter per side at max(ks + (2,)); aligned blocks do
+    not nest, so aligned mode keeps one counter per k and a pair counter.
     """
     selector = config.selector
     _require_oblivious(selector)
@@ -117,6 +119,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     target = config.target
     alpha = selector.alphabet
+    if target.alphabet != alpha:
+        raise ValidationError("target measure and selector use different alphabets")
     na = len(alpha)
     nxt, keep = selector.tables()
     table = transition_rows(nxt)
@@ -126,9 +130,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     state = selector.state_index(selector.initial)
     entry_pos: Optional[int] = 0 if recurrent[state] else None
 
-    in_counters = {k: BlockCounter(na, k, config.mode) for k in config.ks}
-    out_counters = {k: BlockCounter(na, k, config.mode) for k in config.ks}
-    pair_counter = BlockCounter(na, 2, SLIDING)  # forbidden-block watch
+    sliding = config.mode == SLIDING
+    lengths = [max(*config.ks, 2)] if sliding else config.ks
+    in_counters = [BlockCounter(na, k, config.mode) for k in lengths]
+    out_counters = [BlockCounter(na, k, config.mode) for k in lengths]
+    if not sliding:
+        out_counters.append(BlockCounter(na, 2))  # the forbidden-pair watch
 
     pos = 0
     for chunk in generate_chunks(config.generator, config.chunk):
@@ -150,34 +157,38 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else:
             in_chunk = chunk
             out_chunk = out
-        for counter in in_counters.values():
+        for counter in in_counters:
             counter.update(in_chunk)
-        for counter in out_counters.values():
+        for counter in out_counters:
             counter.update(out_chunk)
-        pair_counter.update(out_chunk)
 
-    input_reports = {}
-    output_reports = {}
-    input_disc = {}
-    output_disc = {}
-    for k in config.ks:
-        cin, cout = in_counters[k], out_counters[k]
-        rin = FrequencyReport(alphabet=alpha, mode=config.mode, k=k, n=cin.n, counts=cin.counts)
-        rout = FrequencyReport(alphabet=alpha, mode=config.mode, k=k, n=cout.n, counts=cout.counts)
-        input_reports[k] = rin
-        output_reports[k] = rout
-        input_disc[k] = discrepancy(rin, target)
-        output_disc[k] = discrepancy(rout, target)
+    def reports(counters) -> dict:
+        return {
+            k: FrequencyReport(
+                alphabet=alpha, mode=config.mode, k=k, n=counters[0].n,
+                counts=counters[0].marginal(k) if sliding else counters[lengths.index(k)].counts,
+            )
+            for k in config.ks
+        }
 
+    input_reports = reports(in_counters)
+    output_reports = reports(out_counters)
+    gaps = {
+        k: (input_reports[k].max_gap(t), output_reports[k].max_gap(t))
+        for k, t in block_measure_ladder(target, config.ks)
+    }
+    input_disc = {k: gaps[k][0] for k in config.ks}
+    output_disc = {k: gaps[k][1] for k in config.ks}
+
+    pairs = out_counters[0].marginal(2) if sliding else out_counters[-1].counts
     forbidden = {}
     for a, b in sorted(support_forbidden_blocks(target)):
-        code = alpha.index(a) * na + alpha.index(b)
-        forbidden[(a, b)] = int(pair_counter.counts[code])
+        forbidden[(a, b)] = int(pairs[alpha.index(a) * na + alpha.index(b)])
 
     return ExperimentReport(
         config=config,
         input_length=pos,
-        output_length=out_counters[config.ks[0]].n,
+        output_length=out_counters[0].n,
         input_discrepancies=input_disc,
         output_discrepancies=output_disc,
         output_reports=output_reports,
@@ -234,9 +245,8 @@ def write_experiment_csv(report: ExperimentReport, out: TextIO):
     for k in sorted(config.ks):
         out.write(f"# input_D_{k}={report.input_discrepancies[k]!r}\n")
     out.write("block,count,frequency,target,abs_error\n")
-    target = config.target
-    for k in sorted(config.ks):
-        _write_block_rows(report.output_reports[k], block_measure_array(target, k), out)
+    for k, targets in block_measure_ladder(config.target, config.ks):
+        _write_block_rows(report.output_reports[k], targets, out)
     failures = [
         f"D_{k}={report.output_discrepancies[k]!r}"
         for k in sorted(config.ks)

@@ -139,7 +139,3 @@ def uniform_binary_measure() -> MarkovMeasure:
 def data_path(name: str) -> Path:
     """Path of a bundled data file (e.g. ``after_ones.sel``)."""
     return Path(resources.files("sftselect").joinpath("data", name))
-
-
-def data_text(name: str) -> str:
-    return resources.files("sftselect").joinpath("data", name).read_text()

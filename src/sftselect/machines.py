@@ -171,11 +171,6 @@ class _MachineBase:
             raise ValidationError(f"duplicate transition from {src!r} on {symbol!r}")
         row[symbol] = value
 
-    def defined_symbols(self, state) -> tuple:
-        """Symbols with an outgoing transition from ``state``, in alphabet order."""
-        row = self._delta[state]
-        return tuple(a for a in self._alphabet if a in row)
-
     def missing_pairs(self) -> list:
         """(state, symbol) pairs without a transition, in declaration order."""
         return [
@@ -578,12 +573,6 @@ def apply_selector(selector: Selector, stream: Iterable) -> Iterator:
     cursor = SelectionCursor(selector)
     for symbol in stream:
         yield from cursor.feed(symbol)
-
-
-def select_text(selector: Selector, text: str) -> str:
-    """Run a selector over single-character symbol text and return the output text."""
-    out = SelectionCursor(selector).feed_indices(selector.alphabet.encode(text))
-    return selector.alphabet.text(out)
 
 
 def is_oblivious(selector: Selector) -> tuple[bool, Optional[object]]:

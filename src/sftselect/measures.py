@@ -366,11 +366,18 @@ def block_measure_array(mu: MarkovMeasure, k: int) -> np.ndarray:
     Index encoding is big-endian in alphabet order: the word w maps to
     sum(index(w[i]) * #A**(k-1-i)), matching lexicographic enumeration.
     """
-    if k < 1:
-        raise ValidationError("block length must be >= 1")
+    return next(block_measure_ladder(mu, [k]))[1]
+
+
+def block_measure_ladder(mu: MarkovMeasure, ks):
+    """Yield (k, block_measure_array(mu, k)) for k in sorted(ks): one pass
+    that extends a single vector, so only the current one is kept."""
     n = len(mu.alphabet)
-    m = np.array(mu.pi.weights, dtype=float)
-    for _ in range(k - 1):
-        last = np.arange(m.size) % n
-        m = (m[:, None] * mu.P.entries[last]).reshape(-1)
-    return m
+    m, j = np.array(mu.pi.weights, dtype=float), 1
+    for k in sorted(ks):
+        if k < 1:
+            raise ValidationError("block length must be >= 1")
+        while j < k:
+            last = np.arange(m.size) % n
+            m, j = (m[:, None] * mu.P.entries[last]).reshape(-1), j + 1
+        yield k, m

@@ -44,7 +44,8 @@ MARKOV_SAMPLE = "markov-sample"
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-_INT64_MAX = (1 << 63) - 1
+#: bytes of int64 counts one BlockCounter may allocate
+COUNT_BUDGET_BYTES = 1 << 30
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
@@ -198,18 +199,20 @@ class BlockCounter:
 
     SLIDING counts every window of length k (n-k+1 of them over n symbols);
     ALIGNED counts the disjoint blocks w1 w2 ... (floor(n/k) of them).
-    Memory is one #A**k count vector plus a k-sized carry; block codes are
-    int64, so #A**k may not exceed 2**63 - 1.
+    Memory is one #A**k int64 count vector, at most COUNT_BUDGET_BYTES,
+    plus a k-sized carry.  A sliding counter also gives the exact counts of
+    every shorter length (:meth:`marginal`).
     """
 
     def __init__(self, alphabet_size: int, k: int, mode: str = SLIDING):
         if k < 1:
             raise BlockLengthOutOfRange("block length must be at least 1")
-        # past k = 63 even two symbols overflow; stop before a huge power
-        if alphabet_size > 1 and (k >= 64 or alphabet_size**k > _INT64_MAX):
+        # k >= 64 is past the budget for two symbols; skip the huge power
+        if alphabet_size > 1 and (k >= 64 or alphabet_size**k * 8 > COUNT_BUDGET_BYTES):
             raise BlockLengthOutOfRange(
-                f"block length {k} over {alphabet_size} symbols gives "
-                f"{alphabet_size}**{k} blocks, past the int64 code range"
+                f"block length {k} over {alphabet_size} symbols needs "
+                f"{alphabet_size}**{k} int64 counts, past the budget of "
+                f"{COUNT_BUDGET_BYTES} bytes"
             )
         if mode not in (SLIDING, ALIGNED):
             raise ValidationError(f"unknown counting mode {mode!r}")
@@ -242,12 +245,19 @@ class BlockCounter:
                 self.counts += np.bincount(codes, minlength=self.counts.size)
             self._carry = seq[whole:].copy()
 
-    @property
-    def windows(self) -> int:
-        """Number of blocks counted so far."""
-        if self.mode == SLIDING:
-            return max(self.n - self.k + 1, 0)
-        return self.n // self.k
+    def marginal(self, k: int) -> np.ndarray:
+        """Sliding counts of the length-k windows, 1 <= k <= self.k.  Each
+        k-window is the prefix of one counted window, or starts too late for
+        that and lies in the carry, the last min(n, self.k - 1) symbols."""
+        if self.mode != SLIDING:
+            raise ValidationError("aligned blocks of different lengths do not nest")
+        if not 1 <= k <= self.k:
+            raise BlockLengthOutOfRange(f"block length {k} is outside 1..{self.k}")
+        if k == self.k:  # the carry is shorter than a window; no copy
+            return self.counts
+        tail = BlockCounter(self.base, k)
+        tail.update(self._carry)
+        return self.counts.reshape(self.base**k, -1).sum(axis=1) + tail.counts
 
 
 @dataclass(frozen=True)
@@ -262,12 +272,9 @@ class FrequencyReport:
     counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = self.n - self.k + 1 if self.mode == SLIDING else self.n // self.k
-        total = int(self.counts.sum())
-        if total != max(expected, 0):
-            raise ValidationError(
-                f"block counts sum to {total}, expected {expected}"
-            )
+        total, expected = int(self.counts.sum()), max(self.windows, 0)
+        if total != expected:
+            raise ValidationError(f"block counts sum to {total}, expected {expected}")
 
     @property
     def windows(self) -> int:
@@ -277,6 +284,10 @@ class FrequencyReport:
     def frequencies(self) -> np.ndarray:
         w = self.windows
         return self.counts / w if w else np.zeros_like(self.counts, dtype=float)
+
+    def max_gap(self, target: np.ndarray) -> float:
+        """Largest absolute gap between a block frequency and its target."""
+        return float(np.max(np.abs(self.frequencies - target)))
 
     def _code(self, word) -> int:
         word = tuple(word)
@@ -303,20 +314,33 @@ class FrequencyReport:
 
 def block_frequencies(alphabet, x, k: int, mode: str = SLIDING) -> FrequencyReport:
     """Count the length-k blocks of ``x`` (token iterable or index array)."""
+    return block_frequency_reports(alphabet, x, [k], mode)[k]
+
+
+def block_frequency_reports(alphabet, x, ks, mode: str = SLIDING) -> dict:
+    """FrequencyReports for the nonempty block lengths ``ks``, by ascending
+    k.  SLIDING counts every length with one counter at max(ks)."""
     if not isinstance(alphabet, Alphabet):
         alphabet = Alphabet(alphabet)
     idx = x if isinstance(x, np.ndarray) else alphabet.encode(x)
-    if k < 1:
+    ks = sorted(set(ks))
+    if ks[0] < 1:
         raise BlockLengthOutOfRange("block length must be at least 1")
-    if k > idx.size:
+    if ks[-1] > idx.size:
         raise BlockLengthOutOfRange(
-            f"block length {k} exceeds the sequence length {idx.size}"
+            f"block length {ks[-1]} exceeds the sequence length {idx.size}"
         )
-    counter = BlockCounter(len(alphabet), k, mode)
-    counter.update(idx)
-    return FrequencyReport(
-        alphabet=alphabet, mode=mode, k=k, n=counter.n, counts=counter.counts
-    )
+    sliding = mode == SLIDING
+    counters = {k: BlockCounter(len(alphabet), k, mode) for k in (ks[-1:] if sliding else ks)}
+    for counter in counters.values():
+        counter.update(idx)
+    return {
+        k: FrequencyReport(
+            alphabet=alphabet, mode=mode, k=k, n=idx.size,
+            counts=counters[ks[-1]].marginal(k) if sliding else counters[k].counts,
+        )
+        for k in ks
+    }
 
 
 def discrepancy(report: FrequencyReport, mu: MarkovMeasure) -> float:
@@ -324,5 +348,4 @@ def discrepancy(report: FrequencyReport, mu: MarkovMeasure) -> float:
     all #A**k blocks (absent blocks included)."""
     if mu.alphabet != report.alphabet:
         raise ValidationError("report and measure use different alphabets")
-    target = block_measure_array(mu, report.k)
-    return float(np.max(np.abs(report.frequencies - target)))
+    return report.max_gap(block_measure_array(mu, report.k))
