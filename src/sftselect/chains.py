@@ -23,7 +23,8 @@ from .alphabet import Alphabet
 from .compat import CompatibilityWitness, is_shift_complete
 from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun, ValidationError
 from .machines import (
-    Automaton, SccReport, scc_decomposition, snake_automaton, transition_rows, walk,
+    COUNT_BUDGET_BYTES, Automaton, SccReport, scc_decomposition, snake_automaton,
+    transition_rows, walk,
 )
 from .measures import (
     Distribution, MarkovMeasure, StochasticMatrix, _solve_balance, conditional_word_measure,
@@ -71,15 +72,27 @@ def _chain_from_matrix(machine, matrix: np.ndarray) -> StateChain:
     return StateChain(machine=machine, matrix=matrix, scc=scc, stationary=stationary)
 
 
+def _chain_matrix(machine, weight) -> np.ndarray:
+    """The |S| x |S| matrix adding ``weight(p, a)`` at (p, q) for every
+    transition p -a-> q (indices), in state then alphabet order; past
+    ``COUNT_BUDGET_BYTES`` it raises ValidationError before allocating."""
+    nq = len(machine.states)
+    if nq * nq * 8 > COUNT_BUDGET_BYTES:
+        raise ValidationError(
+            f"a dense chain over {nq} states needs {nq}**2 float64 entries, "
+            f"past the budget of {COUNT_BUDGET_BYTES} bytes"
+        )
+    matrix = np.zeros((nq, nq))
+    for p, a, q in machine._arcs():
+        matrix[p, q] += weight(p, a)
+    return matrix
+
+
 def uniform_chain(machine: Automaton) -> StateChain:
     """Chain of a complete deterministic automaton on uniform input: entry
     (p, q) counts the symbols leading p to q, divided by #A."""
     machine.validate_complete()
-    nq = len(machine.states)
-    matrix = np.zeros((nq, nq))
-    na = len(machine.alphabet)
-    for p, _a, q in machine.transitions():
-        matrix[machine.state_index(p), machine.state_index(q)] += 1.0 / na
+    matrix = _chain_matrix(machine, lambda _p, _a: 1.0 / len(machine.alphabet))
     return _chain_from_matrix(machine, matrix)
 
 
@@ -100,10 +113,8 @@ def compatible_chain(
     ok, missing = is_shift_complete(machine, mu, witness)
     if not ok and require_complete:
         raise NotShiftComplete(missing)
-    nq = len(machine.states)
-    matrix = np.zeros((nq, nq))
-    for p, a, *_rest, q in machine.transitions():
-        matrix[machine.state_index(p), machine.state_index(q)] += mu.P[witness.last_read[p], a]
+    states, symbols = machine.states, machine.alphabet.symbols
+    matrix = _chain_matrix(machine, lambda p, a: mu.P[witness.last_read[states[p]], symbols[a]])
     if not ok:
         matrix.setflags(write=False)
         return StateChain(machine=machine, matrix=matrix, scc=scc_decomposition(machine), stationary=None)
@@ -212,13 +223,13 @@ def lifted_run_measure(
     """Measure of the run (state, word) under the lifted chain:
     stationary(state) * mu_{last_read(state)}(word).  The run must exist."""
     machine = chain.machine
-    q = state
+    nxt = machine.tables()[0]
+    q = machine.state_index(state)
     word = tuple(word)
     for a in word:
-        step = machine.step_or_none(q, a)
-        if step is None:
+        q = nxt.item(q, machine.alphabet.index(a)) if a in machine.alphabet else -1
+        if q < 0:
             raise UnrealizableRun(state, word)
-        q = machine._target_of(step)
     return chain.stationary_of(state) * conditional_word_measure(
         mu, witness.last_read[state], word
     )

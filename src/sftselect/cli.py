@@ -336,7 +336,7 @@ def cmd_experiment(args) -> int:
         selector=selector,
         generator=spec,
         measure=target,
-        ks=tuple(sorted(set(args.k))),
+        ks=args.k,
         mode=args.mode,
         tolerance=args.tolerance,
         after_recurrent=args.after_recurrent,

@@ -73,12 +73,10 @@ class CompatibilityResult:
 
 def _edges(machine):
     """Uniform view of transitions as (source, symbol, keeps|None, target)."""
-    if isinstance(machine, Selector):
-        for p, a, act, q in machine.transitions():
-            yield p, a, act == "keep", q
-    else:
-        for p, a, q in machine.transitions():
-            yield p, a, None, q
+    states, symbols = machine.states, machine.alphabet.symbols
+    keep = machine.tables()[1] if isinstance(machine, Selector) else None
+    for i, a, t in machine._arcs():
+        yield states[i], symbols[a], None if keep is None else keep.item(i, a), states[t]
 
 
 def _infer_last_read(machine, declared):
@@ -306,9 +304,10 @@ def is_shift_complete(machine, mu: MarkovMeasure, witness: CompatibilityWitness)
     with P[last_read(state), symbol] > 0 but no outgoing transition.
     """
     missing = []
-    for p in machine.states:
+    symbols = machine.alphabet.symbols
+    for p, row in zip(machine.states, machine.tables()[0].tolist()):
         label = witness.last_read[p]
-        for a in machine.alphabet:
-            if mu.P[label, a] > 0.0 and machine.step_or_none(p, a) is None:
+        for a, t in zip(symbols, row):
+            if mu.P[label, a] > 0.0 and t < 0:
                 missing.append((p, a))
     return not missing, missing

@@ -47,6 +47,8 @@ class ExperimentConfig:
     chunk: int = 1 << 16
 
     def __post_init__(self):
+        # each block length is counted and written once, shortest first
+        object.__setattr__(self, "ks", tuple(sorted(set(self.ks or ()))))
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
         if not self.ks or any(k < 1 for k in self.ks):
@@ -242,14 +244,14 @@ def write_experiment_csv(report: ExperimentReport, out: TextIO):
     entry = report.recurrent_entry
     out.write(f"# recurrent_entry={entry if entry is not None else 'never'}\n")
     out.write(f"# output_length={report.output_length}\n")
-    for k in sorted(config.ks):
+    for k in config.ks:
         out.write(f"# input_D_{k}={report.input_discrepancies[k]!r}\n")
     out.write("block,count,frequency,target,abs_error\n")
     for k, targets in block_measure_ladder(config.target, config.ks):
         _write_block_rows(report.output_reports[k], targets, out)
     failures = [
         f"D_{k}={report.output_discrepancies[k]!r}"
-        for k in sorted(config.ks)
+        for k in config.ks
         if report.output_discrepancies[k] > config.tolerance
     ]
     support_failures = [

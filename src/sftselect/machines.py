@@ -7,9 +7,14 @@ same machine with the actions removed.  Both kinds may have a partial
 transition map; machines over the full shift are expected to be complete,
 which is a separate validation rather than a construction requirement.
 
-All machine types are immutable after construction and safe to share across
-threads.  The only mutable object here is :class:`SelectionCursor`, which is
-single-owner while being fed.
+A machine stores its transition map once, as the read-only dense arrays
+that ``tables()`` returns, indexed by (state index, symbol index): ``nxt``
+holds target state indices (-1 where undefined) and, for a selector,
+``keep`` the actions (False where undefined).  Stepping, transitions,
+successors, equality, SCCs and :func:`snake_automaton`, which builds the
+run machine by arithmetic on big-endian word codes, all read them.  So
+machines are immutable and safe to share across threads.  The only
+mutable object here is :class:`SelectionCursor`, single-owner while fed.
 
 Every deterministic walk over an index array goes through one kernel,
 :func:`run_states`: given the walk table of a dense next-state table (see
@@ -20,7 +25,8 @@ of states, the start included.  A selector's output on the walk is then
 the same walk over a draw table.  The scalar :func:`run_word` stays as the
 reference the kernel is tested against.
 
-The walk table is built once per stream.  Undefined transitions lead to
+The walk table is built once per stream, from ``tables()`` as stored,
+with no rebuild.  Undefined transitions lead to
 an absorbing dead state, so partial machines walk like complete ones and
 :func:`walk` finds the first undefined step in the path.  For the largest
 block length k whose tables fit a fixed entry budget, it holds a block
@@ -65,6 +71,9 @@ DROP = "drop"
 _BLOCK_BUDGET = 1 << 16
 _MAX_BLOCK = 16
 _SLICE = 1 << 16
+#: bytes one array a request sizes may take: a BlockCounter's counts, a
+#: snake's run tables, a dense state chain
+COUNT_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -88,31 +97,55 @@ class Run:
 
 
 class _MachineBase:
-    """Shared storage/behaviour of automata and selectors."""
+    """Shared storage/behaviour of automata and selectors: the dense
+    tables described in the module docstring and every view of them."""
 
-    @staticmethod
-    def _target_of(value):
-        """Target state of a stored transition value."""
-        return value
+    def __init__(self, alphabet, states: Iterable, initial, transitions: Iterable[tuple]):
+        self._declare(alphabet, states, initial)
+        nxt = np.full((len(self._states), len(self._alphabet)), -1, dtype=np.int64)
+        keep = np.zeros(nxt.shape, dtype=bool)
+        index = self._state_index
+        for src, symbol, keeps, dst in self._parse(transitions):
+            if dst not in index:
+                raise ValidationError(f"unknown target state {dst!r}")
+            if src not in index:
+                raise ValidationError(f"unknown state {src!r}")
+            a = self._alphabet.index(symbol)
+            if nxt[index[src], a] >= 0:
+                raise ValidationError(f"duplicate transition from {src!r} on {symbol!r}")
+            nxt[index[src], a] = index[dst]
+            keep[index[src], a] = keeps
+        self._store(nxt, keep if isinstance(self, Selector) else None)
 
-    def __init__(self, alphabet: Alphabet, states: Iterable, initial):
+    @classmethod
+    def _from_tables(cls, alphabet, states, initial, nxt, keep=None):
+        """A machine over given dense tables, which it stores read-only."""
+        machine = cls.__new__(cls)
+        machine._declare(alphabet, states, initial)
+        machine._store(nxt, keep)
+        return machine
+
+    def _declare(self, alphabet, states: Iterable, initial):
         if not isinstance(alphabet, Alphabet):
             alphabet = Alphabet(alphabet)
         self._alphabet = alphabet
         self._states = tuple(states)
-        if len(set(self._states)) != len(self._states):
+        self._state_index = {q: i for i, q in enumerate(self._states)}
+        if len(self._state_index) != len(self._states):
             raise ValidationError("duplicate state identifiers")
         if not self._states:
             raise ValidationError("machine needs at least one state")
-        self._state_index = {q: i for i, q in enumerate(self._states)}
         if initial not in self._state_index:
             raise ValidationError(f"initial state {initial!r} is not a declared state")
         self._initial = initial
-        # delta[state][symbol] -> target (automaton) or (target, keep) (selector)
-        self._delta = {q: {} for q in self._states}
         self._trim_checked = False
         self._declared_last_read: dict = {}
         self._declared_last_selected: dict = {}
+
+    def _store(self, nxt: np.ndarray, keep):
+        self._nxt, self._keep = nxt, keep
+        for table in self.tables():
+            table.setflags(write=False)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -161,24 +194,40 @@ class _MachineBase:
         except KeyError:
             raise ValidationError(f"unknown state {state!r}") from None
 
-    def _add_edge(self, src, symbol, value):
-        if src not in self._delta:
-            raise ValidationError(f"unknown state {src!r}")
+    def tables(self) -> tuple:
+        """The stored read-only arrays indexed by (state, symbol): ``(nxt,)``
+        for an automaton and ``(nxt, keep)`` for a selector; undefined next
+        states hold -1 and undefined actions False."""
+        return (self._nxt,) if self._keep is None else (self._nxt, self._keep)
+
+    def _arcs(self):
+        """(source index, symbol index, target index) of every defined
+        transition, in state then alphabet order."""
+        src, sym = np.nonzero(self._nxt >= 0)
+        return zip(src.tolist(), sym.tolist(), self._nxt[src, sym].tolist())
+
+    def step(self, state, symbol, position=None):
+        """The target of one transition, or (target, keeps) for a selector."""
         if symbol not in self._alphabet:
             raise UnknownSymbol(symbol, self._alphabet.symbols)
-        row = self._delta[src]
-        if symbol in row:
-            raise ValidationError(f"duplicate transition from {src!r} on {symbol!r}")
-        row[symbol] = value
+        value = self.step_or_none(state, symbol) if state in self._state_index else None
+        if value is None:
+            raise UndefinedTransition(state, symbol, position)
+        return value
+
+    def step_or_none(self, state, symbol):
+        if symbol not in self._alphabet:
+            return None
+        i, a = self._state_index[state], self._alphabet.index(symbol)
+        t = self._nxt.item(i, a)
+        if t < 0:
+            return None
+        return self._states[t] if self._keep is None else (self._states[t], self._keep.item(i, a))
 
     def missing_pairs(self) -> list:
         """(state, symbol) pairs without a transition, in declaration order."""
-        return [
-            (q, a)
-            for q in self._states
-            for a in self._alphabet
-            if a not in self._delta[q]
-        ]
+        symbols = self._alphabet.symbols
+        return [(self._states[i], symbols[a]) for i, a in np.argwhere(self._nxt < 0).tolist()]
 
     def is_complete(self) -> bool:
         return not self.missing_pairs()
@@ -190,15 +239,8 @@ class _MachineBase:
 
     def successors(self, state) -> tuple:
         """Distinct target states reachable in one step, in alphabet order."""
-        row = self._delta[state]
-        seen, out = set(), []
-        for a in self._alphabet:
-            if a in row:
-                t = self._target_of(row[a])
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-        return tuple(out)
+        row = self._nxt[self._state_index[state]].tolist()
+        return tuple(self._states[t] for t in dict.fromkeys(row) if t >= 0)
 
     def check_trim(self) -> tuple[bool, list]:
         """Verify every state is reachable from the initial state and lies on
@@ -233,7 +275,7 @@ class _MachineBase:
             and self._alphabet == other._alphabet
             and self._states == other._states
             and self._initial == other._initial
-            and self._delta == other._delta
+            and all(map(np.array_equal, self.tables(), other.tables()))
             and self._declared_last_read == other._declared_last_read
             and self._declared_last_selected == other._declared_last_selected
         )
@@ -243,112 +285,52 @@ class _MachineBase:
 
 
 class Automaton(_MachineBase):
-    """A deterministic automaton with a possibly partial transition map."""
+    """A deterministic automaton with a possibly partial transition map.
 
-    def __init__(self, alphabet, states, initial, transitions: Iterable[tuple]):
-        """``transitions`` is an iterable of (source, symbol, target)."""
-        super().__init__(alphabet, states, initial)
+    ``transitions`` is an iterable of (source, symbol, target)."""
+
+    @staticmethod
+    def _parse(transitions):
         for src, symbol, dst in transitions:
-            if dst not in self._state_index:
-                raise ValidationError(f"unknown target state {dst!r}")
-            self._add_edge(src, symbol, dst)
-
-    def step(self, state, symbol, position=None):
-        if symbol not in self._alphabet:
-            raise UnknownSymbol(symbol, self._alphabet.symbols)
-        try:
-            return self._delta[state][symbol]
-        except KeyError:
-            raise UndefinedTransition(state, symbol, position) from None
-
-    def step_or_none(self, state, symbol):
-        return self._delta[state].get(symbol)
+            yield src, symbol, False, dst
 
     def transitions(self) -> Iterator[tuple]:
         """(source, symbol, target) triples in declaration/alphabet order."""
-        for q in self._states:
-            row = self._delta[q]
-            for a in self._alphabet:
-                if a in row:
-                    yield q, a, row[a]
-
-    def tables(self) -> tuple[np.ndarray]:
-        """The dense next-state array indexed by (state, symbol), as a
-        1-tuple like :meth:`Selector.tables`; undefined entries hold -1."""
-        nq, na = len(self._states), len(self._alphabet)
-        nxt = np.full((nq, na), -1, dtype=np.int64)
-        for q, a, t in self.transitions():
-            nxt[self._state_index[q], self._alphabet.index(a)] = self._state_index[t]
-        return (nxt,)
+        states, symbols = self._states, self._alphabet.symbols
+        for i, a, t in self._arcs():
+            yield states[i], symbols[a], states[t]
 
 
 class Selector(_MachineBase):
-    """A deterministic selector: every transition KEEPs or DROPs the symbol read."""
+    """A deterministic selector: every transition KEEPs or DROPs the symbol read.
+
+    ``transitions`` is an iterable of (source, symbol, action, target) with
+    action in {"keep", "drop"}."""
 
     @staticmethod
-    def _target_of(value):
-        return value[0]
-
-    def __init__(self, alphabet, states, initial, transitions: Iterable[tuple]):
-        """``transitions`` is an iterable of (source, symbol, action, target)
-        with action in {"keep", "drop"}."""
-        super().__init__(alphabet, states, initial)
+    def _parse(transitions):
         for src, symbol, action, dst in transitions:
             if action not in (KEEP, DROP):
                 raise ValidationError(f"invalid action {action!r}")
-            if dst not in self._state_index:
-                raise ValidationError(f"unknown target state {dst!r}")
-            self._add_edge(src, symbol, (dst, action == KEEP))
-
-    def step(self, state, symbol, position=None) -> tuple:
-        """Return (target, keeps) for one transition."""
-        if symbol not in self._alphabet:
-            raise UnknownSymbol(symbol, self._alphabet.symbols)
-        try:
-            return self._delta[state][symbol]
-        except KeyError:
-            raise UndefinedTransition(state, symbol, position) from None
-
-    def step_or_none(self, state, symbol):
-        return self._delta[state].get(symbol)
+            yield src, symbol, action == KEEP, dst
 
     def action(self, state, symbol) -> str:
         return KEEP if self.step(state, symbol)[1] else DROP
 
     def transitions(self) -> Iterator[tuple]:
         """(source, symbol, action, target) in declaration/alphabet order."""
-        for q in self._states:
-            row = self._delta[q]
-            for a in self._alphabet:
-                if a in row:
-                    t, keeps = row[a]
-                    yield q, a, (KEEP if keeps else DROP), t
+        states, symbols, keep = self._states, self._alphabet.symbols, self._keep
+        for i, a, t in self._arcs():
+            yield states[i], symbols[a], KEEP if keep.item(i, a) else DROP, states[t]
 
     def underlying_automaton(self) -> Automaton:
         """The same machine with actions removed (declared labels kept)."""
-        automaton = Automaton(
-            self._alphabet,
-            self._states,
-            self._initial,
-            ((q, a, t) for q, a, _act, t in self.transitions()),
-        )
+        automaton = Automaton._from_tables(self._alphabet, self._states, self._initial, self._nxt)
         automaton.declare_labels(
             last_read=self._declared_last_read,
             last_selected=self._declared_last_selected,
         )
         return automaton
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (next_state, keep) arrays indexed by (state, symbol);
-        undefined next states hold -1."""
-        nq, na = len(self._states), len(self._alphabet)
-        nxt = np.full((nq, na), -1, dtype=np.int64)
-        keep = np.zeros((nq, na), dtype=bool)
-        for q, a, act, t in self.transitions():
-            qi, ai = self._state_index[q], self._alphabet.index(a)
-            nxt[qi, ai] = self._state_index[t]
-            keep[qi, ai] = act == KEEP
-        return nxt, keep
 
 
 def run_word(machine, start, word) -> Run:
@@ -417,8 +399,7 @@ def transition_rows(nxt: np.ndarray) -> WalkTable:
     it costs one row entry per table entry plus that budget, so a caller
     that walks in chunks builds it once."""
     nq, na = nxt.shape
-    full = np.full((nq + 1, na), nq, dtype=np.int64)
-    full[:nq] = np.where(nxt < 0, nq, nxt)
+    full = _with_dead_state(nxt)
     k = 1
     while k < _MAX_BLOCK and (nq + 1) * na ** (k + 1) * (k + 1) <= _BLOCK_BUDGET:
         k += 1
@@ -432,6 +413,12 @@ def transition_rows(nxt: np.ndarray) -> WalkTable:
         trace.reshape(nq + 1, na ** (j + 1), -1, k)[:, :, :, j] = end[:, :, None]
     rows = _rows(end)
     return WalkTable(nq, na, k, rows, rows if k == 1 else _rows(full), trace.reshape(-1, k))
+
+
+def _with_dead_state(nxt: np.ndarray) -> np.ndarray:
+    """``nxt`` plus an absorbing dead state ``len(nxt)`` as the last row,
+    which the undefined (-1) entries lead to."""
+    return np.vstack([np.where(nxt < 0, len(nxt), nxt), np.full(nxt.shape[1], len(nxt))])
 
 
 def _rows(ends: np.ndarray) -> list:
@@ -581,15 +568,9 @@ def is_oblivious(selector: Selector) -> tuple[bool, Optional[object]]:
     On failure also returns the first state (in declaration order) with
     mixed actions.
     """
-    seen: dict = {}
-    mixed = set()
-    for q, _a, act, _t in selector.transitions():
-        if seen.setdefault(q, act) != act:
-            mixed.add(q)
-    for q in selector.states:
-        if q in mixed:
-            return False, q
-    return True, None
+    nxt, keep = selector.tables()
+    mixed = np.flatnonzero(keep.any(axis=1) & ((nxt >= 0) & ~keep).any(axis=1))
+    return (True, None) if not len(mixed) else (False, selector.states[mixed[0]])
 
 
 def _require_oblivious(selector: Selector):
@@ -602,7 +583,9 @@ def _require_oblivious(selector: Selector):
 def state_action(selector: Selector, state) -> Optional[str]:
     """The common action of a state's outgoing transitions, or None if the
     state has no outgoing transitions.  Raises NotOblivious on mixed actions."""
-    actions = {act for q, _a, act, _t in selector.transitions() if q == state}
+    i = selector.state_index(state)
+    nxt, keep = selector.tables()
+    actions = {KEEP if k else DROP for t, k in zip(nxt[i].tolist(), keep[i].tolist()) if t >= 0}
     if len(actions) > 1:
         raise NotOblivious(state)
     return actions.pop() if actions else None
@@ -688,17 +671,22 @@ def _strong_components(succ: list) -> list:
 
 def scc_decomposition(machine) -> SccReport:
     """Strongly connected components of the transition graph, found by
-    :func:`_strong_components` over state indices."""
+    :func:`_strong_components` over the rows of the next-state table
+    (targets in alphabet order; a repeated target changes neither the
+    depth-first order nor the components)."""
     states = machine.states
-    succ = [[machine.state_index(t) for t in machine.successors(q)] for q in states]
-    comps = tuple(tuple(states[v] for v in c) for c in _strong_components(succ))
+    nxt = machine.tables()[0]
+    succ = [[t for t in row if t >= 0] for row in nxt.tolist()]
+    index_comps = _strong_components(succ)
+    comps = tuple(tuple(states[v] for v in c) for c in index_comps)
     comp_index = {q: i for i, c in enumerate(comps) for q in c}
-    edges = set()
-    for v, q in enumerate(states):
-        for w in succ[v]:
-            ci, cj = comp_index[q], comp_index[states[w]]
-            if ci != cj:
-                edges.add((ci, cj))
+    comp_of = np.empty(len(states), dtype=np.int64)
+    for i, c in enumerate(index_comps):
+        comp_of[c] = i
+    src, sym = np.nonzero(nxt >= 0)
+    ci, cj = comp_of[src], comp_of[nxt[src, sym]]
+    cross = ci != cj
+    edges = set(zip(ci[cross].tolist(), cj[cross].tolist()))
     sources = {src for src, _dst in edges}
     recurrent = tuple(i not in sources for i in range(len(comps)))
     return SccReport(
@@ -711,42 +699,49 @@ def scc_decomposition(machine) -> SccReport:
 
 def snake_automaton(machine: Automaton, n: int) -> Automaton:
     """The automaton whose states are the realizable length-``n`` runs of
-    ``machine``, written as pairs (start state, input word).
+    ``machine``, written as pairs (start state, input word), ordered by
+    start state, then word.
 
     A transition reads one more symbol and slides the length-n window:
     ``(p, b w') --a--> (p.b, w' a)`` whenever both runs exist.  Pairs whose
-    run does not exist in a partial machine are omitted.
+    run does not exist in a partial machine are omitted.  Each possible run
+    costs an end-table entry, a row of #A next states and the n letters of
+    its label, so sizes past ``COUNT_BUDGET_BYTES`` raise ValidationError
+    before anything is allocated.
     """
     if n < 1:
         raise ValidationError("snake construction needs n >= 1")
-    states = []
-    for p in machine.states:
-        # depth-first enumeration of realizable words of length n, lex order
-        stack = [(p, ())]
-        while stack:
-            q, w = stack.pop()
-            if len(w) == n:
-                states.append((p, w))
-                continue
-            for a in reversed(machine.alphabet.symbols):
-                t = machine.step_or_none(q, a)
-                if t is not None:
-                    stack.append((t, w + (a,)))
-    state_set = set(states)
-    transitions = []
-    for (p, w) in states:
-        b = w[0]
-        pb = machine.step_or_none(p, b)
-        for a in machine.alphabet:
-            target = (pb, w[1:] + (a,))
-            if target in state_set:
-                transitions.append(((p, w), a, target))
-    initial = next(
-        ((p, w) for (p, w) in states if p == machine.initial), states[0] if states else None
-    )
-    if initial is None:
+    nxt = machine.tables()[0]
+    nq, na = nxt.shape
+    # n >= 64 is past the budget for two symbols; skip the huge power
+    if na > 1 and n >= 64 or nq * na**n * 8 * (1 + na + n) > COUNT_BUDGET_BYTES:
+        raise ValidationError(
+            f"snake of length {n} has up to {nq}*{na}**{n} runs of "
+            f"{8 * (1 + na + n)} bytes, past the budget of {COUNT_BUDGET_BYTES} bytes"
+        )
+    width = na**n
+    end = np.arange(nq, dtype=np.int64)[:, None]
+    full = _with_dead_state(nxt)
+    for _ in range(n):
+        end = full[end].reshape(nq, -1)
+    runs = np.flatnonzero(end.ravel() < nq)
+    if not len(runs):
         raise ValidationError(f"machine has no run of length {n}")
-    return Automaton(machine.alphabet, states, initial, transitions)
+    number = np.full(nq * width, -1, dtype=np.int64)
+    number[runs] = np.arange(len(runs))
+    p, code = np.divmod(runs, width)
+    tail = width // na
+    targets = (nxt[p, code // tail] * width + code % tail * na)[:, None] + np.arange(na)
+    codes, word_of = np.unique(code, return_inverse=True)
+    letters = codes[:, None] // na ** np.arange(n - 1, -1, -1) % na
+    symbols = np.array(machine.alphabet.symbols, dtype=object)
+    words = list(map(tuple, symbols[letters].tolist()))
+    base = machine.states
+    states = [(base[i], words[j]) for i, j in zip(p.tolist(), word_of.tolist())]
+    start = machine.state_index(machine.initial)
+    first = int(np.searchsorted(p, start))
+    initial = states[first] if first < len(p) and p[first] == start else states[0]
+    return Automaton._from_tables(machine.alphabet, states, initial, number[targets])
 
 
 def snake_state_label(state, alphabet: Alphabet) -> str:
@@ -759,23 +754,17 @@ def dfa_to_selector(machine: Automaton, accepting) -> Selector:
     """Turn a DFA into the oblivious selector that keeps a symbol exactly
     when the preceding prefix is accepted: transitions out of accepting
     states KEEP, all others DROP."""
-    accepting = set(accepting)
-    for q in accepting:
-        machine.state_index(q)
-    return Selector(
-        machine.alphabet,
-        machine.states,
-        machine.initial,
-        (
-            (q, a, KEEP if q in accepting else DROP, t)
-            for q, a, t in machine.transitions()
-        ),
-    )
+    nxt = machine.tables()[0]
+    accepts = np.zeros(len(nxt), dtype=bool)
+    accepts[[machine.state_index(q) for q in set(accepting)]] = True
+    keep = accepts[:, None] & (nxt >= 0)
+    return Selector._from_tables(machine.alphabet, machine.states, machine.initial, nxt, keep)
 
 
 def selector_to_dfa(selector: Selector) -> tuple[Automaton, frozenset]:
     """Inverse of :func:`dfa_to_selector` for oblivious selectors: drop the
     actions and report the KEEP states as accepting."""
     _require_oblivious(selector)
-    accepting = frozenset(q for q, _a, act, _t in selector.transitions() if act == KEEP)
+    keeps = selector.tables()[1].any(axis=1)
+    accepting = frozenset(q for q, k in zip(selector.states, keeps.tolist()) if k)
     return selector.underlying_automaton(), accepting

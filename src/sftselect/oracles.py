@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from .alphabet import as_word
 from .compat import CompatibilityWitness
 from .errors import CapExceeded, NotCompatible, NotStronglyConnected, ValidationError
-from .machines import KEEP, Automaton, Selector, _require_oblivious, scc_decomposition
+from .machines import Automaton, Selector, _require_oblivious, scc_decomposition
 from .measures import MarkovMeasure, conditional_word_measure
 
 DEFAULT_RUN_CAP = 1 << 20
@@ -135,11 +135,10 @@ def _require_last_selected(witness: CompatibilityWitness):
 def _steps(selector: Selector) -> list:
     """Per state index, the defined transitions in alphabet order as
     (symbol index, symbol, target index, keeps)."""
-    alpha = selector.alphabet
-    index = selector.state_index
+    symbols, keep = selector.alphabet.symbols, selector.tables()[1]
     steps = [[] for _ in selector.states]
-    for q, a, act, t in selector.transitions():
-        steps[index(q)].append((alpha.index(a), a, index(t), act == KEEP))
+    for q, a, t in selector._arcs():
+        steps[q].append((a, symbols[a], t, keep.item(q, a)))
     return steps
 
 

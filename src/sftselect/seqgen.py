@@ -33,7 +33,7 @@ import numpy as np
 
 from .alphabet import Alphabet
 from .errors import BlockLengthOutOfRange, ValidationError
-from .machines import block_codes, run_states, transition_rows
+from .machines import COUNT_BUDGET_BYTES, block_codes, run_states, transition_rows
 from .measures import MarkovMeasure, block_measure_array
 
 SLIDING = "sliding"
@@ -44,8 +44,6 @@ MARKOV_SAMPLE = "markov-sample"
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
-#: bytes of int64 counts one BlockCounter may allocate
-COUNT_BUDGET_BYTES = 1 << 30
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
