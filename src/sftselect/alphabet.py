@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,12 +121,7 @@ class Alphabet:
 
     def words(self, length: int):
         """All words of the given length in lexicographic (declaration) order."""
-        if length == 0:
-            yield ()
-            return
-        for prefix in self.words(length - 1):
-            for s in self._symbols:
-                yield prefix + (s,)
+        return itertools.product(self._symbols, repeat=length)
 
 
 def as_word(word: Iterable[str]) -> tuple[str, ...]:

@@ -9,6 +9,7 @@ hold).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .errors import (
     UnrealizableRun,
     ValidationError,
 )
-from .experiment import ExperimentConfig, run_experiment, write_experiment_csv
+from .experiment import ExperimentConfig, _write_block_rows, run_experiment, write_experiment_csv
 from .formats import (
     parse_automaton,
     parse_matrix,
@@ -80,10 +81,14 @@ def _read_input(args) -> str:
     return sys.stdin.read()
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """The --out file opened for writing, or stdout."""
     if getattr(args, "out", None):
-        return open(args.out, "w")
-    return None
+        with open(args.out, "w") as out:
+            yield out
+    else:
+        yield sys.stdout
 
 
 def _emit(args, text: str):
@@ -91,18 +96,6 @@ def _emit(args, text: str):
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _target_measure(args, alphabet=None) -> MarkovMeasure:
-    if getattr(args, "measure", None):
-        return parse_measure(args.measure)
-    if getattr(args, "uniform", False):
-        if alphabet is None and getattr(args, "alphabet", None):
-            alphabet = Alphabet(args.alphabet)
-        if alphabet is None:
-            raise ValidationError("--uniform needs an alphabet (from a machine or --alphabet)")
-        return uniform_measure(alphabet)
-    raise ValidationError("specify --measure FILE or --uniform")
 
 
 def cmd_gen(args) -> int:
@@ -136,29 +129,22 @@ def cmd_select(args) -> int:
 
 def cmd_freq(args) -> int:
     alphabet = Alphabet(args.alphabet) if args.alphabet else Alphabet(["0", "1"])
-    if args.measure or args.uniform:
-        mu = _target_measure(args, alphabet)
+    if args.measure:
+        mu = parse_measure(args.measure)
+        if args.alphabet and mu.alphabet != alphabet:
+            raise ValidationError(
+                f"--alphabet {list(alphabet)} differs from the measure's {list(mu.alphabet)}"
+            )
         alphabet = mu.alphabet
     else:
-        mu = None
+        mu = uniform_measure(alphabet) if args.uniform else None
     idx = read_symbol_text(alphabet, _read_input(args))
-    lines = []
-    header = "block,count,frequency" + (",target,abs_error" if mu else "")
-    lines.append(header)
     reports = block_frequency_reports(alphabet, idx, args.k, args.mode)
-    ladder = dict(block_measure_ladder(mu, reports)) if mu else {}
-    for k, report in reports.items():
-        targets = ladder.get(k)
-        freqs = report.frequencies
-        for code, word in enumerate(alphabet.words(k)):
-            label = alphabet.word_label(word)
-            f = float(freqs[code])
-            row = f"{label},{int(report.counts[code])},{f!r}"
-            if targets is not None:
-                t = float(targets[code])
-                row += f",{t!r},{abs(f - t)!r}"
-            lines.append(row)
-    _emit(args, "\n".join(lines) + "\n")
+    ladder = block_measure_ladder(mu, reports) if mu else ((k, None) for k in reports)
+    with _output(args) as out:
+        out.write("block,count,frequency" + (",target,abs_error" if mu else "") + "\n")
+        for k, targets in ladder:
+            _write_block_rows(reports[k], targets, out)
     return 0
 
 
@@ -342,12 +328,8 @@ def cmd_experiment(args) -> int:
         after_recurrent=args.after_recurrent,
     )
     report = run_experiment(config)
-    out = _open_out(args)
-    try:
-        write_experiment_csv(report, out if out else sys.stdout)
-    finally:
-        if out:
-            out.close()
+    with _output(args) as out:
+        write_experiment_csv(report, out)
     for k in sorted(config.ks):
         print(
             f"k={k} input_D={report.input_discrepancies[k]:.6f} "

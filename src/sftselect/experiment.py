@@ -9,7 +9,7 @@ however long the input is, with one count vector per side when sliding.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -29,8 +29,8 @@ from .seqgen import (
     generate_chunks,
 )
 
-# block rows formatted and written together in the CSV
-_CSV_BATCH = 4096
+# most block rows joined into one write, and most labels in a suffix list
+_CSV_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -201,31 +201,53 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _write_block_rows(rep: FrequencyReport, targets: np.ndarray, out: TextIO):
-    """The CSV rows of one block length, blocks in lexicographic order,
-    written ``_CSV_BATCH`` rows at a time.  A row's tail (count,
-    frequency, target, abs_error) depends only on the block's count and
-    target, so each distinct pair of a batch is formatted once."""
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values; unlike ``np.unique``, which hashes in
+    numpy 2.4 and peaks at about three times the input, one sorted copy."""
+    s = np.sort(values)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def _write_block_rows(rep: FrequencyReport, targets: Optional[np.ndarray], out: TextIO):
+    """Write the rows of one block length, blocks in lexicographic order.
+    A row is a label and a tail, ``,count,frequency,target,abs_error``
+    (``,count,frequency`` when ``targets`` is None); each distinct (count,
+    target bits) tail is formatted once.  A label is a head of leading
+    letters plus one of the labels of the last m letters, built once: m is
+    the most letters, 1 to k, with #A**m <= ``_CSV_SLICE`` (1 if #A is
+    larger).  Each head's rows, #A**m of them, go out in one ``write``."""
     counts = np.asarray(rep.counts, dtype=np.int64)
-    bits = np.ascontiguousarray(targets, dtype=np.float64).view(np.uint64)
     freqs = rep.frequencies
+    columns = [counts]
+    if targets is not None:
+        columns.append(np.ascontiguousarray(targets, dtype=np.float64).view(np.uint64))
+    levels = [_distinct(column) for column in columns]
     alpha = rep.alphabet
     sep = "" if alpha.single_char else " "
-    labels = map(sep.join, itertools.product(alpha.symbols, repeat=rep.k))
-    for lo in range(0, counts.size, _CSV_BATCH):
-        hi = lo + _CSV_BATCH
-        pairs = np.stack([counts[lo:hi].view(np.uint64), bits[lo:hi]], axis=1)
-        _pairs, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-        first += lo
-        tails = [
-            f"{c},{f!r},{t!r},{abs(f - t)!r}\n"
-            for c, f, t in zip(
-                counts[first].tolist(), freqs[first].tolist(), targets[first].tolist()
-            )
-        ]
-        # the batch comes first, so zip takes no label past it
-        rows = zip(inverse.reshape(-1).tolist(), labels)
-        out.writelines(f"{label},{tails[u]}" for u, label in rows)
+    m = 1
+    while m < rep.k and len(alpha) ** (m + 1) <= _CSV_SLICE:
+        m += 1
+    suffixes = [sep.join(w) for w in alpha.words(m)]
+    tails, lo = {}, 0
+    for letters in alpha.words(rep.k - m):
+        hi = lo + len(suffixes)
+        # a tail's key: its count's rank, then its target bits' rank
+        key = 0
+        for column, level in zip(columns, levels):
+            key = key * level.size + np.searchsorted(level, column[lo:hi])
+        keys = key.tolist()
+        rows = dict(zip(keys, range(lo, hi)))  # a row of each key
+        for new in rows.keys() - tails.keys():
+            f = float(freqs[rows[new]])
+            tail = f",{int(counts[rows[new]])},{f!r}"
+            if targets is not None:
+                t = float(targets[rows[new]])
+                tail += f",{t!r},{abs(f - t)!r}"
+            tails[new] = tail + "\n"
+        head = sep.join(letters) + sep if letters else ""
+        # rows are head + suffix + tail: one head, then a head between rows
+        out.write(head + head.join(map(operator.add, suffixes, map(tails.__getitem__, keys))))
+        lo = hi
 
 
 def write_experiment_csv(report: ExperimentReport, out: TextIO):

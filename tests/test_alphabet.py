@@ -56,3 +56,20 @@ class TestAlphabet:
 
     def test_word_label_empty_is_eps(self, binary):
         assert binary.word_label(()) == ss.EPSILON_TOKEN
+
+
+def _recursive_words(alpha, length):
+    """The recursive enumeration ``Alphabet.words`` used to be."""
+    if length == 0:
+        yield ()
+        return
+    for prefix in _recursive_words(alpha, length - 1):
+        for s in alpha.symbols:
+            yield prefix + (s,)
+
+
+@pytest.mark.parametrize("symbols", [["0"], ["b", "a"], ["x", "yy", "α"]])
+def test_words_match_recursive_enumeration(symbols):
+    alpha = ss.Alphabet(symbols)
+    for length in range(6):
+        assert list(alpha.words(length)) == list(_recursive_words(alpha, length))

@@ -1,12 +1,17 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect import fixtures as fx
 from sftselect.cli import main
 from sftselect.experiment import write_experiment_csv
+from sftselect.formats import write_symbol_text
+from sftselect.seqgen import block_frequency_reports
 
 
 def make_config(selector, measure, gen_measure, n=50_000, seed=3, **kw):
@@ -507,3 +512,159 @@ class TestCliExitCodes:
         assert main(["lemma-check", "--help"]) == 0
         help_text = " ".join(capsys.readouterr().out.split())
         assert "cap on the nominal runs (#A**n) of a measure walk; counts are not capped" in help_text
+
+
+def _old_freq_rows(report, targets) -> str:
+    """The ``freq`` row loop before it wrote through ``_write_block_rows``
+    (``targets`` None for the three-column table)."""
+    alphabet, freqs = report.alphabet, report.frequencies
+    lines = []
+    for code, word in enumerate(alphabet.words(report.k)):
+        label = alphabet.word_label(word)
+        f = float(freqs[code])
+        row = f"{label},{int(report.counts[code])},{f!r}"
+        if targets is not None:
+            t = float(targets[code])
+            row += f",{t!r},{abs(f - t)!r}"
+        lines.append(row + "\n")
+    return "".join(lines)
+
+
+_TOKENS = ["0", "1", "ab", "ccc", "α", "z"]
+
+
+class _RowsPerWrite(io.StringIO):
+    """A text buffer that records how many rows each ``write`` held."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def write(self, text):
+        self.rows.append(text.count("\n"))
+        return super().write(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_rows_match_per_row_writers(data):
+    from sftselect import experiment
+
+    tokens = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4, unique=True)
+    symbols = data.draw(tokens)
+    alpha = ss.Alphabet(symbols)
+    na = len(symbols)
+    k_max = max(k for k in range(1, 13) if na**k <= 4096) if na > 1 else 12
+    k = data.draw(st.integers(1, k_max))
+    mode = data.draw(st.sampled_from([ss.SLIDING, ss.ALIGNED]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    # few distinct counts, so tails repeat within and across writes
+    counts = rng.choice([0, 1, 2, 7, 10**6], size=na**k, p=[0.4, 0.3, 0.2, 0.05, 0.05])
+    windows = int(counts.sum())
+    n = windows + k - 1 if mode == ss.SLIDING else windows * k
+    rep = ss.FrequencyReport(alphabet=alpha, mode=mode, k=k, n=n, counts=counts)
+    pool = [0.0, -0.0, 0.5, 1 / 3, 0.125, *rng.random(3).tolist()]
+    targets = rng.choice(pool, size=na**k)
+    # small writes move the head/suffix split to a letter or two; 1024 is the default
+    size = data.draw(st.sampled_from([1, 2, 3, 5, 1024]))
+    cases = ((targets, _old_block_rows(rep, targets)), (None, _old_freq_rows(rep, None)))
+    with mock.patch.object(experiment, "_CSV_SLICE", size):
+        for t, expected in cases:
+            buf = _RowsPerWrite()
+            experiment._write_block_rows(rep, t, buf)
+            assert buf.getvalue() == expected
+            assert all(1 <= rows <= max(size, na) for rows in buf.rows)
+    assert _old_freq_rows(rep, targets) == _old_block_rows(rep, targets)
+
+
+class TestFreqBytes:
+    """``freq`` stdout against the per-row loop it replaced, k = 1..12
+    (1..8 for three multi-character tokens, 9,840 rows)."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("freq")
+        binary = ss.Alphabet(["0", "1"])
+        tokens = ss.Alphabet(["ab", "ccc", "α"])
+
+        def sample(alpha, mu, seed):
+            spec = ss.GeneratorSpec(
+                kind=ss.MARKOV_SAMPLE, alphabet=alpha, n=6000, measure=mu, seed=seed
+            )
+            return alpha, ss.generate(spec)
+
+        seqs = {
+            "uniform": sample(binary, ss.uniform_measure(binary), 1),
+            "golden": sample(binary, fx.golden_parry_measure(), 2),
+            "tokens": sample(tokens, ss.uniform_measure(tokens), 3),
+        }
+        paths = {}
+        for name, (alpha, idx) in seqs.items():
+            paths[name] = d / f"{name}.txt"
+            paths[name].write_text(write_symbol_text(alpha, idx) + "\n", encoding="utf-8")
+        return seqs, paths
+
+    @pytest.mark.parametrize("mode", [ss.SLIDING, ss.ALIGNED])
+    @pytest.mark.parametrize(
+        "seq, target, k_max",
+        [
+            ("uniform", None, 12),
+            ("uniform", "uniform", 12),
+            ("golden", "golden", 12),
+            ("tokens", None, 8),
+            ("tokens", "uniform", 8),
+        ],
+    )
+    def test_freq_matches_per_row_loop(self, inputs, capsys, mode, seq, target, k_max):
+        seqs, paths = inputs
+        alpha, idx = seqs[seq]
+        ks = list(range(1, k_max + 1))
+        argv = ["freq", "--in", str(paths[seq]), "--mode", mode]
+        argv += [a for k in ks for a in ("--k", str(k))]
+        if seq == "tokens":
+            argv += ["--alphabet", *alpha.symbols]
+        mu = None
+        if target == "uniform":
+            argv.append("--uniform")
+            mu = ss.uniform_measure(alpha)
+        elif target == "golden":
+            argv += ["--measure", str(fx.data_path("golden_parry.msr"))]
+            mu = fx.golden_parry_measure()
+        assert main(argv) == 0
+        reports = block_frequency_reports(alpha, idx, ks, mode)
+        expected = "block,count,frequency" + (",target,abs_error" if mu else "") + "\n"
+        expected += "".join(
+            _old_freq_rows(reports[k], ss.block_measure_array(mu, k) if mu else None) for k in ks
+        )
+        assert capsys.readouterr().out == expected
+
+
+class TestFreqAlphabetAgainstMeasure:
+    def test_mismatched_alphabet_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "seq.txt"
+        p.write_text("abba\n")
+        msr = str(fx.data_path("golden_parry.msr"))
+        argv = ["freq", "--k", "1", "--alphabet", "a", "b", "--measure", msr, "--in", str(p)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --alphabet")
+
+    def test_matching_alphabet_and_uniform_still_work(self, tmp_path, capsys):
+        p = tmp_path / "seq.txt"
+        p.write_text("0110\n")
+        msr = str(fx.data_path("golden_parry.msr"))
+        argv = ["freq", "--k", "1", "--alphabet", "0", "1", "--measure", msr, "--in", str(p)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("block,count,frequency,target,abs_error\n0,2,0.5,")
+        # --measure wins over --uniform, as before
+        assert main(argv + ["--uniform"]) == 0
+        assert capsys.readouterr().out == out
+        q = tmp_path / "ab.txt"
+        q.write_text("abba\n")
+        assert main(["freq", "--k", "1", "--alphabet", "a", "b", "--uniform", "--in", str(q)]) == 0
+        assert capsys.readouterr().out == (
+            "block,count,frequency,target,abs_error\na,2,0.5,0.5,0.0\nb,2,0.5,0.5,0.0\n"
+        )
