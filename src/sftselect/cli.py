@@ -13,7 +13,7 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .alphabet import Alphabet
+from .alphabet import EPSILON_TOKEN, Alphabet
 from .chains import chain_as_measure, compatible_chain, snake_distribution, uniform_chain
 from .compat import check_automaton_compatibility, check_selector_compatibility
 from .errors import (
@@ -36,7 +36,9 @@ from .experiment import ExperimentConfig, _write_block_rows, run_experiment, wri
 from .formats import (
     parse_automaton,
     parse_matrix,
+    parse_matrix_text,
     parse_measure,
+    parse_measure_text,
     parse_selector,
     read_symbol_text,
     serialize_measure,
@@ -92,27 +94,27 @@ def _output(args):
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
+
+
+def _alphabet(args) -> Alphabet:
+    """The --alphabet symbols, binary when the option is absent."""
+    return Alphabet(args.alphabet or ["0", "1"])
 
 
 def cmd_gen(args) -> int:
     if args.kind == "champernowne":
-        alphabet = Alphabet(args.alphabet) if args.alphabet else Alphabet(["0", "1"])
-        spec = GeneratorSpec(kind=CHAMPERNOWNE, alphabet=alphabet, n=args.n)
+        spec = GeneratorSpec(kind=CHAMPERNOWNE, alphabet=_alphabet(args), n=args.n)
     else:
         if args.kind == "uniform":
-            alphabet = Alphabet(args.alphabet) if args.alphabet else Alphabet(["0", "1"])
-            mu = uniform_measure(alphabet)
-        else:
-            if not args.measure:
-                raise ValidationError("--kind sample needs --measure FILE")
+            mu = uniform_measure(_alphabet(args))
+        elif args.measure:
             mu = parse_measure(args.measure)
-            alphabet = mu.alphabet
+        else:
+            raise ValidationError("--kind sample needs --measure FILE")
         spec = GeneratorSpec(
-            kind=MARKOV_SAMPLE, alphabet=alphabet, n=args.n, measure=mu, seed=args.seed
+            kind=MARKOV_SAMPLE, alphabet=mu.alphabet, n=args.n, measure=mu, seed=args.seed
         )
     _emit(args, write_symbol_text(spec.alphabet, generate(spec)) + "\n")
     return 0
@@ -128,7 +130,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_freq(args) -> int:
-    alphabet = Alphabet(args.alphabet) if args.alphabet else Alphabet(["0", "1"])
+    alphabet = _alphabet(args)
     if args.measure:
         mu = parse_measure(args.measure)
         if args.alphabet and mu.alphabet != alphabet:
@@ -156,8 +158,6 @@ def cmd_parry(args) -> int:
 
 def cmd_stationary(args) -> int:
     text = Path(args.path).read_text()
-    from .formats import parse_matrix_text, parse_measure_text
-
     try:
         mu = parse_measure_text(text)
         matrix = mu.P
@@ -169,32 +169,8 @@ def cmd_stationary(args) -> int:
     return 0
 
 
-def cmd_compat(args) -> int:
-    mu = parse_measure(args.measure)
-    if args.selector:
-        machine = parse_selector(args.selector)
-        result = check_selector_compatibility(machine, mu)
-    else:
-        machine = parse_automaton(args.automaton)
-        result = check_automaton_compatibility(machine, mu)
-    for note in result.notes:
-        print(f"# {note}", file=sys.stderr)
-    if result.ok:
-        lines = []
-        for q in machine.states:
-            lines.append(f"iota {q} {result.witness.last_read[q]}")
-        if result.witness.last_selected is not None:
-            for q in machine.states:
-                lines.append(f"eta {q} {result.witness.last_selected[q]}")
-        _emit(args, "\n".join(lines) + "\n")
-        return 0
-    for violation in result.violations:
-        print(violation)
-    return 2
-
-
-def _load_machine_for_chain(args):
-    """The machine given (selector or automaton) and its automaton."""
+def _load_machine(args):
+    """The --selector or --automaton machine and its automaton."""
     if args.selector:
         selector = parse_selector(args.selector)
         return selector, selector.underlying_automaton()
@@ -202,91 +178,100 @@ def _load_machine_for_chain(args):
     return automaton, automaton
 
 
-def _compatible_witness(machine, mu):
-    """The compatibility witness of ``machine`` for ``mu``, or None after
-    printing the violations to stdout (the command then exits 2)."""
+def _compatibility(machine, mu):
+    """The compatibility result of a selector or an automaton for ``mu``,
+    its violations printed to stdout."""
     if isinstance(machine, Selector):
         result = check_selector_compatibility(machine, mu)
     else:
         result = check_automaton_compatibility(machine, mu)
-    if result.ok:
-        return result.witness
     for violation in result.violations:
         print(violation)
-    return None
+    return result
+
+
+def _measure_and_witness(args, machine):
+    """(measure, compatibility witness) for --measure, or (None, None)
+    without it.  The witness is None when the check failed; the violations
+    are then on stdout and the command exits 2."""
+    if not args.measure:
+        return None, None
+    mu = parse_measure(args.measure)
+    return mu, _compatibility(machine, mu).witness
+
+
+def cmd_compat(args) -> int:
+    mu = parse_measure(args.measure)
+    machine, _automaton = _load_machine(args)
+    result = _compatibility(machine, mu)
+    for note in result.notes:
+        print(f"# {note}", file=sys.stderr)
+    if not result.ok:
+        return 2
+    witness = result.witness
+    lines = [f"iota {q} {witness.last_read[q]}" for q in machine.states]
+    if witness.last_selected is not None:
+        lines += [f"eta {q} {witness.last_selected[q]}" for q in machine.states]
+    _emit(args, "\n".join(lines) + "\n")
+    return 0
 
 
 def cmd_chain(args) -> int:
-    machine, automaton = _load_machine_for_chain(args)
-    if args.measure:
-        mu = parse_measure(args.measure)
-        witness = _compatible_witness(machine, mu)
-        if witness is None:
-            return 2
-        chain = compatible_chain(machine, mu, witness)
-    else:
+    machine, automaton = _load_machine(args)
+    mu, witness = _measure_and_witness(args, machine)
+    if mu is None:
         chain = uniform_chain(automaton)
+    elif witness is None:
+        return 2
+    else:
+        chain = compatible_chain(machine, mu, witness)
     pi, matrix = chain_as_measure(chain)
     _emit(args, serialize_measure(MarkovMeasure(pi, matrix)))
     return 0
 
 
 def cmd_snake(args) -> int:
-    machine, automaton = _load_machine_for_chain(args)
-    if args.measure:
-        mu = parse_measure(args.measure)
-        witness = _compatible_witness(machine, mu)
-        if witness is None:
-            return 2
-        dist = snake_distribution(automaton, args.n, mu=mu, witness=witness)
-    else:
-        dist = snake_distribution(automaton, args.n)
-    alpha = automaton.alphabet
-    names = [snake_state_label(q, alpha) for q in dist.snake.states]
-    named = Alphabet(names)
+    machine, automaton = _load_machine(args)
+    mu, witness = _measure_and_witness(args, machine)
+    if mu is not None and witness is None:
+        return 2
+    dist = snake_distribution(automaton, args.n, mu=mu, witness=witness)
+    named = Alphabet(snake_state_label(q, automaton.alphabet) for q in dist.snake.states)
     pi = Distribution(named, dist.values)
     matrix = StochasticMatrix(named, dist.chain.matrix)
     _emit(args, serialize_measure(MarkovMeasure(pi, matrix)))
     return 0
 
 
-def _format_lemma_line(result) -> str:
-    from .alphabet import EPSILON_TOKEN
+def _number(x) -> str:
+    """An int as is, anything else (a float or np.float64) by its repr."""
+    return str(x) if isinstance(x, int) else repr(x)
 
+
+def _format_lemma_line(result) -> str:
     word = "".join(result.word) if result.word else EPSILON_TOKEN
-    value = result.value if isinstance(result.value, int) else repr(result.value)
     if result.lower is None:
-        bound = result.upper if isinstance(result.upper, int) else repr(result.upper)
+        bound = _number(result.upper)
     else:
-        lo = result.lower if isinstance(result.lower, int) else repr(result.lower)
-        hi = result.upper if isinstance(result.upper, int) else repr(result.upper)
-        bound = f"[{lo},{hi}]"
+        bound = f"[{_number(result.lower)},{_number(result.upper)}]"
     status = "PASS" if result.passed else "FAIL"
     return (
         f"LEMMA {result.lemma} p={result.state} n={result.n} w={word} "
-        f"value={value} bound={bound} {status}"
+        f"value={_number(result.value)} bound={bound} {status}"
     )
 
 
 def cmd_lemma_check(args) -> int:
     selector = parse_selector(args.selector)
-    mu = parse_measure(args.measure) if args.measure else None
-    witness = None
-    if mu is not None:
-        witness = _compatible_witness(selector, mu)
-        if witness is None:
-            return 2
+    mu, witness = _measure_and_witness(args, selector)
+    if mu is not None and witness is None:
+        return 2
     lines = []
     all_pass = True
     if args.equirun is not None:
         scan = equirun_scan(
-            selector,
-            args.equirun,
-            args.epsilon,
-            args.n_max,
-            mu=mu,
-            witness=witness,
-            cap=args.max_enum,
+            selector, args.equirun, args.epsilon, args.n_max,
+            mu=mu, witness=witness, cap=args.max_enum,
         )
         for r in scan.results:
             lines.append(_format_lemma_line(r))
@@ -310,19 +295,15 @@ def cmd_experiment(args) -> int:
     if args.gen == "champernowne":
         spec = GeneratorSpec(kind=CHAMPERNOWNE, alphabet=alphabet, n=args.n)
     else:
-        sample_measure = target if target is not None else uniform_measure(alphabet)
+        sample = target if target is not None else uniform_measure(alphabet)
         spec = GeneratorSpec(
-            kind=MARKOV_SAMPLE,
-            alphabet=alphabet,
-            n=args.n,
-            measure=sample_measure,
-            seed=args.seed,
+            kind=MARKOV_SAMPLE, alphabet=alphabet, n=args.n, measure=sample, seed=args.seed
         )
     config = ExperimentConfig(
         selector=selector,
         generator=spec,
         measure=target,
-        ks=args.k,
+        ks=args.k or (1, 2, 3),
         mode=args.mode,
         tolerance=args.tolerance,
         after_recurrent=args.after_recurrent,
@@ -330,7 +311,7 @@ def cmd_experiment(args) -> int:
     report = run_experiment(config)
     with _output(args) as out:
         write_experiment_csv(report, out)
-    for k in sorted(config.ks):
+    for k in config.ks:
         print(
             f"k={k} input_D={report.input_discrepancies[k]:.6f} "
             f"output_D={report.output_discrepancies[k]:.6f}",
@@ -380,23 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("stationary", cmd_stationary, "stationary distribution of a stochastic matrix")
     p.add_argument("path")
 
-    p = add("compat", cmd_compat, "check compatibility with a measure")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--selector")
-    group.add_argument("--automaton")
-    p.add_argument("--measure", required=True)
+    def add_machine(name, func, help, measure_required=False):
+        """A subcommand reading one machine (see :func:`_load_machine`)."""
+        p = add(name, func, help)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--selector")
+        group.add_argument("--automaton")
+        p.add_argument("--measure", required=measure_required)
+        return p
 
-    p = add("chain", cmd_chain, "state chain of a machine")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--selector")
-    group.add_argument("--automaton")
-    p.add_argument("--measure")
-
-    p = add("snake", cmd_snake, "length-n run chain of a machine")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--selector")
-    group.add_argument("--automaton")
-    p.add_argument("--measure")
+    add_machine("compat", cmd_compat, "check compatibility with a measure", True)
+    add_machine("chain", cmd_chain, "state chain of a machine")
+    p = add_machine("snake", cmd_snake, "length-n run chain of a machine")
     p.add_argument("-n", type=int, required=True)
 
     p = add("lemma-check", cmd_lemma_check, "check the run-counting bounds exactly")
@@ -437,8 +413,6 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(args, "command", None) == "experiment" and not args.k:
-        args.k = [1, 2, 3]
     try:
         return args.func(args)
     except _PARSE_ERRORS as exc:

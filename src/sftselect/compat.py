@@ -11,6 +11,11 @@ the last-selected label along unchanged.
 The text file format spells these labels ``iota`` (last read) and ``eta``
 (last selected); explicit declarations are only consulted for states that
 inference cannot reach.
+
+Automata and selectors go through one checker, ``_check``: a selector is
+an automaton with one more label, so the last-selected propagation is the
+only step that runs for selectors alone, and every edge is verified in one
+pass either way.
 """
 
 from __future__ import annotations
@@ -81,8 +86,9 @@ def _edges(machine):
 
 def _infer_last_read(machine, declared):
     """Return (labeling, violations).  Incoming transition labels win; the
-    declared map only fills states without incoming transitions."""
-    declared = dict(declared or {})
+    declared map (the machine's own when None) only fills states without
+    incoming transitions."""
+    declared = machine.declared_last_read if declared is None else dict(declared)
     labels: dict = {}
     violations = []
     seen = set()
@@ -121,7 +127,6 @@ def infer_iota(machine, declared=None) -> dict:
     Raises NotCompatible carrying the violations when two incoming symbols
     clash or a source-only state is undeclared.
     """
-    declared = declared if declared is not None else machine.declared_last_read
     labels, violations = _infer_last_read(machine, declared)
     if violations:
         raise NotCompatible(violations)
@@ -147,52 +152,10 @@ class _UnionFind:
         return rx
 
 
-def check_automaton_compatibility(
-    automaton: Automaton, mu: MarkovMeasure, declared=None
-) -> CompatibilityResult:
-    """Infer the last-read labeling and verify every transition reads a
-    positive-probability step."""
-    declared = declared if declared is not None else automaton.declared_last_read
-    labels, violations = _infer_last_read(automaton, declared)
-    violations = list(violations)
-    for p, a, _keeps, q in _edges(automaton):
-        if p in labels and mu.P[labels[p], a] == 0.0:
-            violations.append(
-                Violation(
-                    FORBIDDEN_STEP,
-                    (p, a, q),
-                    f"P[{labels[p]},{a}] = 0",
-                )
-            )
-    if violations:
-        return CompatibilityResult(witness=None, violations=tuple(violations))
-    return CompatibilityResult(witness=CompatibilityWitness(last_read=dict(labels)))
-
-
-def check_selector_compatibility(
-    selector: Selector,
-    mu: MarkovMeasure,
-    declared=None,
-    declared_selected=None,
-) -> CompatibilityResult:
-    """Infer both labelings of a selector and verify the compatibility
-    constraints; all violations are collected rather than failing fast.
-
-    Last-selected inference is constraint propagation: DROP transitions
-    merge source and target into one equality class and KEEP transitions
-    anchor classes to concrete symbols.  Classes left unanchored (and
-    undeclared) default to the last-read label of their first member, which
-    is reported in ``notes`` since any symbol would satisfy the definition.
-    """
-    declared = declared if declared is not None else selector.declared_last_read
-    declared_selected = (
-        declared_selected
-        if declared_selected is not None
-        else selector.declared_last_selected
-    )
-    last_read, violations = _infer_last_read(selector, declared)
-    violations = list(violations)
-
+def _infer_last_selected(selector: Selector, last_read: dict, declared_selected, violations: list):
+    """Last-selected labels by constraint propagation, appending the clashes
+    to ``violations``: return (labeling, unconstrained states).  The
+    declarations are the selector's own when ``declared_selected`` is None."""
     uf = _UnionFind(selector.states)
     anchors: dict = {}
 
@@ -231,7 +194,9 @@ def check_selector_compatibility(
                 merged = ap if ap is not None else aq
                 if merged is not None:
                     anchors[root] = merged
-    for state, symbol in (declared_selected or {}).items():
+    if declared_selected is None:
+        declared_selected = selector.declared_last_selected
+    for state, symbol in declared_selected.items():
         anchor(state, symbol, "eta declaration")
 
     last_selected: dict = {}
@@ -249,39 +214,47 @@ def check_selector_compatibility(
         if root in class_default:
             last_selected[q] = class_default[root]
             unconstrained.append(q)
+    return last_selected, unconstrained
 
-    # final verification of the raw constraints with the completed labelings
-    for p, a, keeps, q in _edges(selector):
+
+def _check(machine, mu: MarkovMeasure, declared, declared_selected) -> CompatibilityResult:
+    """The one compatibility check: infer the last-read labels and, for a
+    selector only, the last-selected labels, then verify every edge once
+    with the completed labelings (an automaton has no last-selected labels,
+    so only its ForbiddenStep test can fail)."""
+    last_read, violations = _infer_last_read(machine, declared)
+    last_selected, unconstrained = None, []
+    if isinstance(machine, Selector):
+        last_selected, unconstrained = _infer_last_selected(
+            machine, last_read, declared_selected, violations
+        )
+    selected = last_selected or {}
+    for p, a, keeps, q in _edges(machine):
         if p in last_read and mu.P[last_read[p], a] == 0.0:
             violations.append(
                 Violation(FORBIDDEN_STEP, (p, a, q), f"P[{last_read[p]},{a}] = 0")
             )
         if keeps:
-            if p in last_read and p in last_selected and last_selected[p] != last_read[p]:
+            if p in last_read and p in selected and selected[p] != last_read[p]:
                 violations.append(
                     Violation(
                         KEEP_MISMATCH,
                         (p, a, q),
-                        f"keep from a state with last read {last_read[p]!r} but last selected {last_selected[p]!r}",
+                        f"keep from a state with last read {last_read[p]!r} but last selected {selected[p]!r}",
                     )
                 )
-            if q in last_selected and last_selected[q] != a:
+            if q in selected and selected[q] != a:
                 violations.append(
                     Violation(ETA_CLASH, (p, a, q), f"target last-selected label is not {a!r}")
                 )
-        else:
-            if (
-                p in last_selected
-                and q in last_selected
-                and last_selected[q] != last_selected[p]
-            ):
-                violations.append(
-                    Violation(
-                        ETA_CLASH,
-                        (p, a, q),
-                        "drop transition changes the last-selected label",
-                    )
+        elif p in selected and q in selected and selected[q] != selected[p]:
+            violations.append(
+                Violation(
+                    ETA_CLASH,
+                    (p, a, q),
+                    "drop transition changes the last-selected label",
                 )
+            )
 
     notes = tuple(
         f"UnconstrainedEta {q}: no selection reaches this state; defaulted to iota"
@@ -291,10 +264,36 @@ def check_selector_compatibility(
         return CompatibilityResult(witness=None, violations=tuple(violations), notes=notes)
     witness = CompatibilityWitness(
         last_read=dict(last_read),
-        last_selected=dict(last_selected),
+        last_selected=last_selected,
         unconstrained=tuple(unconstrained),
     )
     return CompatibilityResult(witness=witness, violations=(), notes=notes)
+
+
+def check_automaton_compatibility(
+    automaton: Automaton, mu: MarkovMeasure, declared=None
+) -> CompatibilityResult:
+    """Infer the last-read labeling and verify every transition reads a
+    positive-probability step."""
+    return _check(automaton, mu, declared, None)
+
+
+def check_selector_compatibility(
+    selector: Selector,
+    mu: MarkovMeasure,
+    declared=None,
+    declared_selected=None,
+) -> CompatibilityResult:
+    """Infer both labelings of a selector and verify the compatibility
+    constraints; all violations are collected rather than failing fast.
+
+    Last-selected inference is constraint propagation: DROP transitions
+    merge source and target into one equality class and KEEP transitions
+    anchor classes to concrete symbols.  Classes left unanchored (and
+    undeclared) default to the last-read label of their first member, which
+    is reported in ``notes`` since any symbol would satisfy the definition.
+    """
+    return _check(selector, mu, declared, declared_selected)
 
 
 def is_shift_complete(machine, mu: MarkovMeasure, witness: CompatibilityWitness):

@@ -81,19 +81,13 @@ def _parse_machine_text(text: str, kind: str):
                     f"trans takes {expected} fields for a {kind} "
                     f"(src symbol {'keep|drop ' if kind == 'selector' else ''}dst)",
                 )
-            if kind == "selector":
-                src, symbol, action, dst = args
-                if action not in ("keep", "drop"):
-                    raise ParseError(number, f"action must be keep or drop, got {action!r}")
-                edge = (src, symbol)
-                transitions.append((src, symbol, action, dst))
-            else:
-                src, symbol, dst = args
-                edge = (src, symbol)
-                transitions.append((src, symbol, dst))
+            if kind == "selector" and args[2] not in ("keep", "drop"):
+                raise ParseError(number, f"action must be keep or drop, got {args[2]!r}")
+            edge = tuple(args[:2])
             if edge in seen_edges:
-                raise ParseError(number, f"duplicate transition from {src} on {symbol}")
+                raise ParseError(number, f"duplicate transition from {args[0]} on {args[1]}")
             seen_edges.add(edge)
+            transitions.append(tuple(args))
         else:
             raise ParseError(number, f"unknown keyword {key!r}")
     for name, value in (("alphabet", alphabet), ("states", states), ("initial", initial)):
@@ -194,7 +188,9 @@ def parse_matrix(path) -> SftSpec:
     return parse_matrix_text(Path(path).read_text())
 
 
-def _machine_header(machine):
+def serialize_machine(machine) -> str:
+    """The canonical text of a selector or an automaton: one ``trans`` line
+    per :meth:`transitions` tuple, so a selector's lines carry the action."""
     lines = [
         "alphabet " + " ".join(machine.alphabet.symbols),
         "states " + " ".join(str(q) for q in machine.states),
@@ -204,24 +200,12 @@ def _machine_header(machine):
         ("iota", machine.declared_last_read),
         ("eta", machine.declared_last_selected),
     ):
-        for q in machine.states:
-            if q in mapping:
-                lines.append(f"{key} {q} {mapping[q]}")
-    return lines
-
-
-def serialize_selector(selector: Selector) -> str:
-    lines = _machine_header(selector)
-    for src, symbol, action, dst in selector.transitions():
-        lines.append(f"trans {src} {symbol} {action} {dst}")
+        lines += [f"{key} {q} {mapping[q]}" for q in machine.states if q in mapping]
+    lines += ["trans " + " ".join(map(str, t)) for t in machine.transitions()]
     return "\n".join(lines) + "\n"
 
 
-def serialize_automaton(automaton: Automaton) -> str:
-    lines = _machine_header(automaton)
-    for src, symbol, dst in automaton.transitions():
-        lines.append(f"trans {src} {symbol} {dst}")
-    return "\n".join(lines) + "\n"
+serialize_selector = serialize_automaton = serialize_machine
 
 
 def _cells(values: np.ndarray) -> str:
@@ -253,11 +237,7 @@ def serialize_matrix(spec: SftSpec) -> str:
 
 def machine_digest(machine) -> str:
     """Short provenance hash of a machine's canonical serialization."""
-    if isinstance(machine, Selector):
-        text = serialize_selector(machine)
-    else:
-        text = serialize_automaton(machine)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return hashlib.sha256(serialize_machine(machine).encode()).hexdigest()[:12]
 
 
 def read_symbol_text(alphabet: Alphabet, text: str) -> np.ndarray:

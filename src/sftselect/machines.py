@@ -32,13 +32,18 @@ an absorbing dead state, so partial machines walk like complete ones and
 block length k whose tables fit a fixed entry budget, it holds a block
 table (state, code of k letters) -> end state and a trace table of the k
 states inside each block.  :func:`run_states` encodes the letters as
-big-endian k-blocks (:func:`block_codes`, also used by aligned block
-counting), takes one Python step per block, writes the states inside the
-blocks with one ``np.take`` of the traces, and walks the fewer than k
-letters after the last block one at a time.  This is the block form of
-the data-parallel automaton walk of Mytkowicz, Musuvathi and Schulte
-(ASPLOS 2014): the remaining sequential loop is n/k steps long, so no
-prefix scan over the transition monoid is needed.
+big-endian k-blocks (:func:`block_codes`), takes one Python step per
+block, writes the states inside the blocks with one ``np.take`` of the
+traces, and walks the fewer than k letters after the last block one at a
+time.  This is the block form of the data-parallel automaton walk of
+Mytkowicz, Musuvathi and Schulte (ASPLOS 2014): the remaining sequential
+loop is n/k steps long, so no prefix scan over the transition monoid is
+needed.
+
+Every big-endian block code in the package is :func:`block_codes`: its
+``step`` is k for disjoint blocks (the walk, aligned block counting) and
+1 for the sliding windows of block counting.  :func:`block_letters` is
+its inverse, which spells out Champernowne words and snake run labels.
 
 Every connectivity question goes through one graph routine, Tarjan's
 algorithm in :func:`_strong_components`: :func:`scc_decomposition`,
@@ -91,10 +96,6 @@ class Run:
     visits: dict
     end: object
 
-    @property
-    def length(self) -> int:
-        return len(self.input)
-
 
 class _MachineBase:
     """Shared storage/behaviour of automata and selectors: the dense
@@ -126,9 +127,7 @@ class _MachineBase:
         return machine
 
     def _declare(self, alphabet, states: Iterable, initial):
-        if not isinstance(alphabet, Alphabet):
-            alphabet = Alphabet(alphabet)
-        self._alphabet = alphabet
+        self._alphabet = Alphabet(alphabet)
         self._states = tuple(states)
         self._state_index = {q: i for i, q in enumerate(self._states)}
         if len(self._state_index) != len(self._states):
@@ -229,9 +228,6 @@ class _MachineBase:
         symbols = self._alphabet.symbols
         return [(self._states[i], symbols[a]) for i, a in np.argwhere(self._nxt < 0).tolist()]
 
-    def is_complete(self) -> bool:
-        return not self.missing_pairs()
-
     def validate_complete(self) -> None:
         missing = self.missing_pairs()
         if missing:
@@ -314,9 +310,6 @@ class Selector(_MachineBase):
                 raise ValidationError(f"invalid action {action!r}")
             yield src, symbol, action == KEEP, dst
 
-    def action(self, state, symbol) -> str:
-        return KEEP if self.step(state, symbol)[1] else DROP
-
     def transitions(self) -> Iterator[tuple]:
         """(source, symbol, action, target) in declaration/alphabet order."""
         states, symbols, keep = self._states, self._alphabet.symbols, self._keep
@@ -358,16 +351,33 @@ def run_word(machine, start, word) -> Run:
     return Run(start=start, input=word, output=tuple(out), visits=visits, end=state)
 
 
-def block_codes(letters: np.ndarray, k: int, base: int) -> np.ndarray:
-    """Big-endian int64 codes of the ``len(letters) // k`` disjoint
-    k-blocks of ``letters`` over ``base`` letters: block ``a1..ak`` has
-    code ``(..(a1*base + a2)..)*base + ak``."""
-    blocks = np.asarray(letters[: len(letters) // k * k], dtype=np.int64).reshape(-1, k)
-    codes = blocks[:, 0].copy()
+def block_codes(letters: np.ndarray, k: int, base: int, step: Optional[int] = None) -> np.ndarray:
+    """Big-endian int64 codes of the k-blocks of ``letters`` over ``base``
+    letters that start every ``step`` letters (default k): block
+    ``a1..ak`` has code ``(..(a1*base + a2)..)*base + ak``.  Step k gives
+    the ``len(letters) // k`` disjoint blocks, step 1 the
+    ``len(letters) - k + 1`` sliding windows; the result is a new array."""
+    step = k if step is None else step
+    letters = np.asarray(letters, dtype=np.int64)
+    end = max((len(letters) - k) // step + 1, 0) * step
+    codes = letters[:end:step].copy()
     for j in range(1, k):
         codes *= base
-        codes += blocks[:, j]
+        codes += letters[j : j + end : step]
     return codes
+
+
+def block_letters(codes: np.ndarray, k: int, base: int) -> np.ndarray:
+    """The inverse of :func:`block_codes`: row i holds the k big-endian
+    letters of ``codes[i]``.  The letters come off the low end of a copy of
+    the codes, each written straight into its column: one array pass per
+    letter by a scalar divisor, and no temporary but that copy."""
+    codes = np.array(codes, dtype=np.int64)
+    letters = np.empty((codes.size, k), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        np.remainder(codes, base, out=letters[:, j])
+        codes //= base
+    return letters
 
 
 @dataclass(frozen=True)
@@ -519,8 +529,12 @@ class SelectionCursor:
         return self._position
 
     def feed(self, symbol) -> list:
-        """Consume one symbol; return the (possibly empty) list of emitted symbols."""
+        """Consume one symbol; return the (possibly empty) list of emitted
+        symbols.  A symbol outside the alphabet raises UnknownSymbol and is
+        not consumed: ``position`` and ``state`` stay as they were."""
         sel = self._selector
+        if symbol not in sel.alphabet:
+            raise UnknownSymbol(symbol, sel.alphabet.symbols)
         self._position += 1
         state = sel.states[self._state_idx]
         target, keeps = sel.step(state, symbol, position=self._position)
@@ -733,7 +747,7 @@ def snake_automaton(machine: Automaton, n: int) -> Automaton:
     tail = width // na
     targets = (nxt[p, code // tail] * width + code % tail * na)[:, None] + np.arange(na)
     codes, word_of = np.unique(code, return_inverse=True)
-    letters = codes[:, None] // na ** np.arange(n - 1, -1, -1) % na
+    letters = block_letters(codes, n, na)
     symbols = np.array(machine.alphabet.symbols, dtype=object)
     words = list(map(tuple, symbols[letters].tolist()))
     base = machine.states

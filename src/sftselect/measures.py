@@ -159,6 +159,18 @@ def _pattern_gap(mask: np.ndarray):
     return None
 
 
+def _require_connected(mask: np.ndarray, alphabet: Alphabet, what: str):
+    """Raise NotIrreducible, its message led by ``what``, unless the
+    boolean pattern has a nonzero entry and is strongly connected."""
+    gap = _pattern_gap(mask)
+    if gap is None and mask.any():
+        return
+    if gap is None:
+        raise NotIrreducible(f"{what}: it has no nonzero entry")
+    a, b = alphabet.symbol(gap[0]), alphabet.symbol(gap[1])
+    raise NotIrreducible(f"{what}: no path from {a!r} to {b!r}", components=(a, b))
+
+
 def _pattern_period(mask: np.ndarray) -> int:
     """Cycle-length gcd of a strongly connected boolean pattern."""
     n = mask.shape[0]
@@ -209,8 +221,7 @@ def make_bernoulli(alphabet, weights) -> MarkovMeasure:
     """The memoryless measure with the given symbol weights: every row of P
     equals the weight vector.  Zero-weight symbols are allowed but flagged
     with a warning; they carry no support."""
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     dist = weights if isinstance(weights, Distribution) else Distribution(alphabet, np.asarray(weights, dtype=float))
     if dist.alphabet != alphabet:
         raise ValidationError("weights alphabet mismatch")
@@ -223,8 +234,7 @@ def make_bernoulli(alphabet, weights) -> MarkovMeasure:
 
 def uniform_measure(alphabet) -> MarkovMeasure:
     """The Bernoulli measure giving every symbol weight 1/#A."""
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     n = len(alphabet)
     return make_bernoulli(alphabet, np.full(n, 1.0 / n))
 
@@ -258,14 +268,7 @@ def stationary_distribution(P: StochasticMatrix) -> Distribution:
     Solved directly (one stochastic-balance equation replaced by the
     normalization); the residual is checked against 1e-12.
     """
-    gap = _pattern_gap(P.entries > 0)
-    if gap is not None:
-        i, j = gap
-        a, b = P.alphabet.symbol(i), P.alphabet.symbol(j)
-        raise NotIrreducible(
-            f"nonzero pattern is not strongly connected: no path from {a!r} to {b!r}",
-            components=(a, b),
-        )
+    _require_connected(P.entries > 0, P.alphabet, "nonzero pattern is not strongly connected")
     x = _solve_balance(P.entries)
     resid = np.max(np.abs(x @ P.entries - x))
     if resid > 1e-12:
@@ -311,14 +314,7 @@ def parry_measure(spec: SftSpec) -> ParryResult:
     pi[i] = l[i] * r[i].
     """
     if not spec.irreducible:
-        gap = _pattern_gap(spec.M > 0)
-        if gap is None:
-            raise NotIrreducible("SFT matrix is not irreducible: it has no nonzero entry")
-        a, b = spec.alphabet.symbol(gap[0]), spec.alphabet.symbol(gap[1])
-        raise NotIrreducible(
-            f"SFT matrix is not irreducible: no path from {a!r} to {b!r}",
-            components=(a, b),
-        )
+        _require_connected(spec.M > 0, spec.alphabet, "SFT matrix is not irreducible")
     theta, right = _power_iteration(spec.M)
     _, left = _power_iteration(spec.M.T)
     for vec, mat in ((right, spec.M), (left, spec.M.T)):

@@ -11,6 +11,11 @@ length <= K to its count or measure at every run length n <= n_max:
   order, exactly as the enumeration adds them, and its floats are bit for
   bit the enumeration's.  The walk visits #A**n nodes and is capped.
 
+Both come from one table source, ``_tables``, and every check, one-sided
+or the two-sided equirun band, is built by one function, ``_result``: a
+count is checked against #A**(n - |w|) exactly, a measure against the
+conditional measure of w with a float tolerance.
+
 Enumerating runs outright (:func:`enumerate_runs`, ``_walk_runs``) is the
 oracle the tables are tested against; it stays capped, and past the cap the
 statistical path is the right tool.
@@ -21,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .alphabet import as_word
 from .compat import CompatibilityWitness
@@ -127,11 +134,6 @@ class LemmaCheckResult:
     strict: bool = False
 
 
-def _require_last_selected(witness: CompatibilityWitness):
-    if witness.last_selected is None:
-        raise NotCompatible(["witness lacks the last-selected labeling"])
-
-
 def _steps(selector: Selector) -> list:
     """Per state index, the defined transitions in alphabet order as
     (symbol index, symbol, target index, keeps)."""
@@ -179,9 +181,17 @@ def _prefix_counts(layer: dict) -> dict:
     return table
 
 
-def _step_weight_rows(selector: Selector, mu: MarkovMeasure, witness: CompatibilityWitness) -> dict:
-    """State index -> the weight of reading each selector symbol (by index)
-    from that state: the transition-matrix entry out of its last-read label."""
+def _weights(selector: Selector, mu, witness, n: int, cap: int):
+    """The step weights of the measure walk to run length n, after checking
+    that ``witness`` has last-selected labels and that #A**n is within
+    ``cap``; None without a measure (the count DP needs neither).  Row q
+    weighs reading each selector symbol (by index) from state index q: the
+    transition-matrix entry out of the last-read label of q."""
+    if mu is None:
+        return None
+    if witness is None or witness.last_selected is None:
+        raise NotCompatible(["witness lacks the last-selected labeling"])
+    _check_cap(selector, n, cap)
     entries = mu.P.entries.tolist()
     alpha = mu.alphabet
     cols = [alpha.index(a) for a in selector.alphabet]
@@ -208,8 +218,6 @@ def _measure_tables(
     numpy scalars).  Given ``word`` (with k = |word|), subtrees whose output
     stops being a prefix of it are skipped; the runs that remain are summed
     in the same order."""
-    import numpy as np
-
     steps = _steps(selector)
     tables: list = [{} for _ in range(n_max + 1)]
     stack = [(selector.state_index(start), 0, 1.0, ((),))] if tables else []
@@ -235,34 +243,51 @@ def _measure_tables(
     return tables
 
 
-def _count_result(selector: Selector, start, n: int, w: tuple, count: int) -> LemmaCheckResult:
-    bound = len(selector.alphabet) ** (n - len(w))
+def _tables(selector: Selector, start, n_max: int, k: int, rows, word: Optional[tuple] = None):
+    """The tables of n = 0..n_max from ``start``: output prefix w with
+    |w| <= k -> the runs whose output begins with w, counted lazily by the
+    DP of :func:`_count_layers` when ``rows`` is None, else weighed by the
+    walk of :func:`_measure_tables` over ``rows`` and returned as a list."""
+    if rows is None:
+        return map(_prefix_counts, islice(_count_layers(selector, start, k, word), n_max + 1))
+    return _measure_tables(selector, start, n_max, k, rows, word)
+
+
+def _result(selector, mu, witness, p, n: int, w: tuple, value, tol, epsilon=None):
+    """The check of one run count (``mu`` None) or measure against its
+    bound: #A**(n - |w|), or the conditional measure of w after the
+    last-selected label of p.  Counts are exact, so ``tol`` applies to
+    measures only.  Given ``epsilon``, the two-sided equirun check with lower bound
+    (1 - epsilon) * upper; ``strict`` is then ``value < upper``, and
+    ``value < upper - tol`` for the one-sided checks."""
+    if mu is None:
+        kind, upper, tol = "count", len(selector.alphabet) ** (n - len(w)), 0
+    else:
+        kind, upper = "measure", conditional_word_measure(mu, witness.last_selected[p], w)
+    if epsilon is None:
+        return LemmaCheckResult(
+            lemma=f"{kind}-upper", state=p, n=n, word=w, value=value, upper=upper,
+            passed=value <= upper + tol, strict=value < upper - tol,
+        )
+    lower = (1.0 - epsilon) * upper
     return LemmaCheckResult(
-        lemma="count-upper",
-        state=start,
-        n=n,
-        word=w,
-        value=count,
-        upper=bound,
-        passed=count <= bound,
-        strict=count < bound,
+        lemma=f"equirun-{kind}", state=p, n=n, word=w, value=value, upper=upper,
+        lower=lower, epsilon=epsilon, passed=lower - tol <= value <= upper + tol,
+        strict=value < upper,
     )
 
 
-def _measure_result(
-    mu: MarkovMeasure, witness: CompatibilityWitness, start, n: int, w: tuple, value, tol: float
-) -> LemmaCheckResult:
-    bound = conditional_word_measure(mu, witness.last_selected[start], w)
-    return LemmaCheckResult(
-        lemma="measure-upper",
-        state=start,
-        n=n,
-        word=w,
-        value=value,
-        upper=bound,
-        passed=value <= bound + tol,
-        strict=value < bound - tol,
-    )
+def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap, tol):
+    """The value and check of one (start, n, word), shared by the two public
+    single checks; the tables are pruned to the prefixes of ``word``."""
+    w = as_word(word)
+    if len(w) > n:
+        raise ValidationError(f"|word| = {len(w)} exceeds run length {n}")
+    if require_oblivious:
+        _require_oblivious(selector)
+    rows = _weights(selector, mu, witness, n, cap)
+    value = list(_tables(selector, start, n, len(w), rows, w))[n].get(w, 0 if mu is None else 0.0)
+    return value, _result(selector, mu, witness, start, n, w, value, tol)
 
 
 def count_output_prefix_runs(
@@ -280,14 +305,7 @@ def count_output_prefix_runs(
     ``require_oblivious=False`` to probe individual states of a mixed-action
     machine anyway (the check then reports whatever holds empirically).
     """
-    w = as_word(word)
-    if len(w) > n:
-        raise ValidationError(f"|word| = {len(w)} exceeds run length {n}")
-    if require_oblivious:
-        _require_oblivious(selector)
-    layer = next(islice(_count_layers(selector, start, len(w), w), n, None))
-    count = _prefix_counts(layer).get(w, 0)
-    return count, _count_result(selector, start, n, w, count)
+    return _prefix_check(selector, None, None, start, n, word, require_oblivious, 0, 0.0)
 
 
 def measure_output_prefix_runs(
@@ -309,15 +327,7 @@ def measure_output_prefix_runs(
     records strictness separately.  The walk is capped at ``cap`` nominal
     runs (#A**n).
     """
-    w = as_word(word)
-    if len(w) > n:
-        raise ValidationError(f"|word| = {len(w)} exceeds run length {n}")
-    _require_oblivious(selector)
-    _require_last_selected(witness)
-    _check_cap(selector, n, cap)
-    rows = _step_weight_rows(selector, mu, witness)
-    value = _measure_tables(selector, start, n, len(w), rows, w)[n].get(w, 0.0)
-    return value, _measure_result(mu, witness, start, n, w, value, tol)
+    return _prefix_check(selector, mu, witness, start, n, word, True, cap, tol)
 
 
 def lemma_check(
@@ -337,24 +347,15 @@ def lemma_check(
     measure walk is capped at ``cap`` nominal runs (#A**n_max).
     """
     _require_oblivious(selector)
-    if mu is not None:
-        _require_last_selected(witness)
-        _check_cap(selector, n_max, cap)
-        rows = _step_weight_rows(selector, mu, witness)
+    rows = _weights(selector, mu, witness, n_max, cap)
+    zero = 0 if mu is None else 0.0
     alpha = selector.alphabet
     words = [tuple(alpha.words(length)) for length in range(min(n_max, w_max) + 1)]
     for p in selector.states:
-        if mu is None:
-            tables = map(_prefix_counts, islice(_count_layers(selector, p, w_max), n_max + 1))
-        else:
-            tables = _measure_tables(selector, p, n_max, w_max, rows)
-        for n, table in enumerate(tables):
+        for n, table in enumerate(_tables(selector, p, n_max, w_max, rows)):
             for length in range(min(n, w_max) + 1):
                 for w in words[length]:
-                    if mu is None:
-                        yield _count_result(selector, p, n, w, table.get(w, 0))
-                    else:
-                        yield _measure_result(mu, witness, p, n, w, table.get(w, 0.0), tol)
+                    yield _result(selector, mu, witness, p, n, w, table.get(w, zero), tol)
 
 
 @dataclass(frozen=True)
@@ -394,61 +395,25 @@ def equirun_scan(
     _require_oblivious(selector)
     if not scc_decomposition(selector).strongly_connected:
         raise NotStronglyConnected("equirun scan expects a strongly connected selector")
-    markov = mu is not None
-    if markov and (witness is None or witness.last_selected is None):
+    if mu is not None and (witness is None or witness.last_selected is None):
         raise NotCompatible(["equirun scan in Markov mode needs a selector witness"])
-    alpha = selector.alphabet
-    words = list(alpha.words(k))
-    if markov:
-        rows = _step_weight_rows(selector, mu, witness)
-    else:
-        counts = [
-            islice(map(_prefix_counts, _count_layers(selector, p, k)), k, None)
-            for p in selector.states
-        ]
-
-    last_results: tuple = ()
+    words = list(selector.alphabet.words(k))
+    zero = 0 if mu is None else 0.0
+    # the count DP grows one layer per n, so each state keeps its own; the
+    # measure walk is redone for each n, after the cap check for that n
+    counts = [islice(_tables(selector, p, n_max, k, None), k, None) for p in selector.states]
+    results: tuple = ()
     for n in range(k, n_max + 1):
-        if markov:
-            _check_cap(selector, n, cap)
-        results = []
-        all_ok = True
-        for i, p in enumerate(selector.states):
-            if markov:
-                table = _measure_tables(selector, p, n, k, rows)[n]
-            else:
-                table = next(counts[i])
-            for w in words:
-                value = table.get(w, 0.0 if markov else 0)
-                if markov:
-                    upper = conditional_word_measure(mu, witness.last_selected[p], w)
-                    lower = (1.0 - epsilon) * upper
-                    ok = (lower - tol) <= value <= (upper + tol)
-                else:
-                    upper = len(alpha) ** (n - k)
-                    lower = (1.0 - epsilon) * upper
-                    ok = lower <= value <= upper
-                all_ok = all_ok and ok
-                results.append(
-                    LemmaCheckResult(
-                        lemma="equirun-measure" if markov else "equirun-count",
-                        state=p,
-                        n=n,
-                        word=w,
-                        value=value,
-                        upper=upper,
-                        lower=lower,
-                        epsilon=epsilon,
-                        passed=ok,
-                        strict=value < upper,
-                    )
-                )
-        last_results = tuple(results)
-        if all_ok:
-            return EquirunScanResult(
-                k=k, epsilon=epsilon, witness_n=n, results=last_results
-            )
-    return EquirunScanResult(k=k, epsilon=epsilon, witness_n=None, results=last_results)
+        rows = _weights(selector, mu, witness, n, cap)
+        results = tuple(
+            _result(selector, mu, witness, p, n, w, table.get(w, zero), tol, epsilon)
+            for p, layers in zip(selector.states, counts)
+            for table in [next(layers) if rows is None else _tables(selector, p, n, k, rows)[n]]
+            for w in words
+        )
+        if all(r.passed for r in results):
+            return EquirunScanResult(k=k, epsilon=epsilon, witness_n=n, results=results)
+    return EquirunScanResult(k=k, epsilon=epsilon, witness_n=None, results=results)
 
 
 def brute_force_prefix_selection(x, dfa: Automaton, accepting) -> tuple:

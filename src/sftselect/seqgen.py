@@ -33,7 +33,7 @@ import numpy as np
 
 from .alphabet import Alphabet
 from .errors import BlockLengthOutOfRange, ValidationError
-from .machines import COUNT_BUDGET_BYTES, block_codes, run_states, transition_rows
+from .machines import COUNT_BUDGET_BYTES, block_codes, block_letters, run_states, transition_rows
 from .measures import MarkovMeasure, block_measure_array
 
 SLIDING = "sliding"
@@ -111,11 +111,7 @@ def _champernowne_chunks(base: int, n: int, chunk: int):
         while code < count and emitted < n:
             batch = min(max(chunk // length, 1), count - code)
             codes = np.arange(code, code + batch, dtype=np.int64)
-            digits = np.empty((batch, length), dtype=np.int64)
-            for j in range(length - 1, -1, -1):
-                digits[:, j] = codes % base
-                codes //= base
-            flat = digits.reshape(-1)
+            flat = block_letters(codes, length, base).reshape(-1)
             take = min(flat.size, n - emitted)
             yield flat[:take]
             emitted += take
@@ -126,8 +122,7 @@ def _champernowne_chunks(base: int, n: int, chunk: int):
 def champernowne(alphabet, n: int) -> np.ndarray:
     """First ``n`` symbols of the concatenation of all nonempty words ordered
     by length and then lexicographically; the canonical normal sequence."""
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     return generate(GeneratorSpec(kind=CHAMPERNOWNE, alphabet=alphabet, n=n))
 
 
@@ -225,23 +220,11 @@ class BlockCounter:
         chunk = np.asarray(chunk, dtype=np.int64)
         self.n += chunk.size
         seq = np.concatenate([self._carry, chunk]) if self._carry.size else chunk
-        k, base = self.k, self.base
-        if self.mode == SLIDING:
-            if seq.size >= k:
-                codes = seq[: seq.size - k + 1].copy()
-                for j in range(1, k):
-                    codes *= base
-                    codes += seq[j : seq.size - k + 1 + j]
-                self.counts += np.bincount(codes, minlength=self.counts.size)
-                self._carry = seq[seq.size - k + 1 :].copy()
-            else:
-                self._carry = seq.copy()
-        else:
-            whole = (seq.size // k) * k
-            if whole:
-                codes = block_codes(seq, k, base)
-                self.counts += np.bincount(codes, minlength=self.counts.size)
-            self._carry = seq[whole:].copy()
+        step = 1 if self.mode == SLIDING else self.k
+        codes = block_codes(seq, self.k, self.base, step)
+        if codes.size:
+            self.counts += np.bincount(codes, minlength=self.counts.size)
+        self._carry = seq[codes.size * step :].copy()
 
     def marginal(self, k: int) -> np.ndarray:
         """Sliding counts of the length-k windows, 1 <= k <= self.k.  Each
@@ -270,13 +253,15 @@ class FrequencyReport:
     counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        total, expected = int(self.counts.sum()), max(self.windows, 0)
-        if total != expected:
-            raise ValidationError(f"block counts sum to {total}, expected {expected}")
+        total = int(self.counts.sum())
+        if total != self.windows:
+            raise ValidationError(f"block counts sum to {total}, expected {self.windows}")
 
     @property
     def windows(self) -> int:
-        return self.n - self.k + 1 if self.mode == SLIDING else self.n // self.k
+        """The number of blocks counted; no window fits into fewer than k
+        symbols, so a sliding count is never negative."""
+        return max(self.n - self.k + 1, 0) if self.mode == SLIDING else self.n // self.k
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -291,10 +276,7 @@ class FrequencyReport:
         word = tuple(word)
         if len(word) != self.k:
             raise BlockLengthOutOfRange(f"block {word!r} does not have length {self.k}")
-        code = 0
-        for s in word:
-            code = code * len(self.alphabet) + self.alphabet.index(s)
-        return code
+        return int(block_codes(self.alphabet.encode(word), self.k, len(self.alphabet))[0])
 
     def count_of(self, word) -> int:
         return int(self.counts[self._code(word)])
@@ -318,8 +300,7 @@ def block_frequencies(alphabet, x, k: int, mode: str = SLIDING) -> FrequencyRepo
 def block_frequency_reports(alphabet, x, ks, mode: str = SLIDING) -> dict:
     """FrequencyReports for the nonempty block lengths ``ks``, by ascending
     k.  SLIDING counts every length with one counter at max(ks)."""
-    if not isinstance(alphabet, Alphabet):
-        alphabet = Alphabet(alphabet)
+    alphabet = Alphabet(alphabet)
     idx = x if isinstance(x, np.ndarray) else alphabet.encode(x)
     ks = sorted(set(ks))
     if ks[0] < 1:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect import machines
-from sftselect.machines import block_codes, run_states, transition_rows, walk
+from sftselect.machines import block_codes, block_letters, run_states, transition_rows, walk
 
 from conftest import random_selector
 
@@ -176,3 +176,28 @@ def test_block_codes_are_big_endian(data, k, base):
             code = code * base + a
         expected.append(code)
     assert codes == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8), base=st.integers(1, 6), step=st.integers(1, 9))
+def test_block_codes_at_any_step_and_their_letters(data, k, base, step):
+    """Codes of the k-blocks starting every ``step`` letters (step 1: the
+    sliding windows) against a scalar Horner loop, inputs shorter than k
+    included; ``block_letters`` inverts them, and the codes are a new
+    array."""
+    letters = data.draw(st.lists(st.integers(0, base - 1), max_size=3 * k + 2))
+    arr = np.array(letters, dtype=np.int64)
+    starts = range(0, len(letters) - k + 1, step)
+    expected = []
+    for lo in starts:
+        code = 0
+        for a in letters[lo : lo + k]:
+            code = code * base + a
+        expected.append(code)
+    codes = block_codes(arr, k, base, step)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == expected
+    assert block_letters(codes, k, base).tolist() == [letters[lo : lo + k] for lo in starts]
+    assert block_codes(arr, k, base, k).tolist() == block_codes(arr, k, base).tolist()
+    codes[:] = -1
+    assert arr.tolist() == letters

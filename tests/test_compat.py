@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect import fixtures as fx
@@ -224,3 +226,47 @@ class TestPathSupport:
         for p in even_positions.states:
             for u, v, _end in ss.enumerate_runs(even_positions, p, 10).runs:
                 assert all((v[i], v[i + 1]) != ("1", "1") for i in range(len(v) - 1))
+
+
+def _binary_measure_with_zeros(rng: random.Random, zero_diagonal) -> ss.MarkovMeasure:
+    """A binary Markov measure whose listed diagonal entries are 0.0; the
+    off-diagonal entries stay positive, so the pattern is irreducible."""
+    rows = []
+    for i in range(2):
+        stay = 0.0 if i in zero_diagonal else rng.uniform(0.05, 0.95)
+        rows.append([stay, 1.0 - stay] if i == 0 else [1.0 - stay, stay])
+    P = ss.StochasticMatrix(ss.Alphabet(["0", "1"]), rows)
+    return ss.MarkovMeasure(ss.stationary_distribution(P), P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    zero_diagonal=st.sampled_from([(), (0,), (1,), (0, 1)]),
+    declare=st.booleans(),
+)
+def test_automaton_check_is_the_selector_check_without_eta(seed, zero_diagonal, declare):
+    """Both public checks run one checker: on a selector's automaton it
+    reports, in order, exactly the last-read and ForbiddenStep violations
+    of the selector check, adds nothing of its own, and agrees on the
+    last-read labels whenever both pass."""
+    rng = random.Random(seed)
+    selector = random_selector(rng, max_states=5, partial=True)
+    if declare:
+        selector.declare_labels(
+            last_read={q: rng.choice("01") for q in selector.states if rng.random() < 0.5},
+            last_selected={q: rng.choice("01") for q in selector.states if rng.random() < 0.3},
+        )
+    mu = _binary_measure_with_zeros(rng, zero_diagonal)
+    automaton = ss.check_automaton_compatibility(selector.underlying_automaton(), mu)
+    full = ss.check_selector_compatibility(selector, mu)
+    shared = ("IotaClash", "MissingDeclaration", "ForbiddenStep")
+    assert list(automaton.violations) == [v for v in full.violations if v.kind in shared]
+    assert automaton.notes == ()
+    if automaton.ok:
+        assert automaton.witness.last_selected is None
+        assert automaton.witness.unconstrained == ()
+        if full.ok:
+            assert automaton.witness.last_read == full.witness.last_read
+    else:
+        assert not full.ok

@@ -213,3 +213,60 @@ class TestSparseSerialization:
     def test_golden_measure_matches_dense_writer(self):
         mu = fx.golden_parry_measure()
         assert serialize_measure(mu) == _old_serialize_measure(mu)
+
+
+def _old_header(machine) -> list:
+    """The machine header as the per-kind writers built it."""
+    lines = [
+        "alphabet " + " ".join(machine.alphabet.symbols),
+        "states " + " ".join(str(q) for q in machine.states),
+        f"initial {machine.initial}",
+    ]
+    for key, mapping in (
+        ("iota", machine.declared_last_read),
+        ("eta", machine.declared_last_selected),
+    ):
+        for q in machine.states:
+            if q in mapping:
+                lines.append(f"{key} {q} {mapping[q]}")
+    return lines
+
+
+def _old_serialize(machine) -> str:
+    """The two per-kind f-string writers the shared writer replaced."""
+    lines = _old_header(machine)
+    if isinstance(machine, ss.Selector):
+        for src, symbol, action, dst in machine.transitions():
+            lines.append(f"trans {src} {symbol} {action} {dst}")
+    else:
+        for src, symbol, dst in machine.transitions():
+            lines.append(f"trans {src} {symbol} {dst}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shared_writer_matches_per_kind_writers(seed):
+    """``serialize_selector``, ``serialize_automaton`` and ``machine_digest``
+    give the bytes of the old per-kind writers on random partial machines
+    with declarations, their automata and snake automata (tuple states)."""
+    import hashlib
+    import random
+
+    from conftest import random_selector
+
+    rng = random.Random(seed)
+    selector = random_selector(rng, max_states=5, partial=seed % 2 == 1)
+    selector.declare_labels(
+        last_read={q: rng.choice("01") for q in selector.states if rng.random() < 0.5},
+        last_selected={q: rng.choice("01") for q in selector.states if rng.random() < 0.5},
+    )
+    automaton = selector.underlying_automaton()
+    machines = [(serialize_selector, selector), (serialize_automaton, automaton)]
+    try:
+        machines.append((serialize_automaton, ss.snake_automaton(automaton, 1 + seed % 3)))
+    except ss.ValidationError:  # a partial machine without a run of that length
+        pass
+    for writer, machine in machines:
+        expected = _old_serialize(machine)
+        assert writer(machine) == expected
+        assert machine_digest(machine) == hashlib.sha256(expected.encode()).hexdigest()[:12]

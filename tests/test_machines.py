@@ -414,3 +414,29 @@ def test_long_path():
     )
     assert looped.check_trim() == (True, [])
     assert ss.scc_decomposition(looped).recurrent_states() == {n - 1}
+
+
+class TestCursorRefusesForeignSymbols:
+    """A symbol outside the alphabet is refused before it is consumed, so
+    later positions stay right, as ``feed_indices`` refuses bad letters."""
+
+    def test_feed_keeps_position_and_state(self, even_positions):
+        cursor = ss.SelectionCursor(even_positions)
+        cursor.feed_many("01")
+        state = cursor.state
+        with pytest.raises(ss.UnknownSymbol):
+            cursor.feed("x")
+        assert cursor.position == 2
+        assert cursor.state == state == "011"  # 000 -0-> 100 -1-> 011, which has no 1
+        with pytest.raises(ss.UndefinedTransition) as err:
+            cursor.feed("1")
+        assert err.value.position == 3
+
+    def test_refusal_inside_feed_many(self, after_ones):
+        cursor = ss.SelectionCursor(after_ones)
+        with pytest.raises(ss.UnknownSymbol):
+            cursor.feed_many("011x0")
+        assert cursor.position == 3
+        assert cursor.state == "q1"
+        assert txt(cursor.feed_many("0")) == "0"
+        assert cursor.position == 4

@@ -259,3 +259,24 @@ class TestBruteForceSelection:
             if via_selector != via_definition:
                 mismatches += 1
         assert mismatches == 0
+
+
+def test_strict_keeps_its_per_kind_meaning(even_positions, golden, golden_witness):
+    """One result builder serves all four checks: a measure within ``tol``
+    below its bound passes both; it is strict for the equirun band
+    (``value < upper``) but not for the upper check (``value < upper -
+    tol``).  Counts ignore ``tol``."""
+    from sftselect.oracles import _result
+
+    p, w, tol = "100", ("0", "1"), 1e-9
+    upper = ss.conditional_word_measure(golden, golden_witness.last_selected[p], w)
+    value = upper - tol / 2
+    one_sided = _result(even_positions, golden, golden_witness, p, 4, w, value, tol)
+    band = _result(even_positions, golden, golden_witness, p, 4, w, value, tol, 0.1)
+    assert (one_sided.lemma, one_sided.passed, one_sided.strict) == ("measure-upper", True, False)
+    assert (band.lemma, band.passed, band.strict) == ("equirun-measure", True, True)
+    assert band.lower == (1.0 - 0.1) * upper
+    count = _result(even_positions, None, None, p, 4, w, 3, 5)
+    assert (count.lemma, count.upper, count.passed, count.strict) == ("count-upper", 4, True, True)
+    over = _result(even_positions, None, None, p, 4, w, 5, 5, 0.5)
+    assert (over.lemma, over.lower, over.passed, over.strict) == ("equirun-count", 2.0, False, False)

@@ -207,3 +207,40 @@ class TestDiscrepancy:
         # a sequence missing a block entirely is still charged for it
         report = ss.block_frequencies(binary, "1111", 2)
         assert ss.discrepancy(report, uniform2) == pytest.approx(0.75)
+
+
+class TestShortOutputFrequencies:
+    """A sliding report over fewer than k - 1 symbols counts no window, so
+    its frequencies are +0.0, never -0.0 from dividing by a negative count."""
+
+    def test_windows_clamp_at_zero(self):
+        binary = ss.Alphabet(["0", "1"])
+        report = ss.FrequencyReport(
+            alphabet=binary, mode=ss.SLIDING, k=3, n=1, counts=np.zeros(8, dtype=np.int64)
+        )
+        assert report.windows == 0
+        value = report.frequency_of(("0", "0", "0"))
+        assert value == 0.0 and not np.signbit(value)
+        assert not np.signbit(report.frequencies).any()
+        with pytest.raises(ss.ValidationError):
+            ss.FrequencyReport(
+                alphabet=binary, mode=ss.SLIDING, k=3, n=1,
+                counts=np.ones(8, dtype=np.int64),
+            )
+
+    def test_drop_all_selector_writes_positive_zeros(self):
+        import io
+
+        drop_all = ss.Selector(
+            ["0", "1"], ["s"], "s", [("s", "0", "drop", "s"), ("s", "1", "drop", "s")]
+        )
+        spec = ss.GeneratorSpec(kind=ss.CHAMPERNOWNE, alphabet=drop_all.alphabet, n=1000)
+        report = ss.run_experiment(
+            ss.ExperimentConfig(selector=drop_all, generator=spec, ks=(1, 3))
+        )
+        out = io.StringIO()
+        ss.write_experiment_csv(report, out)
+        rows = out.getvalue().splitlines()
+        assert "000,0,0.0,0.125,0.125" in rows
+        assert "0,0,0.0,0.5,0.5" in rows
+        assert "-0.0" not in out.getvalue()
