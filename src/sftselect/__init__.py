@@ -32,6 +32,7 @@ from .compat import (
 from .errors import (
     BlockLengthOutOfRange,
     CapExceeded,
+    DomainError,
     Incomplete,
     NonConvergence,
     NotCompatible,

@@ -9,7 +9,9 @@ are whole length-n runs, which is how per-run frequencies are computed.
 Stationary vectors are solved on the unique closed (recurrent) class and
 extended by zero to transient states; machines with several closed classes
 have no distinguished stationary vector and raise NotIrreducible where one
-is required.
+is required.  One builder, ``_chain``, sums a (state, symbol) weight
+array along the edge arrays (source, target, weight) of the defined
+transitions.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .alphabet import Alphabet
-from .compat import CompatibilityWitness, is_shift_complete
+from .compat import CompatibilityWitness, _step_weights, is_shift_complete
 from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun, ValidationError
 from .machines import (
     COUNT_BUDGET_BYTES, Automaton, SccReport, scc_decomposition, snake_automaton,
@@ -29,6 +31,8 @@ from .machines import (
 from .measures import (
     Distribution, MarkovMeasure, StochasticMatrix, _solve_balance, conditional_word_measure,
 )
+
+SNAKE_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,22 +63,10 @@ class StateChain:
         return self.scc.strongly_connected
 
 
-def _chain_from_matrix(machine, matrix: np.ndarray) -> StateChain:
-    scc = scc_decomposition(machine)
-    closed = [i for i, rec in enumerate(scc.recurrent) if rec]
-    stationary = None
-    if len(closed) == 1:
-        idx = [machine.state_index(q) for q in scc.components[closed[0]]]
-        stationary = np.zeros(matrix.shape[0])
-        stationary[idx] = _solve_balance(matrix[np.ix_(idx, idx)])
-        stationary.setflags(write=False)
-    matrix.setflags(write=False)
-    return StateChain(machine=machine, matrix=matrix, scc=scc, stationary=stationary)
-
-
-def _chain_matrix(machine, weight) -> np.ndarray:
-    """The |S| x |S| matrix adding ``weight(p, a)`` at (p, q) for every
-    transition p -a-> q (indices), in state then alphabet order; past
+def _chain(machine, weights: np.ndarray, solve: bool = True) -> StateChain:
+    """The chain adding ``weights[p, a]`` at (p, q) for every transition
+    p -a-> q (indices), in state then alphabet order, with, when ``solve``,
+    the stationary vector of its unique closed class; past
     ``COUNT_BUDGET_BYTES`` it raises ValidationError before allocating."""
     nq = len(machine.states)
     if nq * nq * 8 > COUNT_BUDGET_BYTES:
@@ -82,18 +74,28 @@ def _chain_matrix(machine, weight) -> np.ndarray:
             f"a dense chain over {nq} states needs {nq}**2 float64 entries, "
             f"past the budget of {COUNT_BUDGET_BYTES} bytes"
         )
+    nxt = machine.tables()[0]
+    src, sym = np.nonzero(nxt >= 0)
     matrix = np.zeros((nq, nq))
-    for p, a, q in machine._arcs():
-        matrix[p, q] += weight(p, a)
-    return matrix
+    # add.at is unbuffered: repeated (src, dst) pairs sum in edge order
+    np.add.at(matrix, (src, nxt[src, sym]), weights[src, sym])
+    matrix.setflags(write=False)
+    scc = scc_decomposition(machine)
+    closed = [i for i, rec in enumerate(scc.recurrent) if rec]
+    stationary = None
+    if solve and len(closed) == 1:
+        idx = [machine.state_index(q) for q in scc.components[closed[0]]]
+        stationary = np.zeros(nq)
+        stationary[idx] = _solve_balance(matrix[np.ix_(idx, idx)])
+        stationary.setflags(write=False)
+    return StateChain(machine=machine, matrix=matrix, scc=scc, stationary=stationary)
 
 
 def uniform_chain(machine: Automaton) -> StateChain:
     """Chain of a complete deterministic automaton on uniform input: entry
     (p, q) counts the symbols leading p to q, divided by #A."""
     machine.validate_complete()
-    matrix = _chain_matrix(machine, lambda _p, _a: 1.0 / len(machine.alphabet))
-    return _chain_from_matrix(machine, matrix)
+    return _chain(machine, np.full(machine.tables()[0].shape, 1.0 / len(machine.alphabet)))
 
 
 def compatible_chain(
@@ -113,12 +115,7 @@ def compatible_chain(
     ok, missing = is_shift_complete(machine, mu, witness)
     if not ok and require_complete:
         raise NotShiftComplete(missing)
-    states, symbols = machine.states, machine.alphabet.symbols
-    matrix = _chain_matrix(machine, lambda p, a: mu.P[witness.last_read[states[p]], symbols[a]])
-    if not ok:
-        matrix.setflags(write=False)
-        return StateChain(machine=machine, matrix=matrix, scc=scc_decomposition(machine), stationary=None)
-    return _chain_from_matrix(machine, matrix)
+    return _chain(machine, _step_weights(machine, mu, witness), solve=ok)
 
 
 def support_automaton(mu: MarkovMeasure) -> Automaton:
@@ -153,7 +150,6 @@ def snake_distribution(
     n: int,
     mu: Optional[MarkovMeasure] = None,
     witness: Optional[CompatibilityWitness] = None,
-    check_tol: float = 1e-9,
     labeling: str = "last_read",
 ) -> SnakeDistribution:
     """Distribution of the length-n run chain.
@@ -202,10 +198,10 @@ def snake_distribution(
     residual = float("nan")
     if labeling == "last_read":
         residual = float(np.max(np.abs(values - snake_chain.require_stationary())))
-        if residual > check_tol:
+        if residual > SNAKE_CHECK_TOL:
             raise NotIrreducible(
                 f"closed-form snake distribution disagrees with the eigensolve "
-                f"(residual {residual:.3e} > {check_tol})"
+                f"(residual {residual:.3e} > {SNAKE_CHECK_TOL})"
             )
     values.setflags(write=False)
     return SnakeDistribution(
@@ -299,8 +295,7 @@ def chain_as_measure(chain: StateChain, name_fn=None) -> tuple[Distribution, Sto
     names = [
         name_fn(q) if name_fn else str(q) for q in chain.machine.states
     ]
-    alpha = Alphabet(names)
     return (
-        Distribution(alpha, chain.require_stationary()),
-        StochasticMatrix(alpha, chain.matrix),
+        Distribution(names, chain.require_stationary()),
+        StochasticMatrix(names, chain.matrix),
     )

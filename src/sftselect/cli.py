@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage or parse/validation failure, 2 domain
 validation failure (compatibility, irreducibility, completeness), 3 check
 failure (a lemma bound or an experiment tolerance/support check did not
-hold).
+hold).  A library error exits with its type's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -16,22 +16,7 @@ from pathlib import Path
 from .alphabet import EPSILON_TOKEN, Alphabet
 from .chains import chain_as_measure, compatible_chain, snake_distribution, uniform_chain
 from .compat import check_automaton_compatibility, check_selector_compatibility
-from .errors import (
-    BlockLengthOutOfRange,
-    CapExceeded,
-    Incomplete,
-    NotCompatible,
-    NotIrreducible,
-    NotOblivious,
-    NotShiftComplete,
-    NotStronglyConnected,
-    ParseError,
-    SftSelectError,
-    UndefinedTransition,
-    UnknownSymbol,
-    UnrealizableRun,
-    ValidationError,
-)
+from .errors import CapExceeded, NotCompatible, ParseError, SftSelectError, ValidationError
 from .experiment import ExperimentConfig, _write_block_rows, run_experiment, write_experiment_csv
 from .formats import (
     parse_automaton,
@@ -56,26 +41,6 @@ from .measures import (
 )
 from .oracles import equirun_scan, lemma_check
 from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate
-
-_PARSE_ERRORS = (
-    ParseError,
-    ValidationError,
-    UnknownSymbol,
-    BlockLengthOutOfRange,
-    OSError,
-)
-_DOMAIN_ERRORS = (
-    NotCompatible,
-    NotIrreducible,
-    NotOblivious,
-    NotShiftComplete,
-    NotStronglyConnected,
-    Incomplete,
-    UndefinedTransition,
-    UnrealizableRun,
-    CapExceeded,
-)
-
 
 def _read_input(args) -> str:
     if getattr(args, "infile", None):
@@ -192,12 +157,15 @@ def _compatibility(machine, mu):
 
 def _measure_and_witness(args, machine):
     """(measure, compatibility witness) for --measure, or (None, None)
-    without it.  The witness is None when the check failed; the violations
-    are then on stdout and the command exits 2."""
+    without it.  A failed check prints its violations to stdout, then
+    raises NotCompatible carrying none, so ``main`` prints nothing more."""
     if not args.measure:
         return None, None
     mu = parse_measure(args.measure)
-    return mu, _compatibility(machine, mu).witness
+    result = _compatibility(machine, mu)
+    if not result.ok:
+        raise NotCompatible(())
+    return mu, result.witness
 
 
 def cmd_compat(args) -> int:
@@ -207,7 +175,7 @@ def cmd_compat(args) -> int:
     for note in result.notes:
         print(f"# {note}", file=sys.stderr)
     if not result.ok:
-        return 2
+        raise NotCompatible(())
     witness = result.witness
     lines = [f"iota {q} {witness.last_read[q]}" for q in machine.states]
     if witness.last_selected is not None:
@@ -221,8 +189,6 @@ def cmd_chain(args) -> int:
     mu, witness = _measure_and_witness(args, machine)
     if mu is None:
         chain = uniform_chain(automaton)
-    elif witness is None:
-        return 2
     else:
         chain = compatible_chain(machine, mu, witness)
     pi, matrix = chain_as_measure(chain)
@@ -233,10 +199,8 @@ def cmd_chain(args) -> int:
 def cmd_snake(args) -> int:
     machine, automaton = _load_machine(args)
     mu, witness = _measure_and_witness(args, machine)
-    if mu is not None and witness is None:
-        return 2
     dist = snake_distribution(automaton, args.n, mu=mu, witness=witness)
-    named = Alphabet(snake_state_label(q, automaton.alphabet) for q in dist.snake.states)
+    named = [snake_state_label(q, automaton.alphabet) for q in dist.snake.states]
     pi = Distribution(named, dist.values)
     matrix = StochasticMatrix(named, dist.chain.matrix)
     _emit(args, serialize_measure(MarkovMeasure(pi, matrix)))
@@ -262,10 +226,10 @@ def _format_lemma_line(result) -> str:
 
 
 def cmd_lemma_check(args) -> int:
+    if args.equirun is not None and args.n_max < args.equirun:
+        raise ValidationError(f"--n-max {args.n_max} is below --equirun {args.equirun}")
     selector = parse_selector(args.selector)
     mu, witness = _measure_and_witness(args, selector)
-    if mu is not None and witness is None:
-        return 2
     lines = []
     all_pass = True
     if args.equirun is not None:
@@ -391,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("experiment", cmd_experiment, "end-to-end frequency preservation experiment")
     p.add_argument("--selector", required=True)
-    p.add_argument("--measure")
-    p.add_argument("--uniform", action="store_true")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--measure")
+    target.add_argument("--uniform", action="store_true")
     p.add_argument("--gen", choices=["sample", "champernowne"], default="sample")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=1_000_000)
@@ -415,26 +380,20 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NotCompatible as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
-        return 2
+        return exc.exit_code
     except CapExceeded as exc:
         print(
             f"error: {exc}; raise --max-enum or use the statistical path "
             "(the experiment subcommand) instead",
             file=sys.stderr,
         )
-        return 2
-    except _DOMAIN_ERRORS as exc:
+        return exc.exit_code
+    except (SftSelectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SftSelectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 def entry():

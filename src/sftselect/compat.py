@@ -15,13 +15,16 @@ inference cannot reach.
 Automata and selectors go through one checker, ``_check``: a selector is
 an automaton with one more label, so the last-selected propagation is the
 only step that runs for selectors alone, and every edge is verified in one
-pass either way.
+pass either way.  ``_step_weights`` is the one lift of a measure onto a
+compatible machine: reading a from state q weighs P[last_read(q), a].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import NotCompatible
 from .machines import Automaton, Selector
@@ -296,17 +299,20 @@ def check_selector_compatibility(
     return _check(selector, mu, declared, declared_selected)
 
 
+def _step_weights(machine, mu: MarkovMeasure, witness: CompatibilityWitness) -> np.ndarray:
+    """The lift of mu onto ``machine``: entry (state index q, symbol index a)
+    is P[last_read(q), a], the weight of reading a from q, whether or not
+    that transition is defined."""
+    rows = mu.alphabet.encode([witness.last_read[q] for q in machine.states])
+    return mu.P.entries[np.ix_(rows, mu.alphabet.encode(machine.alphabet))]
+
+
 def is_shift_complete(machine, mu: MarkovMeasure, witness: CompatibilityWitness):
     """Whether every positive-probability continuation can be read everywhere.
 
     Returns (ok, missing) where ``missing`` lists the (state, symbol) pairs
     with P[last_read(state), symbol] > 0 but no outgoing transition.
     """
-    missing = []
-    symbols = machine.alphabet.symbols
-    for p, row in zip(machine.states, machine.tables()[0].tolist()):
-        label = witness.last_read[p]
-        for a, t in zip(symbols, row):
-            if mu.P[label, a] > 0.0 and t < 0:
-                missing.append((p, a))
+    pairs = np.argwhere((_step_weights(machine, mu, witness) > 0.0) & (machine.tables()[0] < 0))
+    missing = [(machine.states[q], machine.alphabet.symbols[a]) for q, a in pairs.tolist()]
     return not missing, missing

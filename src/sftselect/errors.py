@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with its CLI ``exit_code``."""
 
 
 class SftSelectError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 1
+
+
+class DomainError(SftSelectError):
+    """Well-formed input that the mathematics rejects (exit status 2)."""
+
+    exit_code = 2
 
 
 class UnknownSymbol(SftSelectError):
@@ -11,7 +19,7 @@ class UnknownSymbol(SftSelectError):
         self.symbol = symbol
 
 
-class UndefinedTransition(SftSelectError):
+class UndefinedTransition(DomainError):
     """Raised when a run falls off a partial transition map.
 
     ``position`` is the 1-based index of the offending input symbol when the
@@ -26,17 +34,17 @@ class UndefinedTransition(SftSelectError):
         self.position = position
 
 
-class NotOblivious(SftSelectError):
+class NotOblivious(DomainError):
     def __init__(self, state):
         super().__init__(f"state {state!r} has outgoing transitions of both types")
         self.state = state
 
 
-class NotStronglyConnected(SftSelectError):
+class NotStronglyConnected(DomainError):
     pass
 
 
-class Incomplete(SftSelectError):
+class Incomplete(DomainError):
     def __init__(self, state, symbol):
         super().__init__(f"machine is not complete: state {state!r} lacks a transition on {symbol!r}")
         self.state = state
@@ -51,7 +59,7 @@ class WeightsNotNormalized(ValidationError):
     pass
 
 
-class NotIrreducible(SftSelectError):
+class NotIrreducible(DomainError):
     """Nonzero pattern is not strongly connected (or has several closed classes).
 
     ``components`` carries a pair of state/symbol groups with no path from the
@@ -69,7 +77,7 @@ class NonConvergence(SftSelectError):
         self.iterations = iterations
 
 
-class NotCompatible(SftSelectError):
+class NotCompatible(DomainError):
     """Machine failed compatibility checking; ``violations`` lists the findings."""
 
     def __init__(self, violations):
@@ -77,21 +85,21 @@ class NotCompatible(SftSelectError):
         self.violations = list(violations)
 
 
-class NotShiftComplete(SftSelectError):
+class NotShiftComplete(DomainError):
     def __init__(self, missing):
         pairs = ", ".join(f"({p!r}, {a!r})" for p, a in missing)
         super().__init__(f"machine is missing transitions required by the measure support: {pairs}")
         self.missing = list(missing)
 
 
-class UnrealizableRun(SftSelectError):
+class UnrealizableRun(DomainError):
     def __init__(self, state, word):
         super().__init__(f"no run from state {state!r} over input {''.join(word)!r}")
         self.state = state
         self.word = word
 
 
-class CapExceeded(SftSelectError):
+class CapExceeded(DomainError):
     def __init__(self, requested, cap):
         super().__init__(f"enumeration of {requested} runs exceeds the cap of {cap}")
         self.requested = requested

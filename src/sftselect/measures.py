@@ -52,6 +52,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", Alphabet(self.alphabet))
         w = np.array(self.weights, dtype=float)
         if w.shape != (len(self.alphabet),):
             raise ValidationError("weight vector length does not match the alphabet")
@@ -79,6 +80,7 @@ class StochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", Alphabet(self.alphabet))
         m = _as_matrix(self.entries, len(self.alphabet))
         bad = np.nonzero(np.abs(m.sum(axis=1) - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
@@ -130,6 +132,7 @@ class SftSpec:
     aperiodic: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet", Alphabet(self.alphabet))
         m = _as_matrix(self.M, len(self.alphabet))
         object.__setattr__(self, "M", m)
         mask = m > 0

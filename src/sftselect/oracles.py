@@ -30,7 +30,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .alphabet import as_word
-from .compat import CompatibilityWitness
+from .compat import CompatibilityWitness, _step_weights
 from .errors import CapExceeded, NotCompatible, NotStronglyConnected, ValidationError
 from .machines import Automaton, Selector, _require_oblivious, scc_decomposition
 from .measures import MarkovMeasure, conditional_word_measure
@@ -185,20 +185,14 @@ def _weights(selector: Selector, mu, witness, n: int, cap: int):
     """The step weights of the measure walk to run length n, after checking
     that ``witness`` has last-selected labels and that #A**n is within
     ``cap``; None without a measure (the count DP needs neither).  Row q
-    weighs reading each selector symbol (by index) from state index q: the
-    transition-matrix entry out of the last-read label of q."""
+    is the lift of the measure out of state index q (see
+    :func:`compat._step_weights`), as Python floats."""
     if mu is None:
         return None
     if witness is None or witness.last_selected is None:
         raise NotCompatible(["witness lacks the last-selected labeling"])
     _check_cap(selector, n, cap)
-    entries = mu.P.entries.tolist()
-    alpha = mu.alphabet
-    cols = [alpha.index(a) for a in selector.alphabet]
-    return {
-        selector.state_index(q): [entries[alpha.index(s)][c] for c in cols]
-        for q, s in witness.last_read.items()
-    }
+    return _step_weights(selector, mu, witness).tolist()
 
 
 def _measure_tables(
