@@ -40,10 +40,11 @@ print("\nlifted measure of run 000 * 01:",
       ss.lifted_run_measure(markov_chain, golden, witness, "000", "01"))
 
 # Snake chains: states are whole length-n runs.  The closed-form stationary
-# distribution is verified internally against an eigensolve.
+# distribution x is verified internally by its balance residual max|xP - x|,
+# taken over the chain's edges, without solving the chain.
 dist = ss.snake_distribution(selector.underlying_automaton(), 2, mu=golden, witness=witness)
 print("\nsnake chain on length-2 runs:", len(dist.snake.states), "states")
-print("closed form vs eigensolve residual:", dist.check_residual)
+print("closed form balance residual max|xP - x|:", dist.check_residual)
 for state in dist.snake.states[:6]:
     label = ss.snake_state_label(state, selector.alphabet)
     print(f"  {label}: {dist.value_of(state):.6f}")

@@ -6,17 +6,21 @@ compatible machine walks the chain with entries P[last_read(p), a] along
 its transitions.  The snake construction lifts these chains to states that
 are whole length-n runs, which is how per-run frequencies are computed.
 
-Stationary vectors are solved on the unique closed (recurrent) class and
-extended by zero to transient states; machines with several closed classes
-have no distinguished stationary vector and raise NotIrreducible where one
-is required.  One builder, ``_chain``, sums a (state, symbol) weight
-array along the edge arrays (source, target, weight) of the defined
-transitions.
+A chain is kept as its edge arrays (source, target, weight), one edge per
+defined transition, which the one builder ``_chain`` takes from a (state,
+symbol) weight array.  Pair sums and the dense matrix are built from the
+edges only when read.  Stationary vectors of machine chains are solved
+densely on the unique closed (recurrent) class and extended by zero to
+transient states; machines with several closed classes have no
+distinguished stationary vector and raise NotIrreducible where one is
+required.  A snake chain is never solved: its closed-form vector is
+checked on the edges by its balance residual ``max |xP - x|``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,28 +29,66 @@ from .alphabet import Alphabet
 from .compat import CompatibilityWitness, _step_weights, is_shift_complete
 from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun, ValidationError
 from .machines import (
-    COUNT_BUDGET_BYTES, Automaton, SccReport, scc_decomposition, snake_automaton,
-    transition_rows, walk,
+    COUNT_BUDGET_BYTES, Automaton, SccReport, _snake_runs, block_letters, scc_decomposition,
+    snake_automaton, transition_rows, walk,
 )
 from .measures import (
-    Distribution, MarkovMeasure, StochasticMatrix, _solve_balance, conditional_word_measure,
+    ROW_SUM_TOL, STATIONARITY_TOL, Distribution, MarkovMeasure, StochasticMatrix,
+    _solve_balance, conditional_word_measure,
 )
 
-SNAKE_CHECK_TOL = 1e-9
+
+def _pair_sums(src, dst, weight, size: int) -> tuple:
+    """The edges summed per (source, target) pair: (rows, cols, sums), one
+    entry per pair in row-major order.  ``bincount`` over the pair ranks
+    adds each pair's weights in edge order, as unbuffered ``np.add.at``
+    does, from 0.0."""
+    pairs, rank = np.unique(src * size + dst, return_inverse=True)
+    entries = (*np.divmod(pairs, size), np.bincount(rank, weights=weight, minlength=len(pairs)))
+    for array in entries:
+        array.setflags(write=False)
+    return entries
+
+
+def _dense(size: int, rows, cols, sums) -> np.ndarray:
+    matrix = np.zeros((size, size))
+    matrix[rows, cols] = sums
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _require_dense(size: int):
+    """Refuse a chain whose dense matrix would pass ``COUNT_BUDGET_BYTES``."""
+    if size * size * 8 > COUNT_BUDGET_BYTES:
+        raise ValidationError(
+            f"a dense chain over {size} states needs {size}**2 float64 entries, "
+            f"past the budget of {COUNT_BUDGET_BYTES} bytes"
+        )
 
 
 @dataclass(frozen=True)
 class StateChain:
     """A Markov chain over the states of a machine.
 
-    ``matrix`` is indexed by machine state order; ``stationary`` is None when
-    the chain has several closed classes (no canonical stationary vector).
+    ``edges`` is (source, target, weight) by machine state index, one
+    read-only entry per defined transition in state then alphabet order.
+    ``entries`` (see :func:`_pair_sums`) and the read-only dense ``matrix``
+    are built from them on first read.  ``stationary`` is None when the
+    chain has several closed classes (no canonical stationary vector).
     """
 
     machine: object
-    matrix: np.ndarray
+    edges: tuple = field(repr=False)
     scc: SccReport
     stationary: Optional[np.ndarray]
+
+    @cached_property
+    def entries(self) -> tuple:
+        return _pair_sums(*self.edges, len(self.machine.states))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _dense(len(self.machine.states), *self.entries)
 
     def stationary_of(self, state) -> float:
         return float(self.require_stationary()[self.machine.state_index(state)])
@@ -64,31 +106,27 @@ class StateChain:
 
 
 def _chain(machine, weights: np.ndarray, solve: bool = True) -> StateChain:
-    """The chain adding ``weights[p, a]`` at (p, q) for every transition
-    p -a-> q (indices), in state then alphabet order, with, when ``solve``,
-    the stationary vector of its unique closed class; past
-    ``COUNT_BUDGET_BYTES`` it raises ValidationError before allocating."""
-    nq = len(machine.states)
-    if nq * nq * 8 > COUNT_BUDGET_BYTES:
-        raise ValidationError(
-            f"a dense chain over {nq} states needs {nq}**2 float64 entries, "
-            f"past the budget of {COUNT_BUDGET_BYTES} bytes"
-        )
+    """The chain with an edge of weight ``weights[p, a]`` from p to q for
+    every transition p -a-> q (indices), with, when ``solve``, the
+    stationary vector of its unique closed class, solved densely.  A chain
+    whose dense matrix would pass ``COUNT_BUDGET_BYTES`` raises
+    ValidationError before anything is built."""
+    size = len(machine.states)
+    _require_dense(size)
     nxt = machine.tables()[0]
     src, sym = np.nonzero(nxt >= 0)
-    matrix = np.zeros((nq, nq))
-    # add.at is unbuffered: repeated (src, dst) pairs sum in edge order
-    np.add.at(matrix, (src, nxt[src, sym]), weights[src, sym])
-    matrix.setflags(write=False)
+    edges = (src, nxt[src, sym], weights[src, sym])
+    for array in edges:
+        array.setflags(write=False)
     scc = scc_decomposition(machine)
     closed = [i for i, rec in enumerate(scc.recurrent) if rec]
     stationary = None
     if solve and len(closed) == 1:
         idx = [machine.state_index(q) for q in scc.components[closed[0]]]
-        stationary = np.zeros(nq)
-        stationary[idx] = _solve_balance(matrix[np.ix_(idx, idx)])
+        stationary = np.zeros(size)
+        stationary[idx] = _solve_balance(_dense(size, *_pair_sums(*edges, size))[np.ix_(idx, idx)])
         stationary.setflags(write=False)
-    return StateChain(machine=machine, matrix=matrix, scc=scc, stationary=stationary)
+    return StateChain(machine=machine, edges=edges, scc=scc, stationary=stationary)
 
 
 def uniform_chain(machine: Automaton) -> StateChain:
@@ -133,8 +171,13 @@ def support_automaton(mu: MarkovMeasure) -> Automaton:
 
 @dataclass(frozen=True)
 class SnakeDistribution:
-    """Closed-form stationary distribution of a snake chain, cross-checked
-    against the eigensolved stationary vector of the lifted chain."""
+    """Closed-form distribution of a snake chain.
+
+    ``chain`` carries the closed-form last-read vector x as its stationary
+    vector once x has passed :func:`_check_stationary`; ``check_residual``
+    is x's balance residual ``max |xP - x|`` over the chain's edges.
+    ``values`` is x, or the last-selected variant when asked for.
+    """
 
     snake: Automaton
     chain: StateChain
@@ -143,6 +186,38 @@ class SnakeDistribution:
 
     def value_of(self, state) -> float:
         return float(self.values[self.snake.state_index(state)])
+
+
+def _check_stationary(chain: StateChain, x: np.ndarray) -> float:
+    """The balance residual ``max |xP - x|`` of ``x`` over the chain's
+    edges, one weighted ``bincount``, after checking the rest from the
+    edges too: the chain has exactly one closed class (so its stationary
+    vector is unique), every row sums to 1 within ``ROW_SUM_TOL`` and x is
+    a probability vector.  A residual past ``STATIONARITY_TOL`` raises
+    NotIrreducible, as do several closed classes; the rest raise
+    ValidationError."""
+    src, dst, weight = chain.edges
+    size = len(x)
+    if sum(chain.scc.recurrent) != 1:
+        raise NotIrreducible(
+            "chain has several closed classes; no canonical stationary distribution"
+        )
+    sums = np.bincount(src, weight, minlength=size)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
+    if bad.size:
+        raise ValidationError(
+            f"row {chain.machine.states[bad[0]]!r} sums to {float(sums[bad[0]])!r}, "
+            f"not 1 (tolerance {ROW_SUM_TOL})"
+        )
+    if not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= ROW_SUM_TOL):
+        raise ValidationError(f"closed-form snake masses sum to {float(x.sum())!r}, not 1")
+    residual = float(np.max(np.abs(np.bincount(dst, x[src] * weight, minlength=size) - x)))
+    if not residual <= STATIONARITY_TOL:
+        raise NotIrreducible(
+            f"closed-form snake distribution is not stationary "
+            f"(balance residual {residual:.3e} > {STATIONARITY_TOL})"
+        )
+    return residual
 
 
 def snake_distribution(
@@ -158,24 +233,24 @@ def snake_distribution(
     stationary(p) / #A**n.  Markov mode: mass stationary(p) *
     mu_{last_read(p)}(w); the alternative ``labeling="last_selected"``
     weights runs by the conditional measure of the last selected symbol
-    instead and is exposed for output-block arguments, but only the
-    last-read form is the stationary vector of the input-driven chain and
-    only it is verified against the eigensolve.
+    instead and is exposed for output-block arguments.  Only the last-read
+    form x is the stationary vector of the input-driven chain; it is
+    checked on the snake chain's edges (see :func:`_check_stationary`) and
+    no matrix is built or solved.  A snake whose dense chain would pass
+    the budget is refused before any (p, w) label is built.
     """
-    snake = snake_automaton(machine, n)
+    runs = _snake_runs(machine, n)
+    na = len(machine.alphabet)
+    p, code = np.divmod(runs, na**n)
     if mu is None:
-        base = uniform_chain(machine)
-        base_pi = base.require_stationary()
-        scale = float(len(machine.alphabet)) ** n
-        values = np.array(
-            [base_pi[machine.state_index(p)] / scale for (p, _w) in snake.states]
-        )
-        snake_chain = uniform_chain(snake)
+        base_pi = uniform_chain(machine).require_stationary()
+        _require_dense(len(runs))
+        values = x = base_pi[p] / float(na) ** n
+        weights = np.full((len(runs), na), 1.0 / na)
     else:
         if witness is None:
             raise ValidationError("Markov snake distribution needs a compatibility witness")
-        base = compatible_chain(machine, mu, witness)
-        base_pi = base.require_stationary()
+        base_pi = compatible_chain(machine, mu, witness).require_stationary()
         if labeling == "last_read":
             labels = witness.last_read
         elif labeling == "last_selected":
@@ -184,28 +259,29 @@ def snake_distribution(
             labels = witness.last_selected
         else:
             raise ValidationError(f"unknown labeling {labeling!r}")
-        values = np.array(
-            [
-                base_pi[machine.state_index(p)]
-                * conditional_word_measure(mu, labels[p], w)
-                for (p, w) in snake.states
-            ]
-        )
-        snake_witness = CompatibilityWitness(
-            last_read={(p, w): w[-1] for (p, w) in snake.states}
-        )
-        snake_chain = compatible_chain(snake, mu, snake_witness)
-    residual = float("nan")
-    if labeling == "last_read":
-        residual = float(np.max(np.abs(values - snake_chain.require_stationary())))
-        if residual > SNAKE_CHECK_TOL:
-            raise NotIrreducible(
-                f"closed-form snake distribution disagrees with the eigensolve "
-                f"(residual {residual:.3e} > {SNAKE_CHECK_TOL})"
-            )
+        _require_dense(len(runs))
+        # letters in measure order; the products run left to right, as
+        # conditional_word_measure multiplies them
+        order = mu.alphabet.encode(machine.alphabet)
+        letters = order[block_letters(code, n, na)]
+        P = mu.P.entries
+
+        def mass(labels) -> np.ndarray:
+            value = P[mu.alphabet.encode([labels[q] for q in machine.states])[p], letters[:, 0]]
+            for j in range(1, n):
+                value = value * P[letters[:, j - 1], letters[:, j]]
+            return base_pi[p] * value
+
+        x = mass(witness.last_read)
+        values = x if labeling == "last_read" else mass(labels)
+        weights = P[np.ix_(letters[:, -1], order)]
+    snake = snake_automaton(machine, n)
+    chain = _chain(snake, weights, solve=False)
+    residual = _check_stationary(chain, x)
+    x.setflags(write=False)
     values.setflags(write=False)
     return SnakeDistribution(
-        snake=snake, chain=snake_chain, values=values, check_residual=residual
+        snake=snake, chain=replace(chain, stationary=x), values=values, check_residual=residual
     )
 
 
@@ -290,7 +366,7 @@ def chain_as_measure(chain: StateChain, name_fn=None) -> tuple[Distribution, Sto
     """Render a state chain in measure form (states become the alphabet).
 
     Only valid when the chain is stochastic and has a stationary vector;
-    used by the chain/snake printers.
+    used by the chain printer.
     """
     names = [
         name_fn(q) if name_fn else str(q) for q in chain.machine.states

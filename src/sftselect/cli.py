@@ -27,11 +27,11 @@ from .formats import (
     parse_selector,
     read_symbol_text,
     serialize_measure,
+    serialize_sparse_measure,
     write_symbol_text,
 )
 from .machines import SelectionCursor, Selector, snake_state_label
 from .measures import (
-    Distribution,
     MarkovMeasure,
     StochasticMatrix,
     block_measure_ladder,
@@ -200,10 +200,9 @@ def cmd_snake(args) -> int:
     machine, automaton = _load_machine(args)
     mu, witness = _measure_and_witness(args, machine)
     dist = snake_distribution(automaton, args.n, mu=mu, witness=witness)
-    named = [snake_state_label(q, automaton.alphabet) for q in dist.snake.states]
-    pi = Distribution(named, dist.values)
-    matrix = StochasticMatrix(named, dist.chain.matrix)
-    _emit(args, serialize_measure(MarkovMeasure(pi, matrix)))
+    # the labels are checked as an alphabet; the chain was checked on its edges
+    named = Alphabet(snake_state_label(q, automaton.alphabet) for q in dist.snake.states)
+    _emit(args, serialize_sparse_measure(named, dist.values, *dist.chain.entries))
     return 0
 
 
@@ -314,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("freq", cmd_freq, "block frequencies of a sequence")
     p.add_argument("--k", type=int, action="append", required=True)
     p.add_argument("--mode", choices=["sliding", "aligned"], default="sliding")
-    p.add_argument("--measure")
-    p.add_argument("--uniform", action="store_true")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--measure")
+    target.add_argument("--uniform", action="store_true")
     p.add_argument("--alphabet", nargs="+")
     p.add_argument("--in", dest="infile")
 

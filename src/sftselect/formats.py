@@ -208,30 +208,57 @@ def serialize_machine(machine) -> str:
 serialize_selector = serialize_automaton = serialize_machine
 
 
-def _cells(values: np.ndarray) -> str:
-    """The ``repr`` of every entry, space separated.  Only entries whose
-    bits are not all zero go through ``repr``; the rest are ``0.0``, so
-    a sparse row costs one call per nonzero and -0.0 keeps its sign."""
+def _line(key: str, size: int, cols: list, values: list) -> str:
+    """The one row formatter: ``key`` and then ``size`` cells, space
+    separated, the ``repr`` of ``values[i]`` in column ``cols[i]``
+    (ascending) and ``0.0`` in every other.  A sparse row costs one
+    ``repr`` per entry; the zero cells between entries are slices of one
+    string."""
+    zeros = " 0.0" * size
+    parts, at = [key], 0
+    for j, x in zip(cols, values):
+        parts += (zeros[4 * at : 4 * j], " ", repr(x))
+        at = j + 1
+    parts.append(zeros[4 * at :])
+    return "".join(parts)
+
+
+def _nonzero(values: np.ndarray) -> tuple:
+    """The index arrays and the values of the entries of ``values`` whose
+    bits are not all zero, in row-major order; -0.0 is kept, so it prints
+    with its sign."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    cells = ["0.0"] * values.size
-    nonzero = np.flatnonzero(values.view(np.uint64))
-    for i, x in zip(nonzero.tolist(), values[nonzero].tolist()):
-        cells[i] = repr(x)
-    return " ".join(cells)
+    index = np.nonzero(values.view(np.uint64))
+    return (*index, values[index])
+
+
+def _rows(size: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> list:
+    """``row`` lines 0..size-1 of a square matrix given by its entries
+    (rows, cols, values), sorted row-major, zero elsewhere."""
+    bounds = np.searchsorted(rows, np.arange(size + 1)).tolist()
+    cols, values = cols.tolist(), values.tolist()
+    return [_line("row", size, cols[i:j], values[i:j]) for i, j in zip(bounds, bounds[1:])]
+
+
+def serialize_sparse_measure(alphabet: Alphabet, pi, rows, cols, values) -> str:
+    """The text :func:`serialize_measure` writes for the measure with
+    stationary vector ``pi`` and transition entries (rows, cols, values),
+    sorted row-major, one per pair (as ``StateChain.entries`` holds them).
+    Nothing is validated here: the caller has checked the measure."""
+    size = len(alphabet)
+    pi_cols, pi_values = (array.tolist() for array in _nonzero(pi))
+    lines = ["alphabet " + " ".join(alphabet.symbols), _line("pi", size, pi_cols, pi_values)]
+    lines += _rows(size, rows, cols, values)
+    return "\n".join(lines) + "\n"
 
 
 def serialize_measure(mu: MarkovMeasure) -> str:
-    lines = ["alphabet " + " ".join(mu.alphabet.symbols)]
-    lines.append("pi " + _cells(mu.pi.weights))
-    for row in mu.P.entries:
-        lines.append("row " + _cells(row))
-    return "\n".join(lines) + "\n"
+    return serialize_sparse_measure(mu.alphabet, mu.pi.weights, *_nonzero(mu.P.entries))
 
 
 def serialize_matrix(spec: SftSpec) -> str:
     lines = ["alphabet " + " ".join(spec.alphabet.symbols)]
-    for row in spec.M:
-        lines.append("row " + _cells(row))
+    lines += _rows(len(spec.alphabet), *_nonzero(spec.M))
     return "\n".join(lines) + "\n"
 
 

@@ -711,18 +711,14 @@ def scc_decomposition(machine) -> SccReport:
     )
 
 
-def snake_automaton(machine: Automaton, n: int) -> Automaton:
-    """The automaton whose states are the realizable length-``n`` runs of
-    ``machine``, written as pairs (start state, input word), ordered by
-    start state, then word.
-
-    A transition reads one more symbol and slides the length-n window:
-    ``(p, b w') --a--> (p.b, w' a)`` whenever both runs exist.  Pairs whose
-    run does not exist in a partial machine are omitted.  Each possible run
-    costs an end-table entry, a row of #A next states and the n letters of
-    its label, so sizes past ``COUNT_BUDGET_BYTES`` raise ValidationError
-    before anything is allocated.
-    """
+def _snake_runs(machine, n: int) -> np.ndarray:
+    """The realizable length-``n`` runs of ``machine`` as ascending codes
+    ``p * #A**n + c``: start state index p, big-endian word code c (see
+    :func:`block_codes`).  Each possible run costs an end-table entry, a
+    row of #A next states and the n letters of its label in
+    :func:`snake_automaton`, so sizes past ``COUNT_BUDGET_BYTES`` raise
+    ValidationError before anything is allocated, and so does a machine
+    with no run of length n."""
     if n < 1:
         raise ValidationError("snake construction needs n >= 1")
     nxt = machine.tables()[0]
@@ -733,7 +729,6 @@ def snake_automaton(machine: Automaton, n: int) -> Automaton:
             f"snake of length {n} has up to {nq}*{na}**{n} runs of "
             f"{8 * (1 + na + n)} bytes, past the budget of {COUNT_BUDGET_BYTES} bytes"
         )
-    width = na**n
     end = np.arange(nq, dtype=np.int64)[:, None]
     full = _with_dead_state(nxt)
     for _ in range(n):
@@ -741,6 +736,22 @@ def snake_automaton(machine: Automaton, n: int) -> Automaton:
     runs = np.flatnonzero(end.ravel() < nq)
     if not len(runs):
         raise ValidationError(f"machine has no run of length {n}")
+    return runs
+
+
+def snake_automaton(machine: Automaton, n: int) -> Automaton:
+    """The automaton whose states are the realizable length-``n`` runs of
+    ``machine`` (see :func:`_snake_runs`), written as pairs (start state,
+    input word), ordered by start state, then word.
+
+    A transition reads one more symbol and slides the length-n window:
+    ``(p, b w') --a--> (p.b, w' a)`` whenever both runs exist.  Pairs whose
+    run does not exist in a partial machine are omitted.
+    """
+    runs = _snake_runs(machine, n)
+    nxt = machine.tables()[0]
+    nq, na = nxt.shape
+    width = na**n
     number = np.full(nq * width, -1, dtype=np.int64)
     number[runs] = np.arange(len(runs))
     p, code = np.divmod(runs, width)

@@ -384,8 +384,11 @@ def equirun_scan(
     Uniform mode bounds run counts by #A**(n-k); Markov mode (measure plus
     witness) bounds the conditional run measure by the conditional measure
     of w after the last-selected label of p.  Only Markov mode walks runs,
-    and only it is capped at ``cap`` nominal runs (#A**n).
+    and only it is capped at ``cap`` nominal runs (#A**n).  An ``n_max``
+    below k leaves nothing to scan and raises ValidationError.
     """
+    if n_max < k:
+        raise ValidationError(f"n_max {n_max} is below the block length {k}")
     _require_oblivious(selector)
     if not scc_decomposition(selector).strongly_connected:
         raise NotStronglyConnected("equirun scan expects a strongly connected selector")

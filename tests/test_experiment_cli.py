@@ -659,9 +659,10 @@ class TestFreqAlphabetAgainstMeasure:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.startswith("block,count,frequency,target,abs_error\n0,2,0.5,")
-        # --measure wins over --uniform, as before
-        assert main(argv + ["--uniform"]) == 0
-        assert capsys.readouterr().out == out
+        # --measure and --uniform are mutually exclusive
+        assert main(argv + ["--uniform"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument --measure" in captured.err
         q = tmp_path / "ab.txt"
         q.write_text("abba\n")
         assert main(["freq", "--k", "1", "--alphabet", "a", "b", "--uniform", "--in", str(q)]) == 0

@@ -234,6 +234,10 @@ def test_equirun_uniform_equals_enumeration(seed, k, epsilon, n_max):
     dfa, accepting = random_complete_dfa(rng)
     selector = ss.dfa_to_selector(dfa, accepting)
     assume(ss.scc_decomposition(selector).strongly_connected)
+    if n_max < k:
+        with pytest.raises(ss.ValidationError, match="below the block length"):
+            ss.equirun_scan(selector, k, epsilon, n_max)
+        return
     scan = ss.equirun_scan(selector, k, epsilon, n_max)
     assert_same_scan(scan, reference_equirun(selector, k, epsilon, n_max))
 
@@ -259,6 +263,10 @@ def test_equirun_markov_equals_enumeration(seed, k, epsilon, n_max):
     selector = last_symbol_selector()
     mu = random_irreducible_measure(random.Random(seed), 2)
     witness = ss.check_selector_compatibility(selector, mu).witness
+    if n_max < k:
+        with pytest.raises(ss.ValidationError, match="below the block length"):
+            ss.equirun_scan(selector, k, epsilon, n_max, mu=mu, witness=witness)
+        return
     scan = ss.equirun_scan(selector, k, epsilon, n_max, mu=mu, witness=witness)
     assert_same_scan(scan, reference_equirun(selector, k, epsilon, n_max, mu, witness))
 

@@ -160,9 +160,10 @@ class TestCliFixes:
         assert main(argv[:-1] + ["2", "--n-max", "2"]) == 3
         assert capsys.readouterr().out.startswith("LEMMA equirun-count p=q0 n=2 ")
 
-    def test_equirun_scan_below_k_scans_nothing(self, after_ones):
-        scan = ss.equirun_scan(after_ones, 5, 0.1, 3)
-        assert scan.witness_n is None and scan.results == () and not scan.passed
+    def test_equirun_scan_below_k_is_refused(self, after_ones):
+        with pytest.raises(ss.ValidationError, match="n_max 3 is below the block length 5"):
+            ss.equirun_scan(after_ones, 5, 0.1, 3)
+        assert ss.equirun_scan(after_ones, 2, 0.1, 2).results
 
     def test_experiment_measure_and_uniform_exclude_each_other(self, capsys):
         argv = ["experiment", "--selector", _data("even_positions_full.sel"), "--n", "3000", "--k", "1"]
@@ -172,13 +173,16 @@ class TestCliFixes:
         assert "not allowed with argument" in err
         assert main(argv + ["--uniform"]) in (0, 3)
 
-    def test_freq_measure_still_wins_over_uniform(self, tmp_path, capsys):
+    def test_freq_measure_and_uniform_exclude_each_other(self, tmp_path, capsys):
         seq = _write(tmp_path, "seq.txt", "0100101101\n")
         common = ["freq", "--k", "1", "--in", seq, "--measure", _data("golden_parry.msr")]
         assert main(common) == 0
-        alone = capsys.readouterr().out
-        assert main(common + ["--uniform"]) == 0
-        assert capsys.readouterr().out == alone
+        capsys.readouterr()
+        assert main(common + ["--uniform"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: sftselect freq" in captured.err
+        assert "not allowed with argument" in captured.err
 
 
 class TestPlainListAlphabets:
