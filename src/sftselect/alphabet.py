@@ -32,7 +32,8 @@ class Alphabet:
         for s in syms:
             if s == EPSILON_TOKEN:
                 raise ValidationError(f"{EPSILON_TOKEN!r} is reserved for the empty word")
-            if not s or any(c.isspace() for c in s) or s.startswith("#"):
+            # one whitespace-free token splits into itself; empty splits into []
+            if s.split() != [s] or s.startswith("#"):
                 raise ValidationError(f"invalid symbol token {s!r}")
         self._symbols = syms
         self._index = {s: i for i, s in enumerate(syms)}

@@ -9,12 +9,13 @@ are whole length-n runs, which is how per-run frequencies are computed.
 A chain is kept as its edge arrays (source, target, weight), one edge per
 defined transition, which the one builder ``_chain`` takes from a (state,
 symbol) weight array.  Pair sums and the dense matrix are built from the
-edges only when read.  Stationary vectors of machine chains are solved
-densely on the unique closed (recurrent) class and extended by zero to
-transient states; machines with several closed classes have no
-distinguished stationary vector and raise NotIrreducible where one is
-required.  A snake chain is never solved: its closed-form vector is
-checked on the edges by its balance residual ``max |xP - x|``.
+edges only when read.  Every stationary vector a chain carries has been
+checked on its edges by :func:`_check_stationary`, balance residual
+``max |xP - x|`` included.  Machine chains solve theirs densely on the
+unique closed (recurrent) class and extend it by zero to transient
+states; machines with several closed classes have no distinguished
+stationary vector and raise NotIrreducible where one is required.  A
+snake chain is never solved: it carries its closed-form vector.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from .alphabet import Alphabet
 from .compat import CompatibilityWitness, _step_weights, is_shift_complete
 from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun, ValidationError
 from .machines import (
-    COUNT_BUDGET_BYTES, Automaton, SccReport, _snake_runs, block_letters, scc_decomposition,
-    snake_automaton, transition_rows, walk,
+    COUNT_BUDGET_BYTES, Automaton, SccReport, _snake_from_runs, _snake_runs, block_letters,
+    scc_decomposition, transition_rows, walk,
 )
 from .measures import (
-    ROW_SUM_TOL, STATIONARITY_TOL, Distribution, MarkovMeasure, StochasticMatrix,
-    _solve_balance, conditional_word_measure,
+    ROW_SUM_TOL, STATIONARITY_TOL, MarkovMeasure, _solve_balance, conditional_word_measure,
 )
 
 
@@ -73,8 +73,9 @@ class StateChain:
     ``edges`` is (source, target, weight) by machine state index, one
     read-only entry per defined transition in state then alphabet order.
     ``entries`` (see :func:`_pair_sums`) and the read-only dense ``matrix``
-    are built from them on first read.  ``stationary`` is None when the
-    chain has several closed classes (no canonical stationary vector).
+    are built from them on first read.  ``stationary`` has passed
+    :func:`_check_stationary`; it is None when the chain has several
+    closed classes (no canonical stationary vector) or was not solved.
     """
 
     machine: object
@@ -105,11 +106,45 @@ class StateChain:
         return self.scc.strongly_connected
 
 
+def _check_stationary(chain: StateChain, x: np.ndarray) -> float:
+    """The balance residual ``max |xP - x|`` of ``x`` over the chain's
+    edges, one weighted ``bincount``, after checking the rest from the
+    edges too: the chain has exactly one closed class (so its stationary
+    vector is unique), every row sums to 1 within ``ROW_SUM_TOL`` and x is
+    a probability vector.  A residual past ``STATIONARITY_TOL`` raises
+    NotIrreducible, as do several closed classes; the rest raise
+    ValidationError."""
+    src, dst, weight = chain.edges
+    size = len(x)
+    if sum(chain.scc.recurrent) != 1:
+        raise NotIrreducible(
+            "chain has several closed classes; no canonical stationary distribution"
+        )
+    sums = np.bincount(src, weight, minlength=size)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
+    if bad.size:
+        raise ValidationError(
+            f"row {chain.machine.states[bad[0]]!r} sums to {float(sums[bad[0]])!r}, "
+            f"not 1 (tolerance {ROW_SUM_TOL})"
+        )
+    if not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= ROW_SUM_TOL):
+        raise ValidationError(f"stationary masses sum to {float(x.sum())!r}, not 1")
+    residual = float(np.max(np.abs(np.bincount(dst, x[src] * weight, minlength=size) - x)))
+    if not residual <= STATIONARITY_TOL:
+        raise NotIrreducible(
+            f"vector is not stationary for the chain "
+            f"(balance residual {residual:.3e} > {STATIONARITY_TOL})"
+        )
+    return residual
+
+
 def _chain(machine, weights: np.ndarray, solve: bool = True) -> StateChain:
     """The chain with an edge of weight ``weights[p, a]`` from p to q for
     every transition p -a-> q (indices), with, when ``solve``, the
-    stationary vector of its unique closed class, solved densely.  A chain
-    whose dense matrix would pass ``COUNT_BUDGET_BYTES`` raises
+    stationary vector of its unique closed class, solved densely on the
+    chain's cached ``matrix`` and checked on its edges by
+    :func:`_check_stationary`, which raises for a vector that fails.  A
+    chain whose dense matrix would pass ``COUNT_BUDGET_BYTES`` raises
     ValidationError before anything is built."""
     size = len(machine.states)
     _require_dense(size)
@@ -119,14 +154,17 @@ def _chain(machine, weights: np.ndarray, solve: bool = True) -> StateChain:
     for array in edges:
         array.setflags(write=False)
     scc = scc_decomposition(machine)
+    chain = StateChain(machine=machine, edges=edges, scc=scc, stationary=None)
     closed = [i for i, rec in enumerate(scc.recurrent) if rec]
-    stationary = None
     if solve and len(closed) == 1:
         idx = [machine.state_index(q) for q in scc.components[closed[0]]]
-        stationary = np.zeros(size)
-        stationary[idx] = _solve_balance(_dense(size, *_pair_sums(*edges, size))[np.ix_(idx, idx)])
-        stationary.setflags(write=False)
-    return StateChain(machine=machine, edges=edges, scc=scc, stationary=stationary)
+        x = np.zeros(size)
+        x[idx] = _solve_balance(chain.matrix[np.ix_(idx, idx)])
+        _check_stationary(chain, x)
+        x.setflags(write=False)
+        # set in place, so that the chain keeps the matrix it has cached
+        object.__setattr__(chain, "stationary", x)
+    return chain
 
 
 def uniform_chain(machine: Automaton) -> StateChain:
@@ -188,38 +226,6 @@ class SnakeDistribution:
         return float(self.values[self.snake.state_index(state)])
 
 
-def _check_stationary(chain: StateChain, x: np.ndarray) -> float:
-    """The balance residual ``max |xP - x|`` of ``x`` over the chain's
-    edges, one weighted ``bincount``, after checking the rest from the
-    edges too: the chain has exactly one closed class (so its stationary
-    vector is unique), every row sums to 1 within ``ROW_SUM_TOL`` and x is
-    a probability vector.  A residual past ``STATIONARITY_TOL`` raises
-    NotIrreducible, as do several closed classes; the rest raise
-    ValidationError."""
-    src, dst, weight = chain.edges
-    size = len(x)
-    if sum(chain.scc.recurrent) != 1:
-        raise NotIrreducible(
-            "chain has several closed classes; no canonical stationary distribution"
-        )
-    sums = np.bincount(src, weight, minlength=size)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))
-    if bad.size:
-        raise ValidationError(
-            f"row {chain.machine.states[bad[0]]!r} sums to {float(sums[bad[0]])!r}, "
-            f"not 1 (tolerance {ROW_SUM_TOL})"
-        )
-    if not (np.all(x >= 0.0) and abs(x.sum() - 1.0) <= ROW_SUM_TOL):
-        raise ValidationError(f"closed-form snake masses sum to {float(x.sum())!r}, not 1")
-    residual = float(np.max(np.abs(np.bincount(dst, x[src] * weight, minlength=size) - x)))
-    if not residual <= STATIONARITY_TOL:
-        raise NotIrreducible(
-            f"closed-form snake distribution is not stationary "
-            f"(balance residual {residual:.3e} > {STATIONARITY_TOL})"
-        )
-    return residual
-
-
 def snake_distribution(
     machine: Automaton,
     n: int,
@@ -237,14 +243,15 @@ def snake_distribution(
     form x is the stationary vector of the input-driven chain; it is
     checked on the snake chain's edges (see :func:`_check_stationary`) and
     no matrix is built or solved.  A snake whose dense chain would pass
-    the budget is refused before any (p, w) label is built.
+    the budget is refused once its runs are counted, before the base chain
+    is solved or any (p, w) label is built.
     """
     runs = _snake_runs(machine, n)
+    _require_dense(len(runs))
     na = len(machine.alphabet)
     p, code = np.divmod(runs, na**n)
     if mu is None:
         base_pi = uniform_chain(machine).require_stationary()
-        _require_dense(len(runs))
         values = x = base_pi[p] / float(na) ** n
         weights = np.full((len(runs), na), 1.0 / na)
     else:
@@ -259,7 +266,6 @@ def snake_distribution(
             labels = witness.last_selected
         else:
             raise ValidationError(f"unknown labeling {labeling!r}")
-        _require_dense(len(runs))
         # letters in measure order; the products run left to right, as
         # conditional_word_measure multiplies them
         order = mu.alphabet.encode(machine.alphabet)
@@ -275,7 +281,7 @@ def snake_distribution(
         x = mass(witness.last_read)
         values = x if labeling == "last_read" else mass(labels)
         weights = P[np.ix_(letters[:, -1], order)]
-    snake = snake_automaton(machine, n)
+    snake = _snake_from_runs(machine, n, runs)
     chain = _chain(snake, weights, solve=False)
     residual = _check_stationary(chain, x)
     x.setflags(write=False)
@@ -361,17 +367,3 @@ def empirical_state_frequencies(
         max_deviation=deviation,
     )
 
-
-def chain_as_measure(chain: StateChain, name_fn=None) -> tuple[Distribution, StochasticMatrix]:
-    """Render a state chain in measure form (states become the alphabet).
-
-    Only valid when the chain is stochastic and has a stationary vector;
-    used by the chain printer.
-    """
-    names = [
-        name_fn(q) if name_fn else str(q) for q in chain.machine.states
-    ]
-    return (
-        Distribution(names, chain.require_stationary()),
-        StochasticMatrix(names, chain.matrix),
-    )

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .alphabet import EPSILON_TOKEN, Alphabet
-from .chains import chain_as_measure, compatible_chain, snake_distribution, uniform_chain
+from .chains import compatible_chain, snake_distribution, uniform_chain
 from .compat import check_automaton_compatibility, check_selector_compatibility
 from .errors import CapExceeded, NotCompatible, ParseError, SftSelectError, ValidationError
 from .experiment import ExperimentConfig, _write_block_rows, run_experiment, write_experiment_csv
@@ -32,7 +32,6 @@ from .formats import (
 )
 from .machines import SelectionCursor, Selector, snake_state_label
 from .measures import (
-    MarkovMeasure,
     StochasticMatrix,
     block_measure_ladder,
     parry_measure,
@@ -184,26 +183,28 @@ def cmd_compat(args) -> int:
     return 0
 
 
+def _emit_chain(args, chain, label=str) -> int:
+    """Write a chain as measure text from its summed edges, state q named
+    ``label(q)``.  The names are checked as an alphabet; the stationary
+    vector was checked on the edges."""
+    values = chain.require_stationary()
+    names = Alphabet(label(q) for q in chain.machine.states)
+    _emit(args, serialize_sparse_measure(names, values, *chain.entries))
+    return 0
+
+
 def cmd_chain(args) -> int:
     machine, automaton = _load_machine(args)
     mu, witness = _measure_and_witness(args, machine)
-    if mu is None:
-        chain = uniform_chain(automaton)
-    else:
-        chain = compatible_chain(machine, mu, witness)
-    pi, matrix = chain_as_measure(chain)
-    _emit(args, serialize_measure(MarkovMeasure(pi, matrix)))
-    return 0
+    chain = uniform_chain(automaton) if mu is None else compatible_chain(machine, mu, witness)
+    return _emit_chain(args, chain)
 
 
 def cmd_snake(args) -> int:
     machine, automaton = _load_machine(args)
     mu, witness = _measure_and_witness(args, machine)
     dist = snake_distribution(automaton, args.n, mu=mu, witness=witness)
-    # the labels are checked as an alphabet; the chain was checked on its edges
-    named = Alphabet(snake_state_label(q, automaton.alphabet) for q in dist.snake.states)
-    _emit(args, serialize_sparse_measure(named, dist.values, *dist.chain.entries))
-    return 0
+    return _emit_chain(args, dist.chain, lambda q: snake_state_label(q, automaton.alphabet))
 
 
 def _number(x) -> str:
@@ -225,8 +226,6 @@ def _format_lemma_line(result) -> str:
 
 
 def cmd_lemma_check(args) -> int:
-    if args.equirun is not None and args.n_max < args.equirun:
-        raise ValidationError(f"--n-max {args.n_max} is below --equirun {args.equirun}")
     selector = parse_selector(args.selector)
     mu, witness = _measure_and_witness(args, selector)
     lines = []

@@ -388,16 +388,15 @@ class WalkTable:
     ``dead`` is the absorbing state that undefined transitions lead to.
     ``rows[s][c]`` is the state reached from s by the k-letter block with
     code c (see :func:`block_codes`), and row ``s * letters**k + c`` of
-    ``trace`` holds the k states visited on the way.  ``rows1`` is the
-    table for single letters, walked over the letters that do not fill a
-    block; it is ``rows`` when k = 1.
+    ``trace`` holds the k states visited on the way.  Entry j of a trace
+    row depends only on the first j+1 letters of the block, so the letters
+    that do not fill a block read the row of their zero-padded block.
     """
 
     dead: int
     letters: int
     k: int
     rows: list = field(repr=False)
-    rows1: list = field(repr=False)
     trace: np.ndarray = field(repr=False)
 
 
@@ -421,8 +420,7 @@ def transition_rows(nxt: np.ndarray) -> WalkTable:
         if j:
             end = full[end].reshape(nq + 1, -1)
         trace.reshape(nq + 1, na ** (j + 1), -1, k)[:, :, :, j] = end[:, :, None]
-    rows = _rows(end)
-    return WalkTable(nq, na, k, rows, rows if k == 1 else _rows(full), trace.reshape(-1, k))
+    return WalkTable(nq, na, k, _rows(end), trace.reshape(-1, k))
 
 
 def _with_dead_state(nxt: np.ndarray) -> np.ndarray:
@@ -456,7 +454,8 @@ def run_states(table: WalkTable, letters: np.ndarray, state: int) -> np.ndarray:
     end state, and one ``np.take`` of the traces writes the states inside
     the blocks into the path.  Letters are walked in slices of at most
     ``_SLICE``, so the Python lists stay bounded; the letters that do not
-    fill a block are walked one at a time."""
+    fill a block take the leading states of their zero-padded block's
+    trace."""
     n = len(letters)
     k, na = table.k, table.letters
     if n and (letters.min() < 0 or letters.max() >= na):
@@ -477,9 +476,10 @@ def run_states(table: WalkTable, letters: np.ndarray, state: int) -> np.ndarray:
         starts *= width
         codes[1:] += starts
         np.take(trace, codes, axis=0, out=path[lo + 1 : hi + 1].reshape(-1, k), mode="clip")
-    rows1 = table.rows1
-    for i, a in enumerate(letters[whole:].tolist(), whole + 1):
-        state = path[i] = rows1[state][a]
+    if whole < n:
+        block = np.zeros(k, dtype=np.int64)
+        block[: n - whole] = letters[whole:]
+        path[whole + 1 :] = trace[state * width + block_codes(block, k, na)[0], : n - whole]
     return path
 
 
@@ -748,7 +748,11 @@ def snake_automaton(machine: Automaton, n: int) -> Automaton:
     ``(p, b w') --a--> (p.b, w' a)`` whenever both runs exist.  Pairs whose
     run does not exist in a partial machine are omitted.
     """
-    runs = _snake_runs(machine, n)
+    return _snake_from_runs(machine, n, _snake_runs(machine, n))
+
+
+def _snake_from_runs(machine: Automaton, n: int, runs: np.ndarray) -> Automaton:
+    """:func:`snake_automaton` on the runs :func:`_snake_runs` found."""
     nxt = machine.tables()[0]
     nq, na = nxt.shape
     width = na**n

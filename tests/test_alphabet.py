@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import sftselect as ss
 
@@ -73,3 +75,24 @@ def test_words_match_recursive_enumeration(symbols):
     alpha = ss.Alphabet(symbols)
     for length in range(6):
         assert list(alpha.words(length)) == list(_recursive_words(alpha, length))
+
+
+@given(token=st.text(st.characters(), max_size=6))
+@example(token="")
+@example(token="\x1c")
+@example(token="a\x85")
+@example(token="\u2028b")
+@example(token="\u3000")
+@example(token="\u200b")
+def test_whitespace_check_matches_per_character_scan(token):
+    """``s.split() != [s]`` refuses exactly the empty token and the tokens
+    with a character for which ``str.isspace`` holds."""
+    old = not token or any(c.isspace() for c in token)
+    assert (token.split() != [token]) == old
+    if token == ss.EPSILON_TOKEN:
+        return
+    if old or token.startswith("#"):
+        with pytest.raises(ss.ValidationError, match="invalid symbol token"):
+            ss.Alphabet([token])
+    else:
+        assert ss.Alphabet([token]).symbols == (token,)

@@ -155,7 +155,7 @@ class TestCliFixes:
         assert main(argv + ["--n-max", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --n-max 3 is below --equirun 5\n"
+        assert captured.err == "error: n_max 3 is below the block length 5\n"
         # n_max == k scans that one length
         assert main(argv[:-1] + ["2", "--n-max", "2"]) == 3
         assert capsys.readouterr().out.startswith("LEMMA equirun-count p=q0 n=2 ")
