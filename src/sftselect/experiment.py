@@ -49,7 +49,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # each block length is counted and written once, shortest first
         object.__setattr__(self, "ks", tuple(sorted(set(self.ks or ()))))
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too
             raise ValidationError("tolerance must be positive")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValidationError("block lengths must be >= 1")

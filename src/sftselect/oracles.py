@@ -340,6 +340,8 @@ def lemma_check(
     All checks from one state read one table, built once.  Only the
     measure walk is capped at ``cap`` nominal runs (#A**n_max).
     """
+    if n_max < 0 or w_max < 0:
+        raise ValidationError(f"n_max {n_max} and w_max {w_max} must be >= 0")
     _require_oblivious(selector)
     rows = _weights(selector, mu, witness, n_max, cap)
     zero = 0 if mu is None else 0.0
@@ -385,8 +387,11 @@ def equirun_scan(
     witness) bounds the conditional run measure by the conditional measure
     of w after the last-selected label of p.  Only Markov mode walks runs,
     and only it is capped at ``cap`` nominal runs (#A**n).  An ``n_max``
-    below k leaves nothing to scan and raises ValidationError.
+    below k leaves nothing to scan and raises ValidationError, as do k < 1
+    and an epsilon that is negative or NaN.
     """
+    if k < 1 or not epsilon >= 0:
+        raise ValidationError(f"equirun scan needs k >= 1 and epsilon >= 0, got {k} and {epsilon}")
     if n_max < k:
         raise ValidationError(f"n_max {n_max} is below the block length {k}")
     _require_oblivious(selector)

@@ -165,6 +165,36 @@ class TestCliFixes:
             ss.equirun_scan(after_ones, 5, 0.1, 3)
         assert ss.equirun_scan(after_ones, 2, 0.1, 2).results
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-max", "-1"], "n_max -1 and w_max 4 must be >= 0"),
+            (["--w-max", "-1"], "n_max 8 and w_max -1 must be >= 0"),
+            (["--equirun", "0", "--n-max", "4"], "equirun scan needs k >= 1 and epsilon >= 0, got 0 and 0.1"),
+            (["--equirun", "2", "--epsilon", "nan"], "equirun scan needs k >= 1 and epsilon >= 0, got 2 and nan"),
+            (["--equirun", "2", "--epsilon", "-0.5"], "equirun scan needs k >= 1 and epsilon >= 0, got 2 and -0.5"),
+        ],
+    )
+    def test_lemma_check_bad_arguments_exit_one(self, capsys, flags, message):
+        assert main(["lemma-check", "--selector", _data("after_ones.sel"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    def test_lemma_api_bad_arguments_are_refused(self, after_ones):
+        for n_max, w_max in ((-1, 2), (2, -1)):
+            with pytest.raises(ss.ValidationError, match="must be >= 0"):
+                list(ss.lemma_check(after_ones, n_max, w_max))
+        for k, epsilon in ((0, 0.1), (-1, 0.1), (1, float("nan")), (1, -1e-9)):
+            with pytest.raises(ss.ValidationError, match="needs k >= 1 and epsilon >= 0"):
+                ss.equirun_scan(after_ones, k, epsilon, 6)
+        assert ss.equirun_scan(after_ones, 1, 0.0, 6).k == 1
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -0.1])
+    def test_experiment_tolerance_must_be_positive(self, capsys, tolerance):
+        argv = ["experiment", "--selector", _data("after_ones.sel"), "--uniform", "--n", "3000"]
+        assert main(argv + ["--k", "1", "--tolerance", str(tolerance)]) == 1
+        assert capsys.readouterr().err == "error: tolerance must be positive\n"
+
     def test_experiment_measure_and_uniform_exclude_each_other(self, capsys):
         argv = ["experiment", "--selector", _data("even_positions_full.sel"), "--n", "3000", "--k", "1"]
         assert main(argv + ["--measure", _data("uniform_binary.msr"), "--uniform"]) == 1
