@@ -125,6 +125,13 @@ class Alphabet:
         return itertools.product(self._symbols, repeat=length)
 
 
+def word_token(word: Iterable[str], single_char: bool) -> str:
+    """A word as one whitespace-free token (``eps`` if empty) for snake state
+    names and lemma lines: symbols concatenated over single characters and
+    joined by ``.`` otherwise, so (ab, c) and (a, bc) stay apart."""
+    return ("" if single_char else ".").join(word) or EPSILON_TOKEN
+
+
 def as_word(word: Iterable[str]) -> tuple[str, ...]:
     """Normalize any token iterable (including a plain str) to a tuple."""
     if isinstance(word, tuple):

@@ -333,7 +333,6 @@ def empirical_state_frequencies(
     x,
     n: Optional[int] = None,
     chain: Optional[StateChain] = None,
-    start=None,
 ) -> StateFrequencyReport:
     """Run the machine over (the first n symbols of) ``x`` and compare each
     state's source-occurrence frequency with the chain's stationary vector.
@@ -355,7 +354,7 @@ def empirical_state_frequencies(
     if len(idx) < n:
         raise ValidationError(f"input has only {len(idx)} symbols, need {n}")
     table = transition_rows(machine.tables()[0])
-    state = machine.state_index(machine.initial if start is None else start)
+    state = machine.state_index(machine.initial)
     counts = np.bincount(walk(machine, table, idx, state)[:-1], minlength=len(machine.states))
     deviation = float(np.max(np.abs(counts / n - reference))) if n else float("nan")
     count_map = {q: int(counts[i]) for i, q in enumerate(machine.states)}

@@ -13,17 +13,16 @@ import contextlib
 import sys
 from pathlib import Path
 
-from .alphabet import EPSILON_TOKEN, Alphabet
+from .alphabet import Alphabet, word_token
 from .chains import compatible_chain, snake_distribution, uniform_chain
 from .compat import check_automaton_compatibility, check_selector_compatibility
-from .errors import CapExceeded, NotCompatible, ParseError, SftSelectError, ValidationError
+from .errors import CapExceeded, NotCompatible, SftSelectError, ValidationError
 from .experiment import ExperimentConfig, _write_block_rows, run_experiment, write_experiment_csv
 from .formats import (
+    _transition_text,
     parse_automaton,
     parse_matrix,
-    parse_matrix_text,
     parse_measure,
-    parse_measure_text,
     parse_selector,
     read_symbol_text,
     serialize_measure,
@@ -31,13 +30,7 @@ from .formats import (
     write_symbol_text,
 )
 from .machines import SelectionCursor, Selector, snake_state_label
-from .measures import (
-    StochasticMatrix,
-    block_measure_ladder,
-    parry_measure,
-    stationary_distribution,
-    uniform_measure,
-)
+from .measures import block_measure_ladder, parry_measure, stationary_distribution, uniform_measure
 from .oracles import equirun_scan, lemma_check
 from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate
 
@@ -121,14 +114,7 @@ def cmd_parry(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    text = Path(args.path).read_text()
-    try:
-        mu = parse_measure_text(text)
-        matrix = mu.P
-    except ParseError:
-        spec = parse_matrix_text(text)
-        matrix = StochasticMatrix(spec.alphabet, spec.M)
-    pi = stationary_distribution(matrix)
+    pi = stationary_distribution(_transition_text(Path(args.path).read_text()))
     _emit(args, "pi " + " ".join(repr(float(x)) for x in pi.weights) + "\n")
     return 0
 
@@ -212,8 +198,10 @@ def _number(x) -> str:
     return str(x) if isinstance(x, int) else repr(x)
 
 
-def _format_lemma_line(result) -> str:
-    word = "".join(result.word) if result.word else EPSILON_TOKEN
+def _format_lemma_line(result, single_char: bool = True) -> str:
+    """One ``LEMMA`` line; ``single_char`` tells :func:`word_token` how the
+    checked alphabet spells the word."""
+    word = word_token(result.word, single_char)
     if result.lower is None:
         bound = _number(result.upper)
     else:
@@ -236,7 +224,7 @@ def cmd_lemma_check(args) -> int:
             mu=mu, witness=witness, cap=args.max_enum,
         )
         for r in scan.results:
-            lines.append(_format_lemma_line(r))
+            lines.append(_format_lemma_line(r, selector.alphabet.single_char))
         all_pass = scan.passed
         if scan.passed:
             lines.append(f"# equirun witness n={scan.witness_n}")
@@ -245,7 +233,7 @@ def cmd_lemma_check(args) -> int:
             selector, args.n_max, args.w_max, mu=mu, witness=witness, cap=args.max_enum
         ):
             all_pass = all_pass and r.passed
-            lines.append(_format_lemma_line(r))
+            lines.append(_format_lemma_line(r, selector.alphabet.single_char))
     _emit(args, "\n".join(lines) + "\n")
     return 0 if all_pass else 3
 

@@ -155,10 +155,10 @@ class _UnionFind:
         return rx
 
 
-def _infer_last_selected(selector: Selector, last_read: dict, declared_selected, violations: list):
+def _infer_last_selected(selector: Selector, last_read: dict, violations: list):
     """Last-selected labels by constraint propagation, appending the clashes
-    to ``violations``: return (labeling, unconstrained states).  The
-    declarations are the selector's own when ``declared_selected`` is None."""
+    to ``violations``: return (labeling, unconstrained states).  A drop
+    transition's two ends share one class, and each class one label."""
     uf = _UnionFind(selector.states)
     anchors: dict = {}
 
@@ -197,9 +197,7 @@ def _infer_last_selected(selector: Selector, last_read: dict, declared_selected,
                 merged = ap if ap is not None else aq
                 if merged is not None:
                     anchors[root] = merged
-    if declared_selected is None:
-        declared_selected = selector.declared_last_selected
-    for state, symbol in declared_selected.items():
+    for state, symbol in selector.declared_last_selected.items():
         anchor(state, symbol, "eta declaration")
 
     last_selected: dict = {}
@@ -220,7 +218,7 @@ def _infer_last_selected(selector: Selector, last_read: dict, declared_selected,
     return last_selected, unconstrained
 
 
-def _check(machine, mu: MarkovMeasure, declared, declared_selected) -> CompatibilityResult:
+def _check(machine, mu: MarkovMeasure, declared) -> CompatibilityResult:
     """The one compatibility check: infer the last-read labels and, for a
     selector only, the last-selected labels, then verify every edge once
     with the completed labelings (an automaton has no last-selected labels,
@@ -228,9 +226,7 @@ def _check(machine, mu: MarkovMeasure, declared, declared_selected) -> Compatibi
     last_read, violations = _infer_last_read(machine, declared)
     last_selected, unconstrained = None, []
     if isinstance(machine, Selector):
-        last_selected, unconstrained = _infer_last_selected(
-            machine, last_read, declared_selected, violations
-        )
+        last_selected, unconstrained = _infer_last_selected(machine, last_read, violations)
     selected = last_selected or {}
     for p, a, keeps, q in _edges(machine):
         if p in last_read and mu.P[last_read[p], a] == 0.0:
@@ -250,14 +246,6 @@ def _check(machine, mu: MarkovMeasure, declared, declared_selected) -> Compatibi
                 violations.append(
                     Violation(ETA_CLASH, (p, a, q), f"target last-selected label is not {a!r}")
                 )
-        elif p in selected and q in selected and selected[q] != selected[p]:
-            violations.append(
-                Violation(
-                    ETA_CLASH,
-                    (p, a, q),
-                    "drop transition changes the last-selected label",
-                )
-            )
 
     notes = tuple(
         f"UnconstrainedEta {q}: no selection reaches this state; defaulted to iota"
@@ -278,14 +266,11 @@ def check_automaton_compatibility(
 ) -> CompatibilityResult:
     """Infer the last-read labeling and verify every transition reads a
     positive-probability step."""
-    return _check(automaton, mu, declared, None)
+    return _check(automaton, mu, declared)
 
 
 def check_selector_compatibility(
-    selector: Selector,
-    mu: MarkovMeasure,
-    declared=None,
-    declared_selected=None,
+    selector: Selector, mu: MarkovMeasure, declared=None
 ) -> CompatibilityResult:
     """Infer both labelings of a selector and verify the compatibility
     constraints; all violations are collected rather than failing fast.
@@ -296,7 +281,7 @@ def check_selector_compatibility(
     undeclared) default to the last-read label of their first member, which
     is reported in ``notes`` since any symbol would satisfy the definition.
     """
-    return _check(selector, mu, declared, declared_selected)
+    return _check(selector, mu, declared)
 
 
 def _step_weights(machine, mu: MarkovMeasure, witness: CompatibilityWitness) -> np.ndarray:

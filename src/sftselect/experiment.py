@@ -5,6 +5,8 @@ selector, counts length-k blocks on both sides, and compares the output
 frequencies against the target measure (uniform or Markov).  The sequence
 is processed in bounded chunks: memory stays O(#states + #A**max(k))
 however long the input is, with one count vector per side when sliding.
+Each chunk is walked, trimmed, selected by :func:`sftselect.machines._selected`
+and counted by the counters :func:`sftselect.seqgen._block_counters` chose.
 """
 
 from __future__ import annotations
@@ -18,16 +20,11 @@ import numpy as np
 from .compat import CompatibilityResult, check_selector_compatibility
 from .errors import NotCompatible, ValidationError
 from .formats import machine_digest
-from .machines import Selector, _require_oblivious, scc_decomposition, transition_rows, walk
+from .machines import Selector, _require_oblivious, _selected, scc_decomposition
+from .machines import transition_rows, walk
 from .measures import MarkovMeasure, block_measure_ladder, support_forbidden_blocks, uniform_measure
-from .seqgen import (
-    SLIDING,
-    ALIGNED,
-    BlockCounter,
-    FrequencyReport,
-    GeneratorSpec,
-    generate_chunks,
-)
+from .seqgen import ALIGNED, SLIDING, BlockCounter, FrequencyReport, GeneratorSpec, generate_chunks
+from .seqgen import _block_counters, _block_reports
 
 # most block rows joined into one write, and most labels in a suffix list
 _CSV_SLICE = 1024
@@ -107,9 +104,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``check_selector_compatibility``).  With ``after_recurrent`` counting is
     restarted at the position where the run enters a recurrent component;
     by default the transient prefix is counted too, tolerances absorb it.
-    Sliding counts of every k, and of the forbidden-pair watch, are
-    marginals of one counter per side at max(ks + (2,)); aligned blocks do
-    not nest, so aligned mode keeps one counter per k and a pair counter.
+    Each chunk is walked, trimmed of that prefix, selected and counted.
+    The counters of each side are :func:`sftselect.seqgen._block_counters`'s;
+    the forbidden-pair watch reads the output's sliding counter, at
+    max(ks + (2,)), or in aligned mode a sliding pair counter of its own.
     """
     selector = config.selector
     _require_oblivious(selector)
@@ -132,49 +130,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     state = selector.state_index(selector.initial)
     entry_pos: Optional[int] = 0 if recurrent[state] else None
 
-    sliding = config.mode == SLIDING
-    lengths = [max(*config.ks, 2)] if sliding else config.ks
-    in_counters = [BlockCounter(na, k, config.mode) for k in lengths]
-    out_counters = [BlockCounter(na, k, config.mode) for k in lengths]
-    if not sliding:
-        out_counters.append(BlockCounter(na, 2))  # the forbidden-pair watch
+    ins = _block_counters(na, config.ks, config.mode)
+    outs = _block_counters(na, config.ks, config.mode, least=2)
+    # the forbidden-pair watch reads the sliding top counter, or its own
+    watch = outs[config.ks[-1]] if config.mode == SLIDING else BlockCounter(na, 2)
+    fed_in, fed_out = dict.fromkeys(ins.values()), dict.fromkeys([*outs.values(), watch])
 
     pos = 0
     for chunk in generate_chunks(config.generator, config.chunk):
         path = walk(selector, table, chunk, state, pos)
-        kept = keep[path[:-1], chunk]
-        out = chunk[kept]
-        split_in = split_out = 0
+        state = int(path[-1])
         if entry_pos is None:
             hits = np.flatnonzero(recurrent[path[1:]])
-            split_in = int(hits[0]) + 1 if hits.size else chunk.size
-            split_out = int(np.count_nonzero(kept[:split_in]))
             if hits.size:
-                entry_pos = pos + split_in
-        pos += chunk.size
-        state = int(path[-1])
+                entry_pos = pos + int(hits[0]) + 1
+        skip = 0  # the transient prefix of the chunk, left out after_recurrent
         if config.after_recurrent:
-            in_chunk = chunk[split_in:]
-            out_chunk = out[split_out:]
-        else:
-            in_chunk = chunk
-            out_chunk = out
-        for counter in in_counters:
-            counter.update(in_chunk)
-        for counter in out_counters:
-            counter.update(out_chunk)
+            skip = chunk.size if entry_pos is None else max(entry_pos - pos, 0)
+        pos += chunk.size
+        chunk, path = chunk[skip:], path[skip:]
+        out = _selected(keep, path, chunk)
+        for counter in fed_in:
+            counter.update(chunk)
+        for counter in fed_out:
+            counter.update(out)
 
-    def reports(counters) -> dict:
-        return {
-            k: FrequencyReport(
-                alphabet=alpha, mode=config.mode, k=k, n=counters[0].n,
-                counts=counters[0].marginal(k) if sliding else counters[lengths.index(k)].counts,
-            )
-            for k in config.ks
-        }
-
-    input_reports = reports(in_counters)
-    output_reports = reports(out_counters)
+    input_reports = _block_reports(alpha, ins)
+    output_reports = _block_reports(alpha, outs)
     gaps = {
         k: (input_reports[k].max_gap(t), output_reports[k].max_gap(t))
         for k, t in block_measure_ladder(target, config.ks)
@@ -182,7 +164,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     input_disc = {k: gaps[k][0] for k in config.ks}
     output_disc = {k: gaps[k][1] for k in config.ks}
 
-    pairs = out_counters[0].marginal(2) if sliding else out_counters[-1].counts
+    pairs = watch.marginal(2)
     forbidden = {}
     for a, b in sorted(support_forbidden_blocks(target)):
         forbidden[(a, b)] = int(pairs[alpha.index(a) * na + alpha.index(b)])
@@ -190,7 +172,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=config,
         input_length=pos,
-        output_length=out_counters[0].n,
+        output_length=watch.n,
         input_discrepancies=input_disc,
         output_discrepancies=output_disc,
         output_reports=output_reports,

@@ -110,7 +110,10 @@ def parse_automaton_text(text: str) -> Automaton:
     return _parse_machine_text(text, "automaton")
 
 
-def _parse_rows_text(text: str, want_pi: bool):
+def _parse_rows_text(text: str, want_pi: bool | None):
+    """(alphabet, pi, matrix) of a measure or matrix text: ``want_pi`` True
+    needs a pi line, False refuses one and None takes either (pi None
+    without one)."""
     alphabet = None
     pi = None
     rows = []
@@ -124,7 +127,7 @@ def _parse_rows_text(text: str, want_pi: bool):
             except ValidationError as exc:
                 raise ParseError(number, str(exc)) from None
         elif key == "pi":
-            if not want_pi:
+            if want_pi is False:
                 raise ParseError(number, "pi line not allowed in a matrix file")
             if pi is not None:
                 raise ParseError(number, "duplicate pi line")
@@ -142,11 +145,10 @@ def _parse_rows_text(text: str, want_pi: bool):
         if len(row) != size:
             raise ParseError(number, f"row needs {size} entries, found {len(row)}")
     matrix = np.array([row for _n, row in rows], dtype=float)
-    if want_pi:
-        if pi is None:
-            raise ParseError(0, "missing pi line")
-        if len(pi) != size:
-            raise ParseError(0, f"pi needs {size} entries, found {len(pi)}")
+    if pi is None and want_pi:
+        raise ParseError(0, "missing pi line")
+    if pi is not None and len(pi) != size:
+        raise ParseError(0, f"pi needs {size} entries, found {len(pi)}")
     return alphabet, pi, matrix
 
 
@@ -160,11 +162,21 @@ def _floats(number, tokens):
     return out
 
 
+def _measure(alphabet: Alphabet, pi, matrix) -> MarkovMeasure:
+    return MarkovMeasure(Distribution(alphabet, np.array(pi)), StochasticMatrix(alphabet, matrix))
+
+
 def parse_measure_text(text: str) -> MarkovMeasure:
-    alphabet, pi, matrix = _parse_rows_text(text, want_pi=True)
-    return MarkovMeasure(
-        Distribution(alphabet, np.array(pi)), StochasticMatrix(alphabet, matrix)
-    )
+    return _measure(*_parse_rows_text(text, want_pi=True))
+
+
+def _transition_text(text: str) -> StochasticMatrix:
+    """The P of a measure text, its pi validated, or a matrix text as a
+    stochastic matrix: one parse, with the pi line optional."""
+    alphabet, pi, matrix = _parse_rows_text(text, want_pi=None)
+    if pi is None:
+        return StochasticMatrix(alphabet, matrix)
+    return _measure(alphabet, pi, matrix).P
 
 
 def parse_matrix_text(text: str) -> SftSpec:

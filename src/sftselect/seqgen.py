@@ -23,6 +23,10 @@ counts the breaks <= u, by one comparison per break over a whole slice
 states are the symbols plus a start state whose row is pi.  The walk
 composes blocks of k letters (k = 5 for the golden-mean Parry measure)
 in groups, so sampling costs a few vectorized passes per letter.
+
+The :class:`BlockCounter` that serves each of a set of block lengths is
+chosen in one place, :func:`_block_counters`, for ``freq`` and experiments:
+one sliding counter serves every length, aligned mode one per length.
 """
 
 from __future__ import annotations
@@ -241,15 +245,16 @@ class BlockCounter:
         self._carry = seq[codes.size * step :].copy()
 
     def marginal(self, k: int) -> np.ndarray:
-        """Sliding counts of the length-k windows, 1 <= k <= self.k.  Each
+        """Counts of the length-k blocks: the counter's own for k = self.k,
+        and for a sliding counter those of every 1 <= k < self.k.  Each
         k-window is the prefix of one counted window, or starts too late for
         that and lies in the carry, the last min(n, self.k - 1) symbols."""
+        if k == self.k:  # the carry is shorter than a window; no copy
+            return self.counts
         if self.mode != SLIDING:
             raise ValidationError("aligned blocks of different lengths do not nest")
         if not 1 <= k <= self.k:
             raise BlockLengthOutOfRange(f"block length {k} is outside 1..{self.k}")
-        if k == self.k:  # the carry is shorter than a window; no copy
-            return self.counts
         tail = BlockCounter(self.base, k)
         tail.update(self._carry)
         return self.counts.reshape(self.base**k, -1).sum(axis=1) + tail.counts
@@ -311,9 +316,26 @@ def block_frequencies(alphabet, x, k: int, mode: str = SLIDING) -> FrequencyRepo
     return block_frequency_reports(alphabet, x, [k], mode)[k]
 
 
+def _block_counters(base: int, ks, mode: str, least: int = 1) -> dict:
+    """The counter that serves each length of ``ks``: one sliding counter at
+    max(ks + [least]) serves them all by its marginals, so feed each distinct
+    counter once; aligned blocks do not nest, so each length has its own."""
+    if mode == SLIDING:
+        return dict.fromkeys(ks, BlockCounter(base, max(*ks, least)))
+    return {k: BlockCounter(base, k, mode) for k in ks}
+
+
+def _block_reports(alphabet: Alphabet, counters: dict) -> dict:
+    """The FrequencyReport of each length from :func:`_block_counters`."""
+    return {
+        k: FrequencyReport(alphabet=alphabet, mode=c.mode, k=k, n=c.n, counts=c.marginal(k))
+        for k, c in counters.items()
+    }
+
+
 def block_frequency_reports(alphabet, x, ks, mode: str = SLIDING) -> dict:
     """FrequencyReports for the nonempty block lengths ``ks``, by ascending
-    k.  SLIDING counts every length with one counter at max(ks)."""
+    k, from the counters of :func:`_block_counters`."""
     alphabet = Alphabet(alphabet)
     idx = x if isinstance(x, np.ndarray) else alphabet.encode(x)
     ks = sorted(set(ks))
@@ -323,17 +345,10 @@ def block_frequency_reports(alphabet, x, ks, mode: str = SLIDING) -> dict:
         raise BlockLengthOutOfRange(
             f"block length {ks[-1]} exceeds the sequence length {idx.size}"
         )
-    sliding = mode == SLIDING
-    counters = {k: BlockCounter(len(alphabet), k, mode) for k in (ks[-1:] if sliding else ks)}
-    for counter in counters.values():
+    counters = _block_counters(len(alphabet), ks, mode)
+    for counter in dict.fromkeys(counters.values()):
         counter.update(idx)
-    return {
-        k: FrequencyReport(
-            alphabet=alphabet, mode=mode, k=k, n=idx.size,
-            counts=counters[ks[-1]].marginal(k) if sliding else counters[k].counts,
-        )
-        for k in ks
-    }
+    return _block_reports(alphabet, counters)
 
 
 def discrepancy(report: FrequencyReport, mu: MarkovMeasure) -> float:

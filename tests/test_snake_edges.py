@@ -288,10 +288,12 @@ class TestEdgeGate:
             _check_stationary(chain, np.array([0.0, 0.5, 0.5]))
 
 
-def test_multichar_labels_are_still_refused(tmp_path, capsys):
+def test_multichar_labels_are_dotted(tmp_path, capsys):
+    """Words over multi-character symbols are spelled with ``.`` between
+    symbols, so a snake state name is one token and not ``s*ab ab``."""
     path = tmp_path / "multi.aut"
     path.write_text("alphabet ab cd\nstates s\ninitial s\ntrans s ab s\ntrans s cd s\n")
-    assert main(["snake", "--automaton", str(path), "-n", "2"]) == 1
-    assert capsys.readouterr().err == "error: invalid symbol token 's*ab ab'\n"
+    assert main(["snake", "--automaton", str(path), "-n", "2"]) == 0
+    assert capsys.readouterr().out.startswith("alphabet s*ab.ab s*ab.cd s*cd.ab s*cd.cd\n")
     assert main(["snake", "--automaton", str(path), "-n", "1"]) == 0
     assert capsys.readouterr().out.startswith("alphabet s*ab s*cd\npi 0.5 0.5\n")
