@@ -39,17 +39,11 @@ class Alphabet:
         self._index = {s: i for i, s in enumerate(syms)}
         self._single_char = all(len(s) == 1 for s in syms)
         # byte fast path only when every symbol fits in latin-1
+        self._byte_lut = self._byte_out = None
         if self._single_char and all(ord(s) < 256 for s in syms):
-            lut = np.full(256, -1, dtype=np.int64)
-            out = np.zeros(len(syms), dtype=np.uint8)
-            for i, s in enumerate(syms):
-                lut[ord(s)] = i
-                out[i] = ord(s)
-            self._byte_lut = lut
-            self._byte_out = out
-        else:
-            self._byte_lut = None
-            self._byte_out = None
+            self._byte_out = np.array([ord(s) for s in syms], dtype=np.uint8)
+            self._byte_lut = np.full(256, -1, dtype=np.int64)
+            self._byte_lut[self._byte_out] = np.arange(len(syms))
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -88,18 +82,24 @@ class Alphabet:
 
     def encode(self, word: Iterable[str]) -> np.ndarray:
         """Convert a word (iterable of tokens; a str iterates per character)
-        into an int64 index array."""
+        into an int64 index array; the first symbol outside the alphabet is
+        refused with its 1-based position in the word."""
         if isinstance(word, str) and self._byte_lut is not None:
             try:
                 raw = np.frombuffer(word.encode("latin-1"), dtype=np.uint8)
             except UnicodeEncodeError as exc:
-                raise UnknownSymbol(word[exc.start], self._symbols) from None
+                self.encode(word[: exc.start])  # an earlier foreign symbol comes first
+                raise UnknownSymbol(word[exc.start], self._symbols, exc.start + 1) from None
             idx = self._byte_lut[raw]
             bad = np.nonzero(idx < 0)[0]
             if bad.size:
-                raise UnknownSymbol(word[bad[0]], self._symbols)
+                raise UnknownSymbol(word[bad[0]], self._symbols, int(bad[0]) + 1)
             return idx
-        return np.array([self.index(s) for s in word], dtype=np.int64)
+        word = word if isinstance(word, (str, list, tuple)) else list(word)
+        try:
+            return np.array([self._index[s] for s in word], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownSymbol(exc.args[0], self._symbols, word.index(exc.args[0]) + 1) from None
 
     def decode(self, indices: Sequence[int]) -> tuple[str, ...]:
         return tuple(self._symbols[i] for i in indices)
@@ -134,6 +134,4 @@ def word_token(word: Iterable[str], single_char: bool) -> str:
 
 def as_word(word: Iterable[str]) -> tuple[str, ...]:
     """Normalize any token iterable (including a plain str) to a tuple."""
-    if isinstance(word, tuple):
-        return word
     return tuple(word)

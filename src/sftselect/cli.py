@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .alphabet import Alphabet, word_token
 from .chains import compatible_chain, snake_distribution, uniform_chain
-from .compat import check_automaton_compatibility, check_selector_compatibility
+from .compat import _check
 from .errors import CapExceeded, NotCompatible, SftSelectError, ValidationError
 from .experiment import ExperimentConfig, _write_block_rows, run_experiment, write_experiment_csv
 from .formats import (
@@ -29,7 +29,7 @@ from .formats import (
     serialize_sparse_measure,
     write_symbol_text,
 )
-from .machines import SelectionCursor, Selector, snake_state_label
+from .machines import SelectionCursor, snake_state_label
 from .measures import block_measure_ladder, parry_measure, stationary_distribution, uniform_measure
 from .oracles import equirun_scan, lemma_check
 from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate
@@ -131,10 +131,7 @@ def _load_machine(args):
 def _compatibility(machine, mu):
     """The compatibility result of a selector or an automaton for ``mu``,
     its violations printed to stdout."""
-    if isinstance(machine, Selector):
-        result = check_selector_compatibility(machine, mu)
-    else:
-        result = check_automaton_compatibility(machine, mu)
+    result = _check(machine, mu, None)
     for violation in result.violations:
         print(violation)
     return result

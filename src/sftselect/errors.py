@@ -14,9 +14,11 @@ class DomainError(SftSelectError):
 
 
 class UnknownSymbol(SftSelectError):
-    def __init__(self, symbol, alphabet):
-        super().__init__(f"symbol {symbol!r} is not in alphabet {list(alphabet)}")
+    def __init__(self, symbol, alphabet, position=None):
+        at = f" at position {position}" if position is not None else ""
+        super().__init__(f"symbol {symbol!r} is not in alphabet {list(alphabet)}{at}")
         self.symbol = symbol
+        self.position = position
 
 
 class UndefinedTransition(DomainError):
@@ -111,7 +113,9 @@ class BlockLengthOutOfRange(SftSelectError):
 
 
 class ParseError(SftSelectError):
+    """A refused text; ``line`` is None for an error of the whole file."""
+
     def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
         self.message = message

@@ -13,8 +13,14 @@ Machine files::
 
 Measure files hold ``alphabet``, one ``pi`` line, and one ``row`` line per
 symbol in alphabet order; matrix files are the same without ``pi``.  Values
-are decimal doubles.  A duplicate (source, symbol) transition is a parse
-error, and the token ``eps`` is reserved for the empty word.
+are decimal doubles, and the token ``eps`` is reserved for the empty word.
+
+One reader, :func:`_read`, groups a file's lines by keyword and checks
+each line as it reads it.  A refusal of a line names it (``ParseError.line``):
+a machine's ``trans`` lines are fed to its constructor, and its
+``iota``/``eta`` lines declared, one at a time, so the machine's own checks
+name the line they were reading.  An error of the whole file (a missing
+line, the wrong number of ``row`` lines) has ``line`` None.
 """
 
 from __future__ import annotations
@@ -29,76 +35,75 @@ from .errors import ParseError, UnknownSymbol, ValidationError
 from .machines import Automaton, Selector
 from .measures import Distribution, MarkovMeasure, SftSpec, StochasticMatrix
 
+#: The keywords a file holds at most once.
+_ONCE = ("alphabet", "states", "initial", "pi")
 
-def _lines(text: str):
+
+def _read(text: str, checks: dict) -> dict:
+    """Each keyword of ``checks`` -> its lines in file order, as (line
+    number, ``checks[key](fields)``) of the fields after the keyword;
+    comments and blank lines are skipped.  The first bad line in the file
+    is the one refused, a check's ValidationError naming it."""
+    found: dict = {key: [] for key in checks}
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line.split()
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        key = fields[0]
+        if key not in found:
+            raise ParseError(number, f"unknown keyword {key!r}")
+        if key in _ONCE and found[key]:
+            raise ParseError(number, f"duplicate {key} line")
+        try:
+            found[key].append((number, checks[key](fields[1:])))
+        except ValidationError as exc:
+            raise ParseError(number, str(exc)) from None
+    return found
+
+
+def _require(found: dict, *keys) -> list:
+    """The (line number, value) of the one line of each of ``keys``."""
+    for key in keys:
+        if not found[key]:
+            raise ParseError(None, f"missing {key} line")
+    return [found[key][0] for key in keys]
+
+
+def _need(ok: bool, fields: list, message: str) -> list:
+    """A line's ``fields`` if ``ok``, else its refusal with ``message``."""
+    if not ok:
+        raise ValidationError(message)
+    return fields
 
 
 def _parse_machine_text(text: str, kind: str):
-    alphabet = None
-    states = None
-    initial = None
-    iota: dict = {}
-    eta: dict = {}
-    transitions = []
-    seen_edges = set()
-    for number, fields in _lines(text):
-        key, args = fields[0], fields[1:]
-        if key == "alphabet":
-            if alphabet is not None:
-                raise ParseError(number, "duplicate alphabet line")
-            try:
-                alphabet = Alphabet(args)
-            except ValidationError as exc:
-                raise ParseError(number, str(exc)) from None
-        elif key == "states":
-            if states is not None:
-                raise ParseError(number, "duplicate states line")
-            if len(set(args)) != len(args) or not args:
-                raise ParseError(number, "states must be nonempty and distinct")
-            states = list(args)
-        elif key == "initial":
-            if initial is not None:
-                raise ParseError(number, "duplicate initial line")
-            if len(args) != 1:
-                raise ParseError(number, "initial takes exactly one state")
-            initial = args[0]
-        elif key in ("iota", "eta"):
-            if len(args) != 2:
-                raise ParseError(number, f"{key} takes a state and a symbol")
-            store = iota if key == "iota" else eta
-            if args[0] in store:
-                raise ParseError(number, f"duplicate {key} declaration for {args[0]}")
-            store[args[0]] = args[1]
-        elif key == "trans":
-            expected = 4 if kind == "selector" else 3
-            if len(args) != expected:
-                raise ParseError(
-                    number,
-                    f"trans takes {expected} fields for a {kind} "
-                    f"(src symbol {'keep|drop ' if kind == 'selector' else ''}dst)",
-                )
-            if kind == "selector" and args[2] not in ("keep", "drop"):
-                raise ParseError(number, f"action must be keep or drop, got {args[2]!r}")
-            edge = tuple(args[:2])
-            if edge in seen_edges:
-                raise ParseError(number, f"duplicate transition from {args[0]} on {args[1]}")
-            seen_edges.add(edge)
-            transitions.append(tuple(args))
-        else:
-            raise ParseError(number, f"unknown keyword {key!r}")
-    for name, value in (("alphabet", alphabet), ("states", states), ("initial", initial)):
-        if value is None:
-            raise ParseError(0, f"missing {name} line")
-    cls = Selector if kind == "selector" else Automaton
+    width = 4 if kind == "selector" else 3
+    action = "keep|drop " if width == 4 else ""
+    usage = f"trans takes {width} fields for a {kind} (src symbol {action}dst)"
+    found = _read(text, {
+        "alphabet": Alphabet,
+        "states": lambda f: _need(0 < len(f) == len(set(f)), f, "states must be nonempty and distinct"),
+        "initial": lambda f: _need(len(f) == 1, f, "initial takes exactly one state"),
+        "iota": lambda f: _need(len(f) == 2, f, "iota takes a state and a symbol"),
+        "eta": lambda f: _need(len(f) == 2, f, "eta takes a state and a symbol"),
+        "trans": lambda f: _need(len(f) == width, f, usage),
+    })
+    (_, alphabet), (_, states), (at, (initial,)) = _require(found, "alphabet", "states", "initial")
+
+    def transitions():
+        nonlocal at  # the line the machine is reading, named by its refusals
+        for at, step in found["trans"]:
+            yield step
+
     try:
-        machine = cls(alphabet, states, initial, transitions)
-        machine.declare_labels(last_read=iota, last_selected=eta)
+        machine = (Selector if width == 4 else Automaton)(alphabet, states, initial, transitions())
+        for key, labels in (("iota", "last_read"), ("eta", "last_selected")):
+            for at, (state, symbol) in found[key]:
+                if state in getattr(machine, "_declared_" + labels):  # read, not copied
+                    raise ParseError(at, f"duplicate {key} declaration for {state}")
+                machine.declare_labels(**{labels: {state: symbol}})
     except (ValidationError, UnknownSymbol) as exc:
-        raise ParseError(0, str(exc)) from None
+        raise ParseError(at, str(exc)) from None
     return machine
 
 
@@ -110,77 +115,55 @@ def parse_automaton_text(text: str) -> Automaton:
     return _parse_machine_text(text, "automaton")
 
 
-def _parse_rows_text(text: str, want_pi: bool | None):
-    """(alphabet, pi, matrix) of a measure or matrix text: ``want_pi`` True
-    needs a pi line, False refuses one and None takes either (pi None
-    without one)."""
-    alphabet = None
-    pi = None
-    rows = []
-    for number, fields in _lines(text):
-        key, args = fields[0], fields[1:]
-        if key == "alphabet":
-            if alphabet is not None:
-                raise ParseError(number, "duplicate alphabet line")
-            try:
-                alphabet = Alphabet(args)
-            except ValidationError as exc:
-                raise ParseError(number, str(exc)) from None
-        elif key == "pi":
-            if want_pi is False:
-                raise ParseError(number, "pi line not allowed in a matrix file")
-            if pi is not None:
-                raise ParseError(number, "duplicate pi line")
-            pi = _floats(number, args)
-        elif key == "row":
-            rows.append((number, _floats(number, args)))
-        else:
-            raise ParseError(number, f"unknown keyword {key!r}")
-    if alphabet is None:
-        raise ParseError(0, "missing alphabet line")
-    size = len(alphabet)
-    if len(rows) != size:
-        raise ParseError(0, f"expected {size} row lines, found {len(rows)}")
-    for number, row in rows:
-        if len(row) != size:
-            raise ParseError(number, f"row needs {size} entries, found {len(row)}")
-    matrix = np.array([row for _n, row in rows], dtype=float)
-    if pi is None and want_pi:
-        raise ParseError(0, "missing pi line")
-    if pi is not None and len(pi) != size:
-        raise ParseError(0, f"pi needs {size} entries, found {len(pi)}")
-    return alphabet, pi, matrix
-
-
-def _floats(number, tokens):
+def _floats(tokens: list) -> list:
     out = []
     for tok in tokens:
         try:
             out.append(float(tok))
         except ValueError:
-            raise ParseError(number, f"not a decimal number: {tok!r}") from None
+            raise ValidationError(f"not a decimal number: {tok!r}") from None
     return out
 
 
+def _sized(key: str, number: int, values: list, size: int) -> list:
+    if len(values) != size:
+        raise ParseError(number, f"{key} needs {size} entries, found {len(values)}")
+    return values
+
+
+def _parse_rows_text(text: str, pi_check=_floats):
+    """(alphabet, pi, matrix) of a measure or matrix text, ``pi`` the
+    (line number, values) of its ``pi`` line or None without one;
+    ``pi_check`` reads that line (a matrix file's refuses it)."""
+    found = _read(text, {"alphabet": Alphabet, "pi": pi_check, "row": _floats})
+    ((_, alphabet),) = _require(found, "alphabet")
+    size, rows = len(alphabet), found["row"]
+    if len(rows) != size:
+        raise ParseError(None, f"expected {size} row lines, found {len(rows)}")
+    matrix = np.array([_sized("row", number, row, size) for number, row in rows], dtype=float)
+    return alphabet, (found["pi"] or [None])[0], matrix
+
+
 def _measure(alphabet: Alphabet, pi, matrix) -> MarkovMeasure:
-    return MarkovMeasure(Distribution(alphabet, np.array(pi)), StochasticMatrix(alphabet, matrix))
+    if pi is None:
+        raise ParseError(None, "missing pi line")
+    weights = np.array(_sized("pi", *pi, len(alphabet)))
+    return MarkovMeasure(Distribution(alphabet, weights), StochasticMatrix(alphabet, matrix))
 
 
 def parse_measure_text(text: str) -> MarkovMeasure:
-    return _measure(*_parse_rows_text(text, want_pi=True))
+    return _measure(*_parse_rows_text(text))
 
 
 def _transition_text(text: str) -> StochasticMatrix:
-    """The P of a measure text, its pi validated, or a matrix text as a
-    stochastic matrix: one parse, with the pi line optional."""
-    alphabet, pi, matrix = _parse_rows_text(text, want_pi=None)
-    if pi is None:
-        return StochasticMatrix(alphabet, matrix)
-    return _measure(alphabet, pi, matrix).P
+    """The P of a measure text (its pi validated) or of a matrix text."""
+    alphabet, pi, matrix = _parse_rows_text(text)
+    return StochasticMatrix(alphabet, matrix) if pi is None else _measure(alphabet, pi, matrix).P
 
 
 def parse_matrix_text(text: str) -> SftSpec:
-    alphabet, _pi, matrix = _parse_rows_text(text, want_pi=False)
+    refusal = "pi line not allowed in a matrix file"
+    alphabet, _pi, matrix = _parse_rows_text(text, lambda f: _need(False, f, refusal))
     return SftSpec(alphabet, matrix)
 
 
@@ -281,10 +264,10 @@ def machine_digest(machine) -> str:
 
 def read_symbol_text(alphabet: Alphabet, text: str) -> np.ndarray:
     """Parse raw sequence text: contiguous characters for single-character
-    alphabets (whitespace ignored), whitespace-separated tokens otherwise."""
+    alphabets (whitespace ignored), whitespace-separated tokens otherwise.
+    A symbol outside the alphabet is refused with its 1-based position."""
     if alphabet.single_char:
-        stripped = "".join(text.split())
-        return alphabet.encode(stripped)
+        return alphabet.encode("".join(text.split()))
     return alphabet.encode(text.split())
 
 

@@ -63,7 +63,6 @@ from .errors import (
     Incomplete,
     NotOblivious,
     UndefinedTransition,
-    UnknownSymbol,
     ValidationError,
 )
 
@@ -187,8 +186,7 @@ class _MachineBase:
         ):
             for state, symbol in (mapping or {}).items():
                 self.state_index(state)
-                if symbol not in self._alphabet:
-                    raise UnknownSymbol(symbol, self._alphabet.symbols)
+                self._alphabet.index(symbol)  # a foreign symbol raises UnknownSymbol
                 store[state] = symbol
         return self
 
@@ -212,8 +210,7 @@ class _MachineBase:
 
     def step(self, state, symbol, position=None):
         """The target of one transition, or (target, keeps) for a selector."""
-        if symbol not in self._alphabet:
-            raise UnknownSymbol(symbol, self._alphabet.symbols)
+        self._alphabet.index(symbol)  # a foreign symbol raises UnknownSymbol
         value = self.step_or_none(state, symbol) if state in self._state_index else None
         if value is None:
             raise UndefinedTransition(state, symbol, position)
@@ -562,8 +559,7 @@ class SelectionCursor:
         symbols.  A symbol outside the alphabet raises UnknownSymbol and is
         not consumed: ``position`` and ``state`` stay as they were."""
         sel = self._selector
-        if symbol not in sel.alphabet:
-            raise UnknownSymbol(symbol, sel.alphabet.symbols)
+        sel.alphabet.index(symbol)  # a foreign symbol raises UnknownSymbol
         self._position += 1
         state = sel.states[self._state_idx]
         target, keeps = sel.step(state, symbol, position=self._position)

@@ -32,7 +32,7 @@ import numpy as np
 from .alphabet import as_word
 from .compat import CompatibilityWitness, _step_weights
 from .errors import CapExceeded, NotCompatible, NotStronglyConnected, ValidationError
-from .machines import Automaton, Selector, _require_oblivious, scc_decomposition
+from .machines import COUNT_BUDGET_BYTES, Automaton, Selector, _require_oblivious, scc_decomposition
 from .measures import MarkovMeasure, conditional_word_measure
 
 DEFAULT_RUN_CAP = 1 << 20
@@ -144,12 +144,32 @@ def _steps(selector: Selector) -> list:
     return steps
 
 
+def _words_to(size: int, length: int) -> int:
+    """The number of words of length <= ``length`` over ``size`` letters,
+    counted at most to length 64 (past any budget) for two or more."""
+    return length + 1 if size == 1 else (size ** (min(length, 64) + 1) - 1) // (size - 1)
+
+
+def _check_size(length: int, words: int, keys: int, results: int, result_bytes: int):
+    """Refuse, before anything is built, a check whose word tuples, count-DP
+    keys and held results would pass ``COUNT_BUDGET_BYTES``, each counted
+    at its cost measured with tracemalloc: 40 + 8 * ``length`` bytes a
+    word, 176 + 8 * ``length`` a key (with its share of the prefix table)
+    and ``result_bytes`` a result, as its caller holds it."""
+    need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
+    if need > COUNT_BUDGET_BYTES:
+        raise ValidationError(
+            f"{results} checks would take {need} bytes, past the budget of {COUNT_BUDGET_BYTES} bytes"
+        )
+
+
 def _count_layers(selector: Selector, start, k: int, word: Optional[tuple] = None) -> Iterator[dict]:
     """Yield, for n = 0, 1, 2, ..., the number of length-n runs from
     ``start`` per (state index, output truncated to k).
 
     Counts are exact integers and runs with the same key are merged, so
-    each step costs O(|Q| * #A**k * #A).  Given ``word`` (with k = |word|),
+    each step costs O(|Q| * #A**k * #A) and a layer holds at most
+    |Q| * (#A**0 + ... + #A**k) keys.  Given ``word`` (with k = |word|),
     runs whose output stops being a prefix of it are dropped on the way,
     which leaves O(|Q| * k) keys."""
     steps = _steps(selector)
@@ -338,15 +358,22 @@ def lemma_check(
     n = 0..n_max and word w with |w| <= min(n, w_max), in that order.
 
     All checks from one state read one table, built once.  Only the
-    measure walk is capped at ``cap`` nominal runs (#A**n_max).
+    measure walk is capped at ``cap`` nominal runs (#A**n_max).  Against
+    the budget of :func:`_check_size`, a result costs the line the CLI
+    holds, 288 + n_max bytes (a count's digits grow with n).
     """
     if n_max < 0 or w_max < 0:
         raise ValidationError(f"n_max {n_max} and w_max {w_max} must be >= 0")
     _require_oblivious(selector)
     rows = _weights(selector, mu, witness, n_max, cap)
+    size, nq, m = len(selector.alphabet), len(selector.states), min(n_max, w_max)
+    top = _words_to(size, m)
+    # one result per word of length <= min(n, w_max) for each n <= n_max:
+    # the sum over n <= m in closed form, then top for each n > m
+    below = (size * top - m - 1) // (size - 1) if size > 1 else (m + 1) * (m + 2) // 2
+    _check_size(m, top, nq * top, nq * (below + (n_max - m) * top), 288 + n_max)
     zero = 0 if mu is None else 0.0
-    alpha = selector.alphabet
-    words = [tuple(alpha.words(length)) for length in range(min(n_max, w_max) + 1)]
+    words = [tuple(selector.alphabet.words(length)) for length in range(m + 1)]
     for p in selector.states:
         for n, table in enumerate(_tables(selector, p, n_max, w_max, rows)):
             for length in range(min(n, w_max) + 1):
@@ -387,8 +414,10 @@ def equirun_scan(
     witness) bounds the conditional run measure by the conditional measure
     of w after the last-selected label of p.  Only Markov mode walks runs,
     and only it is capped at ``cap`` nominal runs (#A**n).  An ``n_max``
-    below k leaves nothing to scan and raises ValidationError, as do k < 1
-    and an epsilon that is negative or NaN.
+    below k leaves nothing to scan and raises ValidationError, as do k < 1,
+    an epsilon that is negative or NaN, and a scan past the budget of
+    :func:`_check_size`: each state keeps its count DP, and a result costs
+    640 + n_max bytes with the previous length's and its printed line.
     """
     if k < 1 or not epsilon >= 0:
         raise ValidationError(f"equirun scan needs k >= 1 and epsilon >= 0, got {k} and {epsilon}")
@@ -397,8 +426,9 @@ def equirun_scan(
     _require_oblivious(selector)
     if not scc_decomposition(selector).strongly_connected:
         raise NotStronglyConnected("equirun scan expects a strongly connected selector")
-    if mu is not None and (witness is None or witness.last_selected is None):
-        raise NotCompatible(["equirun scan in Markov mode needs a selector witness"])
+    size, nq = len(selector.alphabet), len(selector.states)
+    blocks = size ** min(k, 64)
+    _check_size(k, blocks, nq * nq * _words_to(size, k), nq * blocks, 640 + n_max)
     words = list(selector.alphabet.words(k))
     zero = 0 if mu is None else 0.0
     # the count DP grows one layer per n, so each state keeps its own; the

@@ -177,10 +177,7 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
-    pieces = list(generate_chunks(spec))
-    if not pieces:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(pieces)
+    return np.concatenate([np.zeros(0, dtype=np.int64), *generate_chunks(spec)])
 
 
 def generate_chunks(spec: GeneratorSpec, chunk: int = 1 << 16) -> Iterable[np.ndarray]:
@@ -303,12 +300,6 @@ class FrequencyReport:
     def frequency_of(self, word) -> float:
         w = self.windows
         return self.count_of(word) / w if w else 0.0
-
-    def items(self):
-        """(word, count, frequency) for every block, lexicographic order."""
-        freqs = self.frequencies
-        for code, word in enumerate(self.alphabet.words(self.k)):
-            yield word, int(self.counts[code]), float(freqs[code])
 
 
 def block_frequencies(alphabet, x, k: int, mode: str = SLIDING) -> FrequencyReport:

@@ -81,6 +81,8 @@ class TestCompatibleChain:
         sums = chain.matrix.sum(axis=1)
         assert sums[pruned.state_index("101")] < 1.0 - 1e-9
         assert chain.stationary is None
+        with pytest.raises(ss.NotIrreducible, match="no canonical stationary distribution"):
+            chain.require_stationary()
 
 
 class TestSnakeDistribution:

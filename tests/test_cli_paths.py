@@ -83,7 +83,7 @@ class TestStationary:
     def test_measure_missing_a_row_names_the_row_count(self, tmp_path, capsys):
         bad = _write(tmp_path, "short.msr", "alphabet 0 1\npi 0.5 0.5\nrow 0.5 0.5\n")
         assert main(["stationary", bad]) == 1
-        assert capsys.readouterr().err == "error: line 0: expected 2 row lines, found 1\n"
+        assert capsys.readouterr().err == "error: expected 2 row lines, found 1\n"
 
     def test_measure_pi_is_still_validated(self, tmp_path, capsys):
         bad = _write(tmp_path, "pi.msr", "alphabet 0 1\npi 0.9 0.1\nrow 0.5 0.5\nrow 0.5 0.5\n")

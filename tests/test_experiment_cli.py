@@ -58,6 +58,21 @@ class TestRunExperiment:
     def test_short_input_rejected(self, after_ones, uniform2):
         with pytest.raises(ss.ValidationError):
             make_config(after_ones, None, uniform2, n=100)
+        for kw, message in (
+            ({"ks": (0, 1)}, "block lengths must be >= 1"),
+            ({"mode": "diagonal"}, "unknown counting mode 'diagonal'"),
+        ):
+            with pytest.raises(ss.ValidationError, match=message):
+                make_config(after_ones, None, uniform2, **kw)
+        # a compatible measure over the same symbols in another order
+        golden, flipped = fx.golden_parry_measure(), ss.Alphabet(["1", "0"])
+        mu = ss.MarkovMeasure(
+            ss.Distribution(flipped, golden.pi.weights[::-1]),
+            ss.StochasticMatrix(flipped, golden.P.entries[::-1, ::-1]),
+        )
+        config = make_config(fx.even_positions_selector(), mu, golden, n=1000)
+        with pytest.raises(ss.ValidationError, match="target measure and selector use different alphabets"):
+            ss.run_experiment(config)
 
     def test_after_recurrent_restarts_counting(self, uniform2, binary):
         # selector with a transient head state that drops everything
@@ -240,6 +255,10 @@ class TestCliExitCodes:
         )
         assert code == 0
         assert out.read_text() == "10\n"
+        # without --in the sequence is read from stdin
+        with mock.patch("sys.stdin", io.StringIO("01101\n")):
+            assert main(["select", "--selector", str(fx.data_path("after_ones.sel"))]) == 0
+        assert capsys.readouterr().out == "10\n"
 
     @staticmethod
     def _write(tmp_path, name, text):
@@ -381,6 +400,10 @@ class TestCliExitCodes:
     def test_gen_sample_needs_measure(self, capsys):
         assert main(["gen", "--kind", "sample", "--n", "100"]) == 1
         assert "needs --measure" in capsys.readouterr().err
+        golden, path = fx.golden_parry_measure(), str(fx.data_path("golden_parry.msr"))
+        assert main(["gen", "--kind", "sample", "--measure", path, "--n", "100", "--seed", "7"]) == 0
+        expected = write_symbol_text(golden.alphabet, ss.sample_markov(golden, 7, 100))
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_snake_uniform(self, capsys):
         code = main(

@@ -169,6 +169,85 @@ class TestSequenceText:
         with pytest.raises(ss.UnknownSymbol):
             read_symbol_text(binary, "01021")
 
+    @pytest.mark.parametrize(
+        "symbols, text, symbol, position",
+        [
+            (["0", "1"], "01021", "2", 4),  # byte path
+            (["0", "1"], "01 1\n0x2", "x", 5),  # whitespace is not a symbol
+            (["0", "1"], "01x\u20ac", "x", 3),  # before a non-latin-1 character
+            (["0", "1"], "011\u20acx", "\u20ac", 4),
+            (["\u03b1", "\u03b2"], "\u03b1\u03b2\u03b3", "\u03b3", 3),  # characters, no byte table
+            (["lo", "hi"], "lo hi\nhi  mid lo", "mid", 4),  # tokens
+        ],
+    )
+    def test_unknown_symbol_names_its_position(self, symbols, text, symbol, position):
+        with pytest.raises(ss.UnknownSymbol) as err:
+            read_symbol_text(ss.Alphabet(symbols), text)
+        assert (err.value.symbol, err.value.position) == (symbol, position)
+        assert str(err.value) == f"symbol {symbol!r} is not in alphabet {symbols} at position {position}"
+
+
+M = "alphabet 0 1\nstates a b\ninitial a\n"  # a machine's first three lines
+R = "alphabet 0 1\npi 0.5 0.5\nrow 0.5 0.5\nrow 0.5 0.5\n"  # a measure
+
+
+#: (parser, text, ParseError.line, message) of every refusal of a file:
+#: a line refused names it, an error of the whole file names no line.
+REFUSALS = [
+    (parse_selector_text, M + "trans a 0 keep a\nfoo bar\n", 5, "unknown keyword 'foo'"),
+    (parse_selector_text, M + "alphabet 0 1\n", 4, "duplicate alphabet line"),
+    (parse_selector_text, M + "states a\n", 4, "duplicate states line"),
+    (parse_selector_text, M + "initial b\n", 4, "duplicate initial line"),
+    (parse_selector_text, "alphabet eps 1\n", 1, "'eps' is reserved for the empty word"),
+    (parse_selector_text, "alphabet 0 0\n", 1, "alphabet symbols are not pairwise distinct: ('0', '0')"),
+    (parse_selector_text, "states a b a\n", 1, "states must be nonempty and distinct"),
+    (parse_selector_text, "alphabet 0\nstates\n", 2, "states must be nonempty and distinct"),
+    (parse_selector_text, "initial a b\n", 1, "initial takes exactly one state"),
+    (parse_selector_text, M + "iota a\n", 4, "iota takes a state and a symbol"),
+    (parse_selector_text, M + "eta a 0 1\n", 4, "eta takes a state and a symbol"),
+    (parse_selector_text, M + "trans a 0 a\n", 4,
+     "trans takes 4 fields for a selector (src symbol keep|drop dst)"),
+    (parse_automaton_text, M + "trans a 0 keep a\n", 4, "trans takes 3 fields for a automaton (src symbol dst)"),
+    (parse_selector_text, M + "iota a 0\niota b 1\niota a 1\n", 6, "duplicate iota declaration for a"),
+    (parse_selector_text, M + "eta b 0\neta b 0\n", 5, "duplicate eta declaration for b"),
+    # the machine's own checks, at the line they were reading
+    (parse_selector_text, M + "trans a 0 keep a\ntrans a 0 drop b\n", 5,
+     "duplicate transition from 'a' on '0'"),
+    (parse_selector_text, M + "trans a 0 keep a\ntrans a 1 copy a\n", 5, "invalid action 'copy'"),
+    (parse_selector_text, M + "trans a 0 keep a\n\ntrans b 1 drop c\n", 6, "unknown target state 'c'"),
+    (parse_automaton_text, M + "trans c 1 a\n", 4, "unknown state 'c'"),
+    (parse_automaton_text, M + "# comment\ntrans a 2 a\n", 5, "symbol '2' is not in alphabet ['0', '1']"),
+    (parse_selector_text, "initial c\n" + M.replace("initial a\n", ""), 1,
+     "initial state 'c' is not a declared state"),
+    (parse_selector_text, M + "trans a 0 keep a\niota c 0\n", 5, "unknown state 'c'"),
+    (parse_selector_text, M + "iota a 0\neta b 2\n", 5, "symbol '2' is not in alphabet ['0', '1']"),
+    # errors of the whole file
+    (parse_selector_text, "states a\ninitial a\n", None, "missing alphabet line"),
+    (parse_selector_text, "alphabet 0\ninitial a\n", None, "missing states line"),
+    (parse_automaton_text, "alphabet 0\nstates a\n", None, "missing initial line"),
+    (parse_measure_text, "pi 1.0\nrow 1.0\n", None, "missing alphabet line"),
+    (parse_measure_text, "alphabet 0\nrow 1.0\n", None, "missing pi line"),
+    (parse_matrix_text, "alphabet 0 1\nrow 1 1\n", None, "expected 2 row lines, found 1"),
+    (parse_measure_text, R + "row 0.5 0.5\n", None, "expected 2 row lines, found 3"),
+    # measure and matrix lines
+    (parse_measure_text, R + "rho 1\n", 5, "unknown keyword 'rho'"),
+    (parse_measure_text, R + "alphabet 0 1\n", 5, "duplicate alphabet line"),
+    (parse_measure_text, R + "pi 0.5 0.5\n", 5, "duplicate pi line"),
+    (parse_measure_text, R.replace("pi 0.5 0.5", "pi 0.5 0.5 0"), 2, "pi needs 2 entries, found 3"),
+    (parse_measure_text, R.replace("row 0.5 0.5\nrow", "row 0.5\nrow"), 3, "row needs 2 entries, found 1"),
+    (parse_measure_text, R.replace("pi 0.5", "pi x"), 2, "not a decimal number: 'x'"),
+    (parse_matrix_text, "alphabet 0\nrow 1\n\npi 1\n", 4, "pi line not allowed in a matrix file"),
+    (parse_matrix_text, "alphabet 0\nrow x\n", 2, "not a decimal number: 'x'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line, message", REFUSALS)
+def test_every_refusal_names_its_line(parse, text, line, message):
+    with pytest.raises(ss.ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.message) == (line, message)
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
 
 def _old_serialize_measure(mu) -> str:
     """The writer before zero cells skipped ``repr``: every entry formatted."""

@@ -299,6 +299,10 @@ class TestValidationAndTrim:
     def test_duplicate_transition_rejected(self):
         with pytest.raises(ss.ValidationError):
             ss.Automaton(["0"], ["a"], "a", [("a", "0", "a"), ("a", "0", "a")])
+        with pytest.raises(ss.ValidationError, match="duplicate state identifiers"):
+            ss.Automaton(["0"], ["a", "a"], "a", [])
+        with pytest.raises(ss.ValidationError, match="machine needs at least one state"):
+            ss.Selector(["0"], [], "a", [])
 
     def test_check_trim(self, even_positions):
         ok, bad = even_positions.check_trim()

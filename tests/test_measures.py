@@ -153,6 +153,8 @@ class TestBernoulli:
     def test_not_normalized(self, binary):
         with pytest.raises(ss.WeightsNotNormalized):
             ss.make_bernoulli(binary, [0.9, 0.2])
+        with pytest.raises(ss.ValidationError, match="weights alphabet mismatch"):
+            ss.make_bernoulli(binary, ss.Distribution(["a", "b"], [0.5, 0.5]))
 
 
 class TestSupport:
@@ -214,6 +216,24 @@ class TestNonFiniteEntries:
         text = "alphabet 0 1\npi 0.5 0.5\nrow nan 1\nrow 0.5 0.5\n"
         with pytest.raises(ss.ValidationError, match="finite"):
             ss.formats.parse_measure_text(text)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda a: ss.StochasticMatrix(a, [[1.0, 0.0]]), r"expected a 2x2 matrix, got shape \(1, 2\)"),
+        (lambda a: ss.SftSpec(a, [[1.0, 0.0], [1.0, -1.0]]), "matrix entries must be nonnegative"),
+        (lambda a: ss.Distribution(a, [1.0]), "weight vector length does not match the alphabet"),
+        (lambda a: ss.Distribution(a, [1.5, -0.5]), "weights must be nonnegative"),
+        (
+            lambda a: ss.MarkovMeasure(ss.Distribution(["x", "y"], [0.5, 0.5]), ss.StochasticMatrix(a, np.eye(2))),
+            "pi and P must share one alphabet",
+        ),
+    ],
+)
+def test_shape_sign_and_alphabet_are_validated(binary, build, message):
+    with pytest.raises(ss.ValidationError, match=message):
+        build(binary)
 
 
 class TestMeasureAxioms:

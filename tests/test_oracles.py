@@ -1,8 +1,13 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 import sftselect as ss
+from sftselect import fixtures as fx
+from sftselect import oracles
+from sftselect.cli import main
 
 from conftest import random_complete_dfa, txt
 
@@ -229,6 +234,78 @@ class TestEquirunScan:
         assert scan.passed
         for r in scan.results:
             assert r.value <= r.upper + 1e-12
+        for witness in (None, ss.CompatibilityWitness(result.witness.last_read, None)):
+            with pytest.raises(ss.NotCompatible, match="witness lacks the last-selected labeling"):
+                ss.equirun_scan(trimmed, 1, 0.5, 16, mu=golden, witness=witness)
+
+
+def _alternating(size: int, states: int = 2) -> ss.Selector:
+    """An oblivious selector over ``size`` letters whose states alternate,
+    keeping in state 0 and dropping in the others."""
+    symbols = [str(a) for a in range(size)]
+    moves = [
+        (f"s{q}", a, "keep" if q == 0 else "drop", f"s{(q + 1) % states}")
+        for q in range(states)
+        for a in symbols
+    ]
+    return ss.Selector(symbols, [f"s{q}" for q in range(states)], "s0", moves)
+
+
+class TestBudget:
+    """Exact checks too large for the count budget are refused before
+    anything is built; what the budget counts is what the check holds."""
+
+    @pytest.mark.parametrize("size, states", [(1, 1), (1, 3), (2, 2), (3, 2)])
+    def test_counted_results_are_the_results(self, monkeypatch, size, states):
+        seen = []
+        monkeypatch.setattr(oracles, "_check_size", lambda *args: seen.append(args))
+        selector = _alternating(size, states)
+        for n_max, w_max in ((0, 0), (3, 1), (4, 4), (5, 2), (2, 6), (6, 0)):
+            results = list(ss.lemma_check(selector, n_max, w_max))
+            length, words, keys, counted, _bytes = seen.pop()
+            assert length == min(n_max, w_max)
+            assert words == sum(size**m for m in range(length + 1))
+            assert (keys, counted) == (states * words, len(results))
+        for k, n_max in ((1, 3), (3, 4)):
+            scan = ss.equirun_scan(selector, k, 1.0, n_max)
+            assert seen.pop()[1::2] == (size**k, len(scan.results))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda sel: list(ss.lemma_check(sel, 40, 40)),
+            lambda sel: list(ss.lemma_check(sel, 10**9, 10**9)),
+            lambda sel: list(ss.lemma_check(_alternating(1), 10**9, 10**9)),
+            lambda sel: ss.equirun_scan(sel, 40, 0.1, 40),
+            lambda sel: ss.equirun_scan(sel, 10**9, 0.1, 10**9),
+        ],
+    )
+    def test_oversized_checks_are_refused_at_once(self, after_ones, check):
+        start = time.perf_counter()
+        with pytest.raises(ss.ValidationError, match=r"checks would take \d+ bytes, past the budget"):
+            check(after_ones)
+        assert time.perf_counter() - start < 1.0
+
+    def test_traced_peak_is_within_the_counted_bytes(self, monkeypatch, after_ones, tmp_path):
+        """The CLI run, its printed lines held, stays within what is counted."""
+        counted = []
+        check_size = oracles._check_size
+
+        def spy(length, words, keys, results, result_bytes):
+            need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
+            counted.append(need)
+            check_size(length, words, keys, results, result_bytes)
+
+        monkeypatch.setattr(oracles, "_check_size", spy)
+        selector = str(fx.data_path("after_ones.sel"))
+        for flags in (["--n-max", "12", "--w-max", "12"], ["--equirun", "10", "--n-max", "12"]):
+            tracemalloc.start()
+            try:
+                main(["lemma-check", "--selector", selector, *flags, "--out", str(tmp_path / "out")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= counted.pop()
 
 
 class TestBruteForceSelection:

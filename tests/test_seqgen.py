@@ -90,6 +90,10 @@ class TestSampleMarkov:
             ss.GeneratorSpec(kind="nonsense", alphabet=binary, n=10)
         with pytest.raises(ss.ValidationError):
             ss.GeneratorSpec(kind=ss.MARKOV_SAMPLE, alphabet=binary, n=10)
+        with pytest.raises(ss.ValidationError, match="generator measure alphabet mismatch"):
+            ss.GeneratorSpec(kind=ss.MARKOV_SAMPLE, alphabet=ss.Alphabet(["a", "b"]), n=10, measure=golden)
+        with pytest.raises(ss.ValidationError, match="length must be nonnegative"):
+            ss.GeneratorSpec(kind=ss.CHAMPERNOWNE, alphabet=binary, n=-1)
 
     def test_chunk_size_must_be_positive(self, binary, golden):
         for kind, measure in ((ss.CHAMPERNOWNE, None), (ss.MARKOV_SAMPLE, golden)):
@@ -166,6 +170,12 @@ class TestBlockFrequencies:
             ss.block_frequencies(binary, "0101", 0)
         with pytest.raises(ss.BlockLengthOutOfRange):
             ss.block_frequencies(binary, "0101", 5)
+        with pytest.raises(ss.BlockLengthOutOfRange, match="block length must be at least 1"):
+            ss.BlockCounter(2, 0)
+        with pytest.raises(ss.ValidationError, match="unknown counting mode 'diagonal'"):
+            ss.BlockCounter(2, 2, "diagonal")
+        with pytest.raises(ss.BlockLengthOutOfRange, match="does not have length 2"):
+            ss.block_frequencies(binary, "0101", 2).count_of("010")
 
     def test_block_codes_past_int64_rejected(self):
         # only sizes past the int64 code range: these fail before allocating
@@ -207,6 +217,8 @@ class TestDiscrepancy:
         # a sequence missing a block entirely is still charged for it
         report = ss.block_frequencies(binary, "1111", 2)
         assert ss.discrepancy(report, uniform2) == pytest.approx(0.75)
+        with pytest.raises(ss.ValidationError, match="report and measure use different alphabets"):
+            ss.discrepancy(report, ss.uniform_measure(ss.Alphabet(["0", "1", "2"])))
 
 
 class TestShortOutputFrequencies:

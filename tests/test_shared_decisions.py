@@ -110,7 +110,7 @@ def _data(name):
 #: (exported class, command line, the start of stderr) per real command path;
 #: ``{tmp}`` stands for a scratch directory holding the inputs below.
 COMMAND_ERRORS = [
-    ("ParseError", ["lemma-check", "--selector", "{tmp}/bad.sel"], "error: line 0: unknown target"),
+    ("ParseError", ["lemma-check", "--selector", "{tmp}/bad.sel"], "error: line 4: unknown target"),
     ("ValidationError", ["stationary", _data("golden_mean.mat")], "error: row '0' sums to"),
     ("WeightsNotNormalized", ["stationary", "{tmp}/pi.msr"], "error: weights sum to"),
     ("UnknownSymbol", ["freq", "--k", "1", "--in", "{tmp}/x.txt"], "error: symbol '2'"),
