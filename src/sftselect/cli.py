@@ -34,6 +34,10 @@ from .measures import block_measure_ladder, parry_measure, stationary_distributi
 from .oracles import equirun_scan, lemma_check
 from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate
 
+# LEMMA lines per write: memory stays bounded, and a pipe sees few writes
+_LEMMA_BATCH = 1024
+
+
 def _read_input(args) -> str:
     if getattr(args, "infile", None):
         return Path(args.infile).read_text()
@@ -213,25 +217,28 @@ def _format_lemma_line(result, single_char: bool = True) -> str:
 def cmd_lemma_check(args) -> int:
     selector = parse_selector(args.selector)
     mu, witness = _measure_and_witness(args, selector)
-    lines = []
-    all_pass = True
+    footer = ""
     if args.equirun is not None:
         scan = equirun_scan(
             selector, args.equirun, args.epsilon, args.n_max,
             mu=mu, witness=witness, cap=args.max_enum,
         )
-        for r in scan.results:
-            lines.append(_format_lemma_line(r, selector.alphabet.single_char))
-        all_pass = scan.passed
+        results = scan.results
         if scan.passed:
-            lines.append(f"# equirun witness n={scan.witness_n}")
+            footer = f"# equirun witness n={scan.witness_n}\n"
     else:
-        for r in lemma_check(
+        results = lemma_check(
             selector, args.n_max, args.w_max, mu=mu, witness=witness, cap=args.max_enum
-        ):
+        )
+    all_pass, lines, single = True, [], selector.alphabet.single_char
+    with _output(args) as out:  # lines go out as they are made, a batch a write
+        for r in results:
             all_pass = all_pass and r.passed
-            lines.append(_format_lemma_line(r, selector.alphabet.single_char))
-    _emit(args, "\n".join(lines) + "\n")
+            lines.append(f"{_format_lemma_line(r, single)}\n")
+            if len(lines) == _LEMMA_BATCH:
+                out.write("".join(lines))
+                lines.clear()
+        out.write("".join(lines) + footer)
     return 0 if all_pass else 3
 
 

@@ -11,7 +11,6 @@ and counted by the counters :func:`sftselect.seqgen._block_counters` chose.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -193,43 +192,51 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def _write_block_rows(rep: FrequencyReport, targets: Optional[np.ndarray], out: TextIO):
     """Write the rows of one block length, blocks in lexicographic order.
     A row is a label and a tail, ``,count,frequency,target,abs_error``
-    (``,count,frequency`` when ``targets`` is None); each distinct (count,
-    target bits) tail is formatted once.  A label is a head of leading
-    letters plus one of the labels of the last m letters, built once: m is
-    the most letters, 1 to k, with #A**m <= ``_CSV_SLICE`` (1 if #A is
-    larger).  Each head's rows, #A**m of them, go out in one ``write``."""
+    (``,count,frequency`` when ``targets`` is None).  A label is a head of
+    leading letters plus one of the suffixes, the labels of the last m
+    letters: m is the most letters, 1 to k, with #A**m <= ``_CSV_SLICE``
+    (1 if #A is larger).  Each row is ranked among the distinct (count,
+    target bits) pairs, a slice of #A**m rows at a time, and each distinct
+    tail is formatted once, into an object array.  Each head's slice goes
+    out in one ``write``: one ``"".join`` over the (head, suffix, tail)
+    triples of an object array whose suffix column is filled once."""
     counts = np.asarray(rep.counts, dtype=np.int64)
-    freqs = rep.frequencies
     columns = [counts]
     if targets is not None:
-        columns.append(np.ascontiguousarray(targets, dtype=np.float64).view(np.uint64))
+        targets = np.ascontiguousarray(targets, dtype=np.float64)
+        columns.append(targets.view(np.uint64))
     levels = [_distinct(column) for column in columns]
     alpha = rep.alphabet
-    sep = "" if alpha.single_char else " "
     m = 1
     while m < rep.k and len(alpha) ** (m + 1) <= _CSV_SLICE:
         m += 1
-    suffixes = [sep.join(w) for w in alpha.words(m)]
-    tails, lo = {}, 0
-    for letters in alpha.words(rep.k - m):
-        hi = lo + len(suffixes)
-        # a tail's key: its count's rank, then its target bits' rank
+    size = len(alpha) ** m
+    slices = [slice(lo, lo + size) for lo in range(0, counts.size, size)]
+    rank = np.empty(counts.size, dtype=np.int64)
+    for s in slices:  # a row's key: its count's rank, then its target bits' rank
         key = 0
         for column, level in zip(columns, levels):
-            key = key * level.size + np.searchsorted(level, column[lo:hi])
-        keys = key.tolist()
-        rows = dict(zip(keys, range(lo, hi)))  # a row of each key
-        for new in rows.keys() - tails.keys():
-            f = float(freqs[rows[new]])
-            tail = f",{int(counts[rows[new]])},{f!r}"
-            if targets is not None:
-                t = float(targets[rows[new]])
-                tail += f",{t!r},{abs(f - t)!r}"
-            tails[new] = tail + "\n"
-        head = sep.join(letters) + sep if letters else ""
-        # rows are head + suffix + tail: one head, then a head between rows
-        out.write(head + head.join(map(operator.add, suffixes, map(tails.__getitem__, keys))))
-        lo = hi
+            key = key * level.size + np.searchsorted(level, column[s])
+        rank[s] = key
+    keys = _distinct(rank)
+    first = np.empty(keys.size, dtype=np.int64)  # a row of each key
+    for s in slices:
+        rank[s] = np.searchsorted(keys, rank[s])  # now the key's rank
+        first[rank[s]] = np.arange(s.start, s.stop)
+    c, f = counts[first].tolist(), rep.frequencies[first].tolist()
+    if targets is None:
+        tails = [f",{c},{f!r}\n" for c, f in zip(c, f)]
+    else:
+        t = targets[first].tolist()
+        tails = [f",{c},{f!r},{t!r},{abs(f - t)!r}\n" for c, f, t in zip(c, f, t)]
+    tails = np.array(tails, dtype=object)
+    sep = "" if alpha.single_char else " "
+    triples = np.empty((size, 3), dtype=object)
+    triples[:, 1] = [sep.join(w) for w in alpha.words(m)]
+    for head, s in zip(alpha.words(rep.k - m), slices):
+        triples[:, 0] = sep.join(head) + sep if head else ""
+        triples[:, 2] = tails[rank[s]]
+        out.write("".join(triples.ravel().tolist()))
 
 
 def write_experiment_csv(report: ExperimentReport, out: TextIO):

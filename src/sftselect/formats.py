@@ -78,8 +78,8 @@ def _need(ok: bool, fields: list, message: str) -> list:
 
 def _parse_machine_text(text: str, kind: str):
     width = 4 if kind == "selector" else 3
-    action = "keep|drop " if width == 4 else ""
-    usage = f"trans takes {width} fields for a {kind} (src symbol {action}dst)"
+    article, action = ("a", "keep|drop ") if width == 4 else ("an", "")
+    usage = f"trans takes {width} fields for {article} {kind} (src symbol {action}dst)"
     found = _read(text, {
         "alphabet": Alphabet,
         "states": lambda f: _need(0 < len(f) == len(set(f)), f, "states must be nonempty and distinct"),

@@ -358,15 +358,34 @@ def block_codes(letters: np.ndarray, k: int, base: int, step: Optional[int] = No
     letters that start every ``step`` letters (default k): block
     ``a1..ak`` has code ``(..(a1*base + a2)..)*base + ak``.  Step k gives
     the ``len(letters) // k`` disjoint blocks, step 1 the
-    ``len(letters) - k + 1`` sliding windows; the result is a new array."""
+    ``len(letters) - k + 1`` sliding windows; the result is a new array.
+    Disjoint blocks, and windows of k <= 3, take Horner's rule in place,
+    k - 1 passes.  Wider windows double between two buffers: for each bit
+    of k after the highest, ``code_2h[i] = code_h[i] * base**h +
+    code_h[i + h]``, then one more letter if the bit is set; 4 passes for
+    k = 16, against 15."""
     step = k if step is None else step
     letters = np.asarray(letters)
     end = max((len(letters) - k) // step + 1, 0) * step
-    codes = letters[:end:step].astype(np.int64)
-    for j in range(1, k):
-        codes *= base
-        codes += letters[j : j + end : step]
-    return codes
+    if step != 1 or k <= 3:
+        codes = letters[:end:step].astype(np.int64)
+        for j in range(1, k):
+            codes *= base
+            codes += letters[j : j + end : step]
+        return codes
+    codes, h = letters.astype(np.int64), 1
+    spare = np.empty_like(codes)
+    for bit in bin(k)[3:]:
+        m = max(codes.size - 2 * h + 1, 0)  # the windows of width 2h
+        np.multiply(codes[:m], base**h, out=spare[:m])
+        spare[:m] += codes[h : h + m]
+        codes, spare, h = spare, codes, 2 * h
+        if bit == "1":
+            m = max(codes.size - h, 0)
+            codes[:m] *= base
+            codes[:m] += letters[h : h + m]
+            h += 1
+    return codes[:end]
 
 
 def block_letters(codes: np.ndarray, k: int, base: int) -> np.ndarray:

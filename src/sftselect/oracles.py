@@ -24,6 +24,7 @@ statistical path is the right tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -150,7 +151,7 @@ def _words_to(size: int, length: int) -> int:
     return length + 1 if size == 1 else (size ** (min(length, 64) + 1) - 1) // (size - 1)
 
 
-def _check_size(length: int, words: int, keys: int, results: int, result_bytes: int):
+def _check_size(length: int, words: int, keys: int, results: int = 0, result_bytes: int = 0):
     """Refuse, before anything is built, a check whose word tuples, count-DP
     keys and held results would pass ``COUNT_BUDGET_BYTES``, each counted
     at its cost measured with tracemalloc: 40 + 8 * ``length`` bytes a
@@ -159,7 +160,7 @@ def _check_size(length: int, words: int, keys: int, results: int, result_bytes: 
     need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
     if need > COUNT_BUDGET_BYTES:
         raise ValidationError(
-            f"{results} checks would take {need} bytes, past the budget of {COUNT_BUDGET_BYTES} bytes"
+            f"the checks would take {need} bytes, past the budget of {COUNT_BUDGET_BYTES} bytes"
         )
 
 
@@ -267,17 +268,24 @@ def _tables(selector: Selector, start, n_max: int, k: int, rows, word: Optional[
     return _measure_tables(selector, start, n_max, k, rows, word)
 
 
-def _result(selector, mu, witness, p, n: int, w: tuple, value, tol, epsilon=None):
-    """The check of one run count (``mu`` None) or measure against its
+def _bound(mu: Optional[MarkovMeasure]):
+    """The conditional measure of ``mu``, (label, w) -> float, each pair
+    computed once; None in count mode."""
+    return None if mu is None else lru_cache(maxsize=None)(partial(conditional_word_measure, mu))
+
+
+def _result(selector, bound, witness, p, n: int, w: tuple, value, tol, epsilon=None):
+    """The check of one run count (``bound`` None) or measure against its
     bound: #A**(n - |w|), or the conditional measure of w after the
-    last-selected label of p.  Counts are exact, so ``tol`` applies to
-    measures only.  Given ``epsilon``, the two-sided equirun check with lower bound
+    last-selected label of p, read from ``bound`` (see :func:`_bound`).
+    Counts are exact, so ``tol`` applies to measures only.  Given
+    ``epsilon``, the two-sided equirun check with lower bound
     (1 - epsilon) * upper; ``strict`` is then ``value < upper``, and
     ``value < upper - tol`` for the one-sided checks."""
-    if mu is None:
+    if bound is None:
         kind, upper, tol = "count", len(selector.alphabet) ** (n - len(w)), 0
     else:
-        kind, upper = "measure", conditional_word_measure(mu, witness.last_selected[p], w)
+        kind, upper = "measure", bound(witness.last_selected[p], w)
     if epsilon is None:
         return LemmaCheckResult(
             lemma=f"{kind}-upper", state=p, n=n, word=w, value=value, upper=upper,
@@ -301,7 +309,7 @@ def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap,
         _require_oblivious(selector)
     rows = _weights(selector, mu, witness, n, cap)
     value = list(_tables(selector, start, n, len(w), rows, w))[n].get(w, 0 if mu is None else 0.0)
-    return value, _result(selector, mu, witness, start, n, w, value, tol)
+    return value, _result(selector, _bound(mu), witness, start, n, w, value, tol)
 
 
 def count_output_prefix_runs(
@@ -358,27 +366,27 @@ def lemma_check(
     n = 0..n_max and word w with |w| <= min(n, w_max), in that order.
 
     All checks from one state read one table, built once.  Only the
-    measure walk is capped at ``cap`` nominal runs (#A**n_max).  Against
-    the budget of :func:`_check_size`, a result costs the line the CLI
-    holds, 288 + n_max bytes (a count's digits grow with n).
+    measure walk is capped at ``cap`` nominal runs (#A**n_max).  The cap
+    and the budget of :func:`_check_size` are checked at the call; the
+    results are made one at a time, so the budget counts none of them,
+    and the measure bounds are cached, one per (label, word).
     """
     if n_max < 0 or w_max < 0:
         raise ValidationError(f"n_max {n_max} and w_max {w_max} must be >= 0")
     _require_oblivious(selector)
     rows = _weights(selector, mu, witness, n_max, cap)
-    size, nq, m = len(selector.alphabet), len(selector.states), min(n_max, w_max)
-    top = _words_to(size, m)
-    # one result per word of length <= min(n, w_max) for each n <= n_max:
-    # the sum over n <= m in closed form, then top for each n > m
-    below = (size * top - m - 1) // (size - 1) if size > 1 else (m + 1) * (m + 2) // 2
-    _check_size(m, top, nq * top, nq * (below + (n_max - m) * top), 288 + n_max)
-    zero = 0 if mu is None else 0.0
+    nq, m = len(selector.states), min(n_max, w_max)
+    top = _words_to(len(selector.alphabet), m)
+    _check_size(m, top, nq * top)
+    bound, zero = _bound(mu), 0 if mu is None else 0.0
     words = [tuple(selector.alphabet.words(length)) for length in range(m + 1)]
-    for p in selector.states:
-        for n, table in enumerate(_tables(selector, p, n_max, w_max, rows)):
-            for length in range(min(n, w_max) + 1):
-                for w in words[length]:
-                    yield _result(selector, mu, witness, p, n, w, table.get(w, zero), tol)
+    return (
+        _result(selector, bound, witness, p, n, w, table.get(w, zero), tol)
+        for p in selector.states
+        for n, table in enumerate(_tables(selector, p, n_max, w_max, rows))
+        for length in range(min(n, w_max) + 1)
+        for w in words[length]
+    )
 
 
 @dataclass(frozen=True)
@@ -430,7 +438,7 @@ def equirun_scan(
     blocks = size ** min(k, 64)
     _check_size(k, blocks, nq * nq * _words_to(size, k), nq * blocks, 640 + n_max)
     words = list(selector.alphabet.words(k))
-    zero = 0 if mu is None else 0.0
+    bound, zero = _bound(mu), 0 if mu is None else 0.0
     # the count DP grows one layer per n, so each state keeps its own; the
     # measure walk is redone for each n, after the cap check for that n
     counts = [islice(_tables(selector, p, n_max, k, None), k, None) for p in selector.states]
@@ -438,7 +446,7 @@ def equirun_scan(
     for n in range(k, n_max + 1):
         rows = _weights(selector, mu, witness, n, cap)
         results = tuple(
-            _result(selector, mu, witness, p, n, w, table.get(w, zero), tol, epsilon)
+            _result(selector, bound, witness, p, n, w, table.get(w, zero), tol, epsilon)
             for p, layers in zip(selector.states, counts)
             for table in [next(layers) if rows is None else _tables(selector, p, n, k, rows)[n]]
             for w in words

@@ -5,6 +5,7 @@ machines that die inside a block or in the letters after the last block,
 and cuts at chunk and slice boundaries."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -201,3 +202,45 @@ def test_block_codes_at_any_step_and_their_letters(data, k, base, step):
     assert block_codes(arr, k, base, k).tolist() == block_codes(arr, k, base).tolist()
     codes[:] = -1
     assert arr.tolist() == letters
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 20), dtype=st.sampled_from([np.int64, np.int32, np.uint8]))
+def test_sliding_codes_by_doubling_match_horner(data, k, dtype):
+    """Sliding windows of k = 1..20, Horner's rule up to k = 3 and doubling
+    above, against a scalar Horner loop, for every base with base**k below
+    2**63 up to 40 and inputs around k letters long; the letters stay as
+    they were."""
+    base = data.draw(st.integers(1, max(b for b in range(1, 41) if b**k < 2**63)))
+    letters = data.draw(st.lists(st.integers(0, base - 1), max_size=3 * k + 2))
+    arr = np.array(letters, dtype=dtype)
+    expected = []
+    for lo in range(len(letters) - k + 1):
+        code = 0
+        for a in letters[lo : lo + k]:
+            code = code * base + a
+        expected.append(code)
+    codes = block_codes(arr, k, base, 1)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == expected
+    codes[:] = -1
+    assert arr.tolist() == letters
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), mode=st.sampled_from([ss.SLIDING, ss.ALIGNED]))
+def test_wide_counter_over_uneven_chunks(data, mode):
+    """``BlockCounter(2, 16)`` fed in uneven chunks, many shorter than a
+    block so the carry spans them, against a scalar count of the whole
+    sequence."""
+    letters = data.draw(st.lists(st.integers(0, 1), max_size=160))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(letters)), max_size=10)))
+    counter = ss.BlockCounter(2, 16, mode)
+    for lo, hi in zip([0, *cuts], [*cuts, len(letters)]):
+        counter.update(np.array(letters[lo:hi], dtype=np.int64))
+    step = 1 if mode == ss.SLIDING else 16
+    expected = Counter(
+        int("".join(map(str, letters[lo : lo + 16])), 2) for lo in range(0, len(letters) - 15, step)
+    )
+    assert counter.n == len(letters)
+    assert {code: int(c) for code, c in enumerate(counter.counts) if c} == expected

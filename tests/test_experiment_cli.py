@@ -520,6 +520,16 @@ class TestCliExitCodes:
             "bound=18446744073709551616 PASS"
         ) in out
 
+    def test_lemma_check_lines_cross_write_batches(self, capsys):
+        from sftselect import cli
+
+        sel = str(fx.data_path("after_ones.sel"))
+        assert main(["lemma-check", "--selector", sel, "--n-max", "14", "--w-max", "6"]) == 0
+        out = capsys.readouterr().out
+        results = ss.lemma_check(fx.after_ones_selector(), 14, 6)
+        assert out == "".join(f"{cli._format_lemma_line(r)}\n" for r in results)
+        assert out.count("\n") > 2 * cli._LEMMA_BATCH
+
     def test_lemma_check_caps_measure_walks_only(self, capsys):
         even = str(fx.data_path("even_positions.sel"))
         golden = str(fx.data_path("golden_parry.msr"))
@@ -598,6 +608,31 @@ def test_block_rows_match_per_row_writers(data):
             assert buf.getvalue() == expected
             assert all(1 <= rows <= max(size, na) for rows in buf.rows)
     assert _old_freq_rows(rep, targets) == _old_block_rows(rep, targets)
+
+
+@pytest.mark.parametrize("symbols, ks", [(["0", "1"], range(13, 17)), (["x", "yy", "zzz"], range(1, 8))])
+def test_block_rows_at_large_k(symbols, ks):
+    """The default slice at k = 13..16 over two letters (8 to 64 heads) and
+    k <= 7 over three tokens, against the per-row writers; no ``write``
+    holds more than ``_CSV_SLICE`` rows."""
+    from sftselect import experiment
+
+    alpha = ss.Alphabet(symbols)
+    rng = np.random.default_rng(16)
+    for k in ks:
+        size = len(symbols) ** k
+        counts = rng.choice([0, 1, 2, 3, 40, 10**6], size=size)
+        rep = ss.FrequencyReport(
+            alphabet=alpha, mode=ss.SLIDING, k=k, n=int(counts.sum()) + k - 1, counts=counts
+        )
+        targets = rng.choice([0.0, -0.0, 1 / size, 0.5, 1 / 3], size=size)
+        for t, expected in ((targets, _old_block_rows(rep, targets)), (None, _old_freq_rows(rep, None))):
+            buf = _RowsPerWrite()
+            experiment._write_block_rows(rep, t, buf)
+            assert buf.getvalue() == expected
+            assert all(1 <= rows <= experiment._CSV_SLICE for rows in buf.rows)
+            # a head per write: 2**(k - 10) for two letters, 3**(k - 6) for three
+            assert len(buf.rows) == len(symbols) ** (k - min(k, 10 if len(symbols) == 2 else 6))
 
 
 class TestFreqBytes:

@@ -164,10 +164,12 @@ PARSERS = {
     "stationary": (_old_transition_text, _transition_text),
 }
 
-#: Messages of the machine's own checks, which replaced the parser's copies.
+#: Messages of the machine's own checks, which replaced the parser's copies,
+#: and the automaton's field count, now with its article.
 REWORDED = {
     "duplicate transition from": "duplicate transition from",
     "action must be keep or drop, got": "invalid action",
+    "trans takes 3 fields for a automaton": "trans takes 3 fields for an automaton",
 }
 
 #: Refusals of a whole file: no line before, none now.

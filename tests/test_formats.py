@@ -207,7 +207,7 @@ REFUSALS = [
     (parse_selector_text, M + "eta a 0 1\n", 4, "eta takes a state and a symbol"),
     (parse_selector_text, M + "trans a 0 a\n", 4,
      "trans takes 4 fields for a selector (src symbol keep|drop dst)"),
-    (parse_automaton_text, M + "trans a 0 keep a\n", 4, "trans takes 3 fields for a automaton (src symbol dst)"),
+    (parse_automaton_text, M + "trans a 0 keep a\n", 4, "trans takes 3 fields for an automaton (src symbol dst)"),
     (parse_selector_text, M + "iota a 0\niota b 1\niota a 1\n", 6, "duplicate iota declaration for a"),
     (parse_selector_text, M + "eta b 0\neta b 0\n", 5, "duplicate eta declaration for b"),
     # the machine's own checks, at the line they were reading

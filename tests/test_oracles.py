@@ -261,11 +261,14 @@ class TestBudget:
         monkeypatch.setattr(oracles, "_check_size", lambda *args: seen.append(args))
         selector = _alternating(size, states)
         for n_max, w_max in ((0, 0), (3, 1), (4, 4), (5, 2), (2, 6), (6, 0)):
-            results = list(ss.lemma_check(selector, n_max, w_max))
-            length, words, keys, counted, _bytes = seen.pop()
+            # lemma results are made one at a time, so none is counted
+            results = ss.lemma_check(selector, n_max, w_max)
+            length, words, keys = seen.pop()
             assert length == min(n_max, w_max)
             assert words == sum(size**m for m in range(length + 1))
-            assert (keys, counted) == (states * words, len(results))
+            assert keys == states * words
+            made = states * sum(size**m for n in range(n_max + 1) for m in range(min(n, w_max) + 1))
+            assert sum(1 for _ in results) == made
         for k, n_max in ((1, 3), (3, 4)):
             scan = ss.equirun_scan(selector, k, 1.0, n_max)
             assert seen.pop()[1::2] == (size**k, len(scan.results))
@@ -287,11 +290,12 @@ class TestBudget:
         assert time.perf_counter() - start < 1.0
 
     def test_traced_peak_is_within_the_counted_bytes(self, monkeypatch, after_ones, tmp_path):
-        """The CLI run, its printed lines held, stays within what is counted."""
+        """The CLI run stays within what is counted: lemma lines are written
+        as they are made, equirun results and lines are held."""
         counted = []
         check_size = oracles._check_size
 
-        def spy(length, words, keys, results, result_bytes):
+        def spy(length, words, keys, results=0, result_bytes=0):
             need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
             counted.append(need)
             check_size(length, words, keys, results, result_bytes)
@@ -343,13 +347,13 @@ def test_strict_keeps_its_per_kind_meaning(even_positions, golden, golden_witnes
     below its bound passes both; it is strict for the equirun band
     (``value < upper``) but not for the upper check (``value < upper -
     tol``).  Counts ignore ``tol``."""
-    from sftselect.oracles import _result
+    from sftselect.oracles import _bound, _result
 
     p, w, tol = "100", ("0", "1"), 1e-9
     upper = ss.conditional_word_measure(golden, golden_witness.last_selected[p], w)
     value = upper - tol / 2
-    one_sided = _result(even_positions, golden, golden_witness, p, 4, w, value, tol)
-    band = _result(even_positions, golden, golden_witness, p, 4, w, value, tol, 0.1)
+    one_sided = _result(even_positions, _bound(golden), golden_witness, p, 4, w, value, tol)
+    band = _result(even_positions, _bound(golden), golden_witness, p, 4, w, value, tol, 0.1)
     assert (one_sided.lemma, one_sided.passed, one_sided.strict) == ("measure-upper", True, False)
     assert (band.lemma, band.passed, band.strict) == ("equirun-measure", True, True)
     assert band.lower == (1.0 - 0.1) * upper
