@@ -21,7 +21,7 @@ print("\ndominant eigenvalue", result.theta, "(the golden ratio)")
 print("pi =", result.measure.pi.weights)
 print("P  =\n", result.measure.P.entries)
 
-mu = fixtures.golden_parry_measure()  # closed form, exact zeros and ones
+mu = fixtures.golden_parry_measure()  # bundled closed form, exact zeros and ones
 for w in ("0", "1", "01", "11", "010"):
     print(f"mu({w}) = {ss.word_measure(mu, w):.10f}")
 print("forbidden blocks:", ss.support_forbidden_blocks(mu))

@@ -127,9 +127,12 @@ class Alphabet:
 
 def word_token(word: Iterable[str], single_char: bool) -> str:
     """A word as one whitespace-free token (``eps`` if empty) for snake state
-    names and lemma lines: symbols concatenated over single characters and
-    joined by ``.`` otherwise, so (ab, c) and (a, bc) stay apart."""
-    return ("" if single_char else ".").join(word) or EPSILON_TOKEN
+    names and lemma lines: symbols concatenated over single characters, else
+    joined by ``.`` with each symbol's ``\\`` and ``.`` escaped as ``\\\\`` and
+    ``\\.``, so (ab, c), (a, bc) and (a.bc,) all stay apart."""
+    if single_char:
+        return "".join(word) or EPSILON_TOKEN
+    return ".".join(s.replace("\\", "\\\\").replace(".", "\\.") for s in word) or EPSILON_TOKEN
 
 
 def as_word(word: Iterable[str]) -> tuple[str, ...]:

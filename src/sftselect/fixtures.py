@@ -1,29 +1,26 @@
 """Small machines and measures used throughout the tests, demos, and docs.
 
-The same objects ship as text files under ``sftselect/data`` so the CLI can
-be exercised on them; the builders here are the source of truth and the
-files are checked against them in the test suite.
+The text files under ``sftselect/data`` are the source of truth: each
+fixture here parses its file afresh on every call, so the CLI, the
+benchmark and the tests all read the same objects.  No object is shared
+between calls (``declare_labels`` changes a machine in place).  To add an
+example, ship a file there and a one-line loader here.
 """
 
 from __future__ import annotations
 
-import math
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .alphabet import Alphabet
+from .formats import parse_matrix, parse_measure, parse_selector
 from .machines import Selector
-from .measures import (
-    Distribution,
-    MarkovMeasure,
-    ParryResult,
-    SftSpec,
-    StochasticMatrix,
-    parry_measure,
-    uniform_measure,
-)
+from .measures import MarkovMeasure, ParryResult, SftSpec, parry_measure
+
+
+def data_path(name: str) -> Path:
+    """Path of a bundled data file (e.g. ``after_ones.sel``)."""
+    return Path(resources.files("sftselect").joinpath("data", name))
 
 
 def binary_alphabet() -> Alphabet:
@@ -33,35 +30,13 @@ def binary_alphabet() -> Alphabet:
 def after_ones_selector() -> Selector:
     """Two-state oblivious selector keeping exactly the symbols that follow
     a 1; equivalently, prefix selection by the words ending in 1."""
-    return Selector(
-        binary_alphabet(),
-        ["q0", "q1"],
-        "q0",
-        [
-            ("q0", "0", "drop", "q0"),
-            ("q0", "1", "drop", "q1"),
-            ("q1", "0", "keep", "q0"),
-            ("q1", "1", "keep", "q1"),
-        ],
-    )
+    return parse_selector(data_path("after_ones.sel"))
 
 
 def nonoblivious_selector() -> Selector:
     """Three-state selector with mixed actions out of q1 and q2: it copies
     its input until it reads 11, then drops up to the next 1."""
-    return Selector(
-        binary_alphabet(),
-        ["q0", "q1", "q2"],
-        "q0",
-        [
-            ("q0", "0", "keep", "q0"),
-            ("q0", "1", "keep", "q1"),
-            ("q1", "0", "keep", "q0"),
-            ("q1", "1", "drop", "q2"),
-            ("q2", "0", "drop", "q2"),
-            ("q2", "1", "keep", "q0"),
-        ],
-    )
+    return parse_selector(data_path("nonoblivious.sel"))
 
 
 def even_positions_selector(include_forbidden_reads: bool = False) -> Selector:
@@ -71,48 +46,19 @@ def even_positions_selector(include_forbidden_reads: bool = False) -> Selector:
 
     State ``prs`` records the parity of the read count, the last read
     symbol, and the last selected symbol.  With ``include_forbidden_reads``
-    the four transitions that read 1 right after a 1 are added; they can
-    never fire on an input from the golden-mean shift and they break
-    compatibility with its measure.
+    (``even_positions_full.sel``) the four transitions that read 1 right
+    after a 1 are added; they can never fire on an input from the
+    golden-mean shift and they break compatibility with its measure.
+    Without them state 010 has no incoming transition, so its last read
+    symbol is declared (``iota 010 1``).
     """
-    transitions = [
-        ("000", "0", "drop", "100"),
-        ("000", "1", "drop", "110"),
-        ("001", "0", "drop", "101"),
-        ("001", "1", "drop", "111"),
-        ("010", "0", "drop", "100"),
-        ("011", "0", "drop", "101"),
-        ("100", "0", "keep", "000"),
-        ("100", "1", "keep", "011"),
-        ("101", "0", "drop", "001"),
-        ("101", "1", "drop", "011"),
-        ("110", "0", "drop", "000"),
-        ("111", "0", "keep", "000"),
-    ]
-    if include_forbidden_reads:
-        transitions += [
-            ("010", "1", "drop", "110"),
-            ("011", "1", "drop", "111"),
-            ("110", "1", "drop", "010"),
-            ("111", "1", "keep", "011"),
-        ]
-    selector = Selector(
-        binary_alphabet(),
-        ["000", "001", "010", "011", "100", "101", "110", "111"],
-        "000",
-        transitions,
-    )
-    if include_forbidden_reads:
-        selector.declare_labels(last_read={"000": "0"})
-    else:
-        # 010 has no incoming transition once the forbidden reads are gone
-        selector.declare_labels(last_read={"000": "0", "010": "1"})
-    return selector
+    name = "even_positions_full.sel" if include_forbidden_reads else "even_positions.sel"
+    return parse_selector(data_path(name))
 
 
 def golden_mean_sft() -> SftSpec:
     """The shift of finite type over {0,1} forbidding the block 11."""
-    return SftSpec(binary_alphabet(), [[1.0, 1.0], [1.0, 0.0]])
+    return parse_matrix(data_path("golden_mean.mat"))
 
 
 def golden_parry() -> ParryResult:
@@ -121,21 +67,12 @@ def golden_parry() -> ParryResult:
 
 
 def golden_parry_measure() -> MarkovMeasure:
-    """Closed form of the golden-mean Parry measure: with g the golden
-    ratio, pi = (g^2, 1)/(1+g^2) and transition rows (1/g, 1/g^2), (1, 0).
-    The eigensolved version agrees within 1e-9; this one keeps the exact
-    zeros and ones."""
-    g = (1 + math.sqrt(5)) / 2
-    alpha = binary_alphabet()
-    pi = Distribution(alpha, np.array([g**2 / (1 + g**2), 1 / (1 + g**2)]))
-    P = StochasticMatrix(alpha, np.array([[1 / g, 1 / g**2], [1.0, 0.0]]))
-    return MarkovMeasure(pi, P)
+    """The golden-mean Parry measure as shipped: with g the golden ratio,
+    pi = (g^2, 1)/(1+g^2) and transition rows (1/g, 1/g^2), (1, 0), as
+    that closed form evaluates in doubles.  The eigensolved version agrees
+    within 1e-9; this one keeps the exact zeros and ones."""
+    return parse_measure(data_path("golden_parry.msr"))
 
 
 def uniform_binary_measure() -> MarkovMeasure:
-    return uniform_measure(binary_alphabet())
-
-
-def data_path(name: str) -> Path:
-    """Path of a bundled data file (e.g. ``after_ones.sel``)."""
-    return Path(resources.files("sftselect").joinpath("data", name))
+    return parse_measure(data_path("uniform_binary.msr"))

@@ -377,6 +377,5 @@ def block_measure_ladder(mu: MarkovMeasure, ks):
         if k < 1:
             raise ValidationError("block length must be >= 1")
         while j < k:
-            last = np.arange(m.size) % n
-            m, j = (m[:, None] * mu.P.entries[last]).reshape(-1), j + 1
+            m, j = (m.reshape(-1, n, 1) * mu.P.entries).reshape(-1), j + 1
         yield k, m

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sftselect as ss
+from sftselect.alphabet import word_token
+from sftselect.cli import main
+from sftselect.formats import parse_measure_text
 
 
 class TestAlphabet:
@@ -96,3 +99,63 @@ def test_whitespace_check_matches_per_character_scan(token):
             ss.Alphabet([token])
     else:
         assert ss.Alphabet([token]).symbols == (token,)
+
+
+def _split_token(token):
+    """The word a multi-character ``word_token`` was made from: ``\\``
+    escapes the next character, and an unescaped ``.`` ends a symbol."""
+    if token == ss.EPSILON_TOKEN:
+        return ()
+    word, symbol, chars = [], "", iter(token)
+    for c in chars:
+        if c == ".":
+            word, symbol = word + [symbol], ""
+        else:
+            symbol += next(chars) if c == "\\" else c
+    return tuple(word + [symbol])
+
+
+dotted_words = st.lists(st.text("ab.\\", min_size=1, max_size=4), max_size=5).map(tuple)
+
+
+@settings(max_examples=300)
+@given(word=dotted_words, other=dotted_words)
+def test_word_token_is_injective_over_dots_and_backslashes(word, other):
+    token = word_token(word, single_char=False)
+    assert token.split() == [token]
+    assert _split_token(token) == word
+    assert (token == word_token(other, single_char=False)) == (word == other)
+
+
+def test_word_token_keeps_plain_bytes():
+    assert word_token(("0", "1", "1"), single_char=True) == "011"
+    assert word_token((".", "\\"), single_char=True) == ".\\"
+    assert word_token(("lo", "hi"), single_char=False) == "lo.hi"
+    assert word_token((), single_char=False) == ss.EPSILON_TOKEN
+
+
+DOTTED = "alphabet a b a.b b.a\nstates s\ninitial s\n" + "".join(
+    f"trans s {a} keep s\n" for a in ("a", "b", "a.b", "b.a")
+)
+
+
+def test_lemma_words_over_a_dotted_alphabet_are_distinct(tmp_path, capsys):
+    """(a, b) and (a.b,) once both printed ``w=a.b``."""
+    path = tmp_path / "dotted.sel"
+    path.write_text(DOTTED)
+    assert main(["lemma-check", "--selector", str(path), "--n-max", "2", "--w-max", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for n in (1, 2):
+        words = [line.split()[4] for line in lines if line.split()[3] == f"n={n}"]
+        assert len(words) == len(set(words)) == sum(4**j for j in range(n + 1))
+    assert "w=a.b" in words and "w=a\\.b" in words
+
+
+def test_snake_over_a_dotted_alphabet_reads_back_as_a_measure(tmp_path, capsys):
+    """Snake states are named p*w; (a, b.a) and (a.b, a) once shared a name."""
+    path = tmp_path / "dotted.sel"
+    path.write_text(DOTTED)
+    assert main(["snake", "--selector", str(path), "-n", "2"]) == 0
+    mu = parse_measure_text(capsys.readouterr().out)
+    assert len(mu.alphabet) == 4**2
+    assert {"s*a.b\\.a", "s*a\\.b.a"} <= set(mu.alphabet.symbols)

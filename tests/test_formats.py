@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,17 +23,50 @@ from sftselect.formats import (
 )
 
 
-class TestMachineFiles:
-    def test_bundled_selectors_match_builders(self):
-        pairs = [
-            ("after_ones.sel", fx.after_ones_selector()),
-            ("nonoblivious.sel", fx.nonoblivious_selector()),
-            ("even_positions.sel", fx.even_positions_selector()),
-            ("even_positions_full.sel", fx.even_positions_selector(True)),
-        ]
-        for name, built in pairs:
-            assert parse_selector(fx.data_path(name)) == built
+#: name, parser, canonical writer and SHA-256 of each bundled data file.
+#: The files are the fixtures' source of truth: an edit to one, to its
+#: meaning or only to its format, fails here.
+BUNDLED = [
+    ("after_ones.sel", parse_selector, serialize_selector,
+     "febe72c4cea489ee76d751037cd379a1e87b9078fa24fe737a2dded3969cdf6f"),
+    ("nonoblivious.sel", parse_selector, serialize_selector,
+     "65e063d82cd3770b614d78d73020f344beb01cf4c9a6050ea459c706b0c40a2d"),
+    ("even_positions.sel", parse_selector, serialize_selector,
+     "c80ed1e7c2a2cc4f3a504cf9aeaa5253fc24a1822535b4e188dc05955020fb62"),
+    ("even_positions_full.sel", parse_selector, serialize_selector,
+     "fc1cbc69453ccf0319ef234bde9ef5df706a31209e9222d336a1a60e9ff885d6"),
+    ("golden_mean.mat", parse_matrix, serialize_matrix,
+     "183de18653f7c66d48959dd097a6d45c20de3b4dbcc1368d38bfa9733d47937c"),
+    ("golden_parry.msr", parse_measure, serialize_measure,
+     "ac716dd120eb7f33240869698275b1ad80ac3c4d3596027b95e973b937db2e17"),
+    ("uniform_binary.msr", parse_measure, serialize_measure,
+     "477002bc2230f38dfdc4d3c7e9c9d9f79606ed6e6766905eb752d2aab01b72ad"),
+]
 
+
+@pytest.mark.parametrize("name, parse, serialize, digest", BUNDLED)
+def test_bundled_file_is_canonical_and_pinned(name, parse, serialize, digest):
+    path = fx.data_path(name)
+    assert path.read_text() == serialize(parse(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [
+    fx.after_ones_selector,
+    fx.nonoblivious_selector,
+    fx.even_positions_selector,
+    lambda: fx.even_positions_selector(include_forbidden_reads=True),
+])
+def test_each_fixture_call_parses_a_fresh_machine(make):
+    """``declare_labels`` changes a machine in place, so a fixture returns
+    a new object each call: a declaration on one does not show on the next."""
+    first, second = make(), make()
+    assert first is not second and first == second
+    first.declare_labels(last_selected={first.states[-1]: first.alphabet.symbols[0]})
+    assert first != second == make()
+
+
+class TestMachineFiles:
     def test_round_trip_selector(self):
         for built in (
             fx.after_ones_selector(),

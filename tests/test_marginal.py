@@ -6,6 +6,7 @@ target ladder, and the count budget, which must refuse a block length
 before allocating anything."""
 
 import io
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -20,6 +21,8 @@ from sftselect import fixtures as fx
 from sftselect.cli import main
 from sftselect.experiment import write_experiment_csv
 from sftselect.measures import block_measure_ladder
+
+from conftest import random_irreducible_measure
 
 
 @settings(max_examples=300, deadline=None)
@@ -70,6 +73,25 @@ def test_ladder_matches_block_measure_array(golden):
         assert target.tobytes() == ss.block_measure_array(golden, k).tobytes()
     with pytest.raises(ss.ValidationError):
         next(block_measure_ladder(golden, [0, 2]))
+
+
+def _gathered_ladder(mu, top):
+    """The ladder as it was once built: each step gathers row i % n of P."""
+    n, m = len(mu.alphabet), np.array(mu.pi.weights, dtype=float)
+    yield m
+    for _ in range(top - 1):
+        m = (m[:, None] * mu.P.entries[np.arange(m.size) % n]).reshape(-1)
+        yield m
+
+
+def test_broadcast_ladder_matches_gathered_rows_bit_for_bit(golden, uniform2):
+    """Broadcasting P over (m / n, n, 1) blocks multiplies the same operands
+    as the row gather did, so every vector keeps its bits."""
+    three = random_irreducible_measure(random.Random(17), 3)
+    for mu, top in ((golden, 16), (uniform2, 16), (three, 6)):
+        ladder = block_measure_ladder(mu, range(1, top + 1))
+        for (k, got), want in zip(ladder, _gathered_ladder(mu, top), strict=True):
+            assert got.tobytes() == want.tobytes(), k
 
 
 class TestCountBudget:

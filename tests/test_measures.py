@@ -83,6 +83,15 @@ class TestStationaryDistribution:
 
 
 class TestParryMeasure:
+    def test_golden_fixture_is_the_closed_form(self):
+        """The bundled golden measure holds, bit for bit, the doubles of
+        pi = (g^2, 1)/(1+g^2) and rows (1/g, 1/g^2), (1, 0)."""
+        mu = fx.golden_parry_measure()
+        pi = np.array([GOLDEN**2 / (1 + GOLDEN**2), 1 / (1 + GOLDEN**2)])
+        P = np.array([[1 / GOLDEN, 1 / GOLDEN**2], [1.0, 0.0]])
+        assert np.array_equal(mu.pi.weights.view(np.uint64), pi.view(np.uint64))
+        assert np.array_equal(mu.P.entries.view(np.uint64), P.view(np.uint64))
+
     def test_golden_mean(self):
         result = fx.golden_parry()
         assert result.theta == pytest.approx(1.6180339887499, abs=1e-9)
