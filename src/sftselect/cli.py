@@ -32,7 +32,9 @@ from .formats import (
 from .machines import SelectionCursor, snake_state_label
 from .measures import block_measure_ladder, parry_measure, stationary_distribution, uniform_measure
 from .oracles import equirun_scan, lemma_check
-from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate
+from .seqgen import (
+    CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate_chunks
+)
 
 # LEMMA lines per write: memory stays bounded, and a pipe sees few writes
 _LEMMA_BATCH = 1024
@@ -64,20 +66,27 @@ def _alphabet(args) -> Alphabet:
     return Alphabet(args.alphabet or ["0", "1"])
 
 
+def _spec(args, alphabet: Alphabet, mu) -> GeneratorSpec:
+    """The --n symbols of Champernowne's sequence over ``alphabet`` without
+    a measure, else of a --seed sample of ``mu``."""
+    if mu is None:
+        return GeneratorSpec(CHAMPERNOWNE, alphabet, args.n)
+    return GeneratorSpec(MARKOV_SAMPLE, alphabet, args.n, measure=mu, seed=args.seed)
+
+
 def cmd_gen(args) -> int:
-    if args.kind == "champernowne":
-        spec = GeneratorSpec(kind=CHAMPERNOWNE, alphabet=_alphabet(args), n=args.n)
-    else:
-        if args.kind == "uniform":
-            mu = uniform_measure(_alphabet(args))
-        elif args.measure:
-            mu = parse_measure(args.measure)
-        else:
+    if args.kind == "sample":
+        if not args.measure:
             raise ValidationError("--kind sample needs --measure FILE")
-        spec = GeneratorSpec(
-            kind=MARKOV_SAMPLE, alphabet=mu.alphabet, n=args.n, measure=mu, seed=args.seed
-        )
-    _emit(args, write_symbol_text(spec.alphabet, generate(spec)) + "\n")
+        mu = parse_measure(args.measure)
+    else:
+        mu = uniform_measure(_alphabet(args)) if args.kind == "uniform" else None
+    alphabet = _alphabet(args) if mu is None else mu.alphabet
+    spec, sep = _spec(args, alphabet, mu), "" if alphabet.single_char else " "
+    with _output(args) as out:  # a chunk a write, so memory stays bounded
+        for i, chunk in enumerate(generate_chunks(spec)):
+            out.write((sep if i else "") + write_symbol_text(alphabet, chunk))
+        out.write("\n")
     return 0
 
 
@@ -124,12 +133,8 @@ def cmd_stationary(args) -> int:
 
 
 def _load_machine(args):
-    """The --selector or --automaton machine and its automaton."""
-    if args.selector:
-        selector = parse_selector(args.selector)
-        return selector, selector.underlying_automaton()
-    automaton = parse_automaton(args.automaton)
-    return automaton, automaton
+    """The --selector or --automaton machine."""
+    return parse_selector(args.selector) if args.selector else parse_automaton(args.automaton)
 
 
 def _compatibility(machine, mu):
@@ -156,7 +161,7 @@ def _measure_and_witness(args, machine):
 
 def cmd_compat(args) -> int:
     mu = parse_measure(args.measure)
-    machine, _automaton = _load_machine(args)
+    machine = _load_machine(args)
     result = _compatibility(machine, mu)
     for note in result.notes:
         print(f"# {note}", file=sys.stderr)
@@ -181,17 +186,17 @@ def _emit_chain(args, chain, label=str) -> int:
 
 
 def cmd_chain(args) -> int:
-    machine, automaton = _load_machine(args)
+    machine = _load_machine(args)
     mu, witness = _measure_and_witness(args, machine)
-    chain = uniform_chain(automaton) if mu is None else compatible_chain(machine, mu, witness)
+    chain = uniform_chain(machine) if mu is None else compatible_chain(machine, mu, witness)
     return _emit_chain(args, chain)
 
 
 def cmd_snake(args) -> int:
-    machine, automaton = _load_machine(args)
+    machine = _load_machine(args)
     mu, witness = _measure_and_witness(args, machine)
-    dist = snake_distribution(automaton, args.n, mu=mu, witness=witness)
-    return _emit_chain(args, dist.chain, lambda q: snake_state_label(q, automaton.alphabet))
+    dist = snake_distribution(machine, args.n, mu=mu, witness=witness)
+    return _emit_chain(args, dist.chain, lambda q: snake_state_label(q, machine.alphabet))
 
 
 def _number(x) -> str:
@@ -246,16 +251,10 @@ def cmd_experiment(args) -> int:
     selector = parse_selector(args.selector)
     target = parse_measure(args.measure) if args.measure else None
     alphabet = selector.alphabet
-    if args.gen == "champernowne":
-        spec = GeneratorSpec(kind=CHAMPERNOWNE, alphabet=alphabet, n=args.n)
-    else:
-        sample = target if target is not None else uniform_measure(alphabet)
-        spec = GeneratorSpec(
-            kind=MARKOV_SAMPLE, alphabet=alphabet, n=args.n, measure=sample, seed=args.seed
-        )
+    sample = target if target is not None else uniform_measure(alphabet)
     config = ExperimentConfig(
         selector=selector,
-        generator=spec,
+        generator=_spec(args, alphabet, None if args.gen == "champernowne" else sample),
         measure=target,
         ks=args.k or (1, 2, 3),
         mode=args.mode,

@@ -231,10 +231,12 @@ def _write_block_rows(rep: FrequencyReport, targets: Optional[np.ndarray], out: 
         tails = [f",{c},{f!r},{t!r},{abs(f - t)!r}\n" for c, f, t in zip(c, f, t)]
     tails = np.array(tails, dtype=object)
     sep = "" if alpha.single_char else " "
+    # RFC 4180: a symbol with , or " quotes every label, " written as ""
+    quote = '"' if any(c in a for a in alpha for c in ',"') else ""
     triples = np.empty((size, 3), dtype=object)
-    triples[:, 1] = [sep.join(w) for w in alpha.words(m)]
+    triples[:, 1] = [sep.join(w).replace('"', '""') + quote for w in alpha.words(m)]
     for head, s in zip(alpha.words(rep.k - m), slices):
-        triples[:, 0] = sep.join(head) + sep if head else ""
+        triples[:, 0] = quote + (sep.join(head).replace('"', '""') + sep if head else "")
         triples[:, 2] = tails[rank[s]]
         out.write("".join(triples.ravel().tolist()))
 

@@ -46,9 +46,10 @@ Every big-endian block code in the package is :func:`block_codes`: its
 1 for the sliding windows of block counting.  :func:`block_letters` is
 its inverse, which spells out Champernowne words and snake run labels.
 
-Every connectivity question goes through one graph routine, Tarjan's
-algorithm in :func:`_strong_components`: :func:`scc_decomposition`,
-:meth:`check_trim` and the irreducibility test of :mod:`sftselect.measures`.
+Every connectivity question reads one condensation, :func:`_condensation`
+(Tarjan's algorithm on the next-state rows), and :func:`_reached`, one sweep
+down from a component: :func:`scc_decomposition`, :meth:`check_trim` and
+the irreducibility test of :mod:`sftselect.measures`.
 """
 
 from __future__ import annotations
@@ -243,29 +244,17 @@ class _MachineBase:
     def check_trim(self) -> tuple[bool, list]:
         """Verify every state is reachable from the initial state and lies on
         some infinite run (i.e. can reach a cycle).  Records the verification
-        flag and returns (ok, offending states).  Condensation edges point to
-        lower component indices, so reachability sweeps down from the initial
-        component; a component is alive if cyclic or with an alive successor."""
-        report = scc_decomposition(self)
-        comps = report.components
-        out = [[] for _ in comps]
-        for src, dst in report.condensation_edges:
-            out[src].append(dst)
-        reached = [False] * len(comps)
-        reached[report.component_of(self._initial)] = True
-        for c in reversed(range(len(comps))):
-            if reached[c]:
-                for t in out[c]:
-                    reached[t] = True
+        flag and returns (ok, offending states).  A component is alive if
+        cyclic or with an alive successor (of lower index)."""
+        comps, comp_of, out = _condensation(self._nxt)
+        reached = _reached(out, comp_of[self._state_index[self._initial]])
         alive = []
         for c, members in enumerate(comps):
-            cyclic = len(members) > 1 or members[0] in self.successors(members[0])
+            cyclic = len(members) > 1 or members[0] in self._nxt[members[0]]
             alive.append(cyclic or any(alive[t] for t in out[c]))
-        good = [r and a for r, a in zip(reached, alive)]
-        bad = [q for q in self._states if not good[report.component_of(q)]]
-        ok = not bad
-        self._trim_checked = ok
-        return ok, bad
+        bad = [q for q, c in zip(self._states, comp_of.tolist()) if not (reached[c] and alive[c])]
+        self._trim_checked = not bad
+        return not bad, bad
 
     def __eq__(self, other) -> bool:
         return (
@@ -679,12 +668,13 @@ class SccReport:
         return frozenset(out)
 
 
-def _strong_components(succ: list) -> list:
-    """Tarjan's algorithm on successor index lists: the strongly connected
-    components as ascending index lists in reverse-topological order (a
-    component comes after every component it reaches).  Iterative, so
-    graphs of ~10^6 vertices fit."""
-    n = len(succ)
+def _strong_components(nxt: np.ndarray) -> list:
+    """Tarjan's algorithm on the rows of a next-state array, -1 skipped: the
+    strongly connected components as ascending index lists in reverse-
+    topological order (a component comes after every component it reaches).
+    Iterative, so graphs of ~10^6 vertices fit."""
+    rows = nxt.tolist()
+    n = len(rows)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -698,16 +688,18 @@ def _strong_components(succ: list) -> list:
         counter += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(rows[root]))]
         while work:
             v, it = work[-1]
             for w in it:
+                if w < 0:
+                    continue
                 if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(rows[w])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
@@ -727,31 +719,44 @@ def _strong_components(succ: list) -> list:
     return components
 
 
-def scc_decomposition(machine) -> SccReport:
-    """Strongly connected components of the transition graph, found by
-    :func:`_strong_components` over the rows of the next-state table
-    (targets in alphabet order; a repeated target changes neither the
-    depth-first order nor the components)."""
-    states = machine.states
-    nxt = machine.tables()[0]
-    succ = [[t for t in row if t >= 0] for row in nxt.tolist()]
-    index_comps = _strong_components(succ)
-    comps = tuple(tuple(states[v] for v in c) for c in index_comps)
-    comp_index = {q: i for i, c in enumerate(comps) for q in c}
-    comp_of = np.empty(len(states), dtype=np.int64)
-    for i, c in enumerate(index_comps):
+def _condensation(nxt: np.ndarray):
+    """(components, comp_of, out): :func:`_strong_components` of ``nxt``, each
+    state's component (int64) and each component's successor set, all lower."""
+    comps = _strong_components(nxt)
+    comp_of = np.empty(nxt.shape[0], dtype=np.int64)
+    for i, c in enumerate(comps):
         comp_of[c] = i
     src, sym = np.nonzero(nxt >= 0)
     ci, cj = comp_of[src], comp_of[nxt[src, sym]]
     cross = ci != cj
-    edges = set(zip(ci[cross].tolist(), cj[cross].tolist()))
-    sources = {src for src, _dst in edges}
-    recurrent = tuple(i not in sources for i in range(len(comps)))
+    out: list = [set() for _ in comps]
+    for c, d in set(zip(ci[cross].tolist(), cj[cross].tolist())):
+        out[c].add(d)
+    return comps, comp_of, out
+
+
+def _reached(out: list, c: int) -> list:
+    """Per component of the condensation ``out``, whether component ``c``
+    reaches it; successors have lower indices, so one sweep down from c."""
+    reached = [False] * len(out)
+    reached[c] = True
+    for d in range(c, -1, -1):
+        if reached[d]:
+            for t in out[d]:
+                reached[t] = True
+    return reached
+
+
+def scc_decomposition(machine) -> SccReport:
+    """Strongly connected components of the transition graph (see :func:`_condensation`)."""
+    states = machine.states
+    index_comps, _comp_of, out = _condensation(machine.tables()[0])
+    comps = tuple(tuple(states[v] for v in c) for c in index_comps)
     return SccReport(
         components=comps,
-        recurrent=recurrent,
-        condensation_edges=frozenset(edges),
-        component_index=comp_index,
+        recurrent=tuple(not succ for succ in out),
+        condensation_edges=frozenset((c, d) for c, succ in enumerate(out) for d in succ),
+        component_index={q: i for i, c in enumerate(comps) for q in c},
     )
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     WeightsNotNormalized,
 )
-from .machines import _strong_components
+from .machines import _condensation, _reached
 
 ROW_SUM_TOL = 1e-12
 STATIONARITY_TOL = 1e-10
@@ -142,23 +142,14 @@ class SftSpec:
 
 def _pattern_gap(mask: np.ndarray):
     """None when the boolean pattern is strongly connected, else the first
-    (i, j) index pair, row by row, with no path from i to j.  A component
-    reaches itself and what its successors, listed earlier, reach."""
-    n = mask.shape[0]
-    succ = [np.flatnonzero(row).tolist() for row in mask]
-    comp_of = [0] * n
-    reach: list = []
-    for c, members in enumerate(_strong_components(succ)):
-        for v in members:
-            comp_of[v] = c
-        reach.append(set(members).union(
-            *(reach[comp_of[w]] for v in members for w in succ[v] if comp_of[w] != c)
-        ))
-    everything = set(range(n))
-    for i in range(n):
-        missing = everything - reach[comp_of[i]]
-        if missing:
-            return i, min(missing)
+    (i, j) index pair, row by row, with no path from i to j.  At most one
+    component reaches all others, so the first i is 0 or else the first
+    index outside 0's component, which cannot reach 0."""
+    _comps, comp_of, out = _condensation(np.where(mask, np.arange(mask.shape[0]), -1))
+    for i in (0, int(np.argmax(comp_of != comp_of[0]))):
+        missing = ~np.array(_reached(out, int(comp_of[i])))[comp_of]
+        if missing.any():
+            return i, int(np.argmax(missing))
     return None
 
 

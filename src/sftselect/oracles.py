@@ -9,7 +9,8 @@ length <= K to its count or measure at every run length n <= n_max:
 * measures come from one pre-order walk of the run tree with children in
   alphabet order, so every sum is taken over the runs in lexicographic
   order, exactly as the enumeration adds them, and its floats are bit for
-  bit the enumeration's.  The walk visits #A**n nodes and is capped.
+  bit the enumeration's.  The walk visits all #A**n nodes, for a single
+  check too (only the count DP is pruned to one word), and is capped.
 
 Both come from one table source, ``_tables``, and every check, one-sided
 or the two-sided equirun band, is built by one function, ``_result``: a
@@ -216,9 +217,7 @@ def _weights(selector: Selector, mu, witness, n: int, cap: int):
     return _step_weights(selector, mu, witness).tolist()
 
 
-def _measure_tables(
-    selector: Selector, start, n_max: int, k: int, weight_rows, word: Optional[tuple] = None
-) -> list:
+def _measure_tables(selector: Selector, start, n_max: int, k: int, weight_rows) -> list:
     """For n = 0..n_max, the table mapping every output prefix w with
     |w| <= k to the total weight of the length-n runs from ``start`` whose
     output begins with w (prefixes no run outputs are absent).
@@ -230,9 +229,7 @@ def _measure_tables(
     starts from 0.0: the floats are bit for bit those of adding up the
     enumeration.  The value types match it too: 1.0 at n = 0 and
     ``np.float64`` from n = 1 (the weights the enumeration multiplies are
-    numpy scalars).  Given ``word`` (with k = |word|), subtrees whose output
-    stops being a prefix of it are skipped; the runs that remain are summed
-    in the same order."""
+    numpy scalars)."""
     steps = _steps(selector)
     tables: list = [{} for _ in range(n_max + 1)]
     stack = [(selector.state_index(start), 0, 1.0, ((),))] if tables else []
@@ -248,8 +245,6 @@ def _measure_tables(
         for ai, a, t, keeps in reversed(steps[q]):
             child = prefixes
             if keeps and len(out) < k:
-                if word is not None and word[len(out)] != a:
-                    continue
                 child = prefixes + (out + (a,),)
             stack.append((t, d + 1, acc * row[ai], child))
     for table in tables[1:]:
@@ -261,11 +256,11 @@ def _measure_tables(
 def _tables(selector: Selector, start, n_max: int, k: int, rows, word: Optional[tuple] = None):
     """The tables of n = 0..n_max from ``start``: output prefix w with
     |w| <= k -> the runs whose output begins with w, counted lazily by the
-    DP of :func:`_count_layers` when ``rows`` is None, else weighed by the
-    walk of :func:`_measure_tables` over ``rows`` and returned as a list."""
+    DP of :func:`_count_layers` (pruned to ``word``) when ``rows`` is None,
+    else weighed by the walk of :func:`_measure_tables` over ``rows``, as a list."""
     if rows is None:
         return map(_prefix_counts, islice(_count_layers(selector, start, k, word), n_max + 1))
-    return _measure_tables(selector, start, n_max, k, rows, word)
+    return _measure_tables(selector, start, n_max, k, rows)
 
 
 def _bound(mu: Optional[MarkovMeasure]):
@@ -301,7 +296,8 @@ def _result(selector, bound, witness, p, n: int, w: tuple, value, tol, epsilon=N
 
 def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap, tol):
     """The value and check of one (start, n, word), shared by the two public
-    single checks; the tables are pruned to the prefixes of ``word``."""
+    single checks; the count DP is pruned to the prefixes of ``word``, the
+    measure walk visits every run to n."""
     w = as_word(word)
     if len(w) > n:
         raise ValidationError(f"|word| = {len(w)} exceeds run length {n}")

@@ -12,6 +12,7 @@ class TestUniformChain:
         chain = ss.uniform_chain(after_ones.underlying_automaton())
         assert np.allclose(chain.matrix, [[0.5, 0.5], [0.5, 0.5]])
         assert np.allclose(chain.stationary, [0.5, 0.5], atol=1e-12)
+        assert chain.irreducible
 
     def test_single_state(self):
         one = ss.Automaton(["0", "1"], ["s"], "s", [("s", "0", "s"), ("s", "1", "s")])
@@ -43,6 +44,7 @@ class TestCompatibleChain:
         assert np.allclose(chain.matrix.sum(axis=1), 1.0, atol=1e-12)
         assert chain.stationary is not None
         assert chain.stationary_of("010") == 0.0  # unreachable without 1-after-1 reads
+        assert not chain.irreducible
         resid = np.max(np.abs(chain.stationary @ chain.matrix - chain.stationary))
         assert resid <= 1e-10
 

@@ -1,3 +1,4 @@
+import csv
 import io
 from unittest import mock
 
@@ -10,7 +11,7 @@ import sftselect as ss
 from sftselect import fixtures as fx
 from sftselect.cli import main
 from sftselect.experiment import write_experiment_csv
-from sftselect.formats import write_symbol_text
+from sftselect.formats import parse_selector, serialize_machine, write_symbol_text
 from sftselect.seqgen import block_frequency_reports
 
 
@@ -404,6 +405,63 @@ class TestCliExitCodes:
         assert main(["gen", "--kind", "sample", "--measure", path, "--n", "100", "--seed", "7"]) == 0
         expected = write_symbol_text(golden.alphabet, ss.sample_markov(golden, 7, 100))
         assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("kind", ["uniform", "champernowne"])
+    @pytest.mark.parametrize("symbols", [["0", "1"], ["ab", "c", "ddd"]])
+    def test_gen_writes_a_chunk_at_a_time(self, kind, symbols):
+        """Past three 2**16-symbol chunks the text goes out in several
+        writes, which together are the whole sequence rendered at once."""
+        n = 3 * (1 << 16) + 5
+        buf = _RowsPerWrite()
+        with mock.patch("sys.stdout", buf):
+            assert main(["gen", "--kind", kind, "--n", str(n), "--alphabet", *symbols]) == 0
+        alpha = ss.Alphabet(symbols)
+        if kind == "uniform":
+            spec = ss.GeneratorSpec(ss.MARKOV_SAMPLE, alpha, n, measure=ss.uniform_measure(alpha))
+        else:
+            spec = ss.GeneratorSpec(ss.CHAMPERNOWNE, alpha, n)
+        assert buf.getvalue() == write_symbol_text(alpha, ss.generate(spec)) + "\n"
+        assert len(buf.rows) > 4
+
+    @pytest.mark.parametrize("command", [["chain"], ["snake", "-n", "3"]])
+    @pytest.mark.parametrize(
+        "name, measure", [("after_ones.sel", []), ("even_positions.sel", ["--measure", "golden_parry.msr"])]
+    )
+    def test_selector_reads_as_its_automaton(self, command, name, measure, tmp_path, capsys):
+        selector = parse_selector(fx.data_path(name))
+        automaton = self._write(tmp_path, "m.aut", serialize_machine(selector.underlying_automaton()))
+        measure = [measure[0], str(fx.data_path(measure[1]))] if measure else []
+        outputs = []
+        for machine in (["--selector", str(fx.data_path(name))], ["--automaton", str(automaton)]):
+            assert main([*command, *machine, *measure]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != ""
+
+    def test_csv_quotes_labels_with_comma_or_quote(self, tmp_path, capsys):
+        """Labels over symbols with , or " are quoted (RFC 4180), so every
+        row reads back with its label and as many fields as the header;
+        k = 7 over three symbols puts a head and a suffix in each label."""
+        symbols = ["a,b", 'c"d', "e"]
+        alpha = ss.Alphabet(symbols)
+        seq = self._write(tmp_path, "x.txt", " ".join(symbols[i % 5 % 3] for i in range(200)))
+        sel = self._write(
+            tmp_path,
+            "all.sel",
+            f"alphabet {' '.join(symbols)}\nstates q\ninitial q\n"
+            + "".join(f"trans q {a} keep q\n" for a in symbols),
+        )
+        out = tmp_path / "out.csv"
+        commands = [
+            (["freq", "--k", "1", "--k", "2", "--alphabet", *symbols, "--in", str(seq)], (1, 2), 3),
+            (["experiment", "--selector", str(sel), "--gen", "champernowne", "--n", "3000",
+              "--k", "1", "--k", "7", "--out", str(out)], (1, 7), 5),
+        ]
+        for args, ks, fields in commands:
+            assert main(args) in (0, 3)  # 3: a k = 7 discrepancy past the tolerance
+            text = out.read_text() if "--out" in args else capsys.readouterr().out
+            rows = [r for r in csv.reader(io.StringIO(text)) if not r[0].startswith("#")]
+            assert {len(r) for r in rows} == {fields}
+            assert [r[0] for r in rows[1:]] == [" ".join(w) for k in ks for w in alpha.words(k)]
 
     def test_snake_uniform(self, capsys):
         code = main(

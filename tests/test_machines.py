@@ -43,6 +43,7 @@ class TestRunWord:
     def test_unknown_symbol(self, after_ones):
         with pytest.raises(ss.UnknownSymbol):
             ss.run_word(after_ones, "q0", "0x")
+        assert after_ones.step_or_none("q0", "x") is None
 
     def test_pure_function(self, nonoblivious):
         runs = [ss.run_word(nonoblivious, "q0", "011010") for _ in range(3)]

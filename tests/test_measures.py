@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect import fixtures as fx
+from sftselect.measures import _power_iteration
 
 from conftest import random_irreducible_measure, random_word
 
@@ -126,6 +127,9 @@ class TestParryMeasure:
         for vec, mat in ((result.right, spec.M), (result.left, spec.M.T)):
             resid = np.max(np.abs(mat @ vec - result.theta * vec))
             assert resid <= 1e-10 * np.max(np.abs(vec))
+        # one step from the uniform vector moves it by 0.1, far from converged
+        with pytest.raises(ss.NonConvergence):
+            _power_iteration(spec.M, budget=1)
 
     def test_support_pattern_matches_matrix(self):
         rng = random.Random(17)

@@ -32,9 +32,14 @@ class TestEnumerateRuns:
         assert [txt(u) for u, _v, _e in enum.runs] == ["0", "1"]
 
     def test_count_matches_completeness(self, after_ones, even_positions):
+        automaton = even_positions.underlying_automaton()
         for n in range(0, 8):
             assert ss.enumerate_runs(after_ones, "q0", n).count == 2**n
             assert ss.enumerate_runs(even_positions, "000", n).count <= 2**n
+            # an automaton has the selector's runs, each with an empty output
+            runs = ss.enumerate_runs(even_positions, "000", n).runs
+            bare = tuple((u, (), end) for u, _v, end in runs)
+            assert ss.enumerate_runs(automaton, "000", n).runs == bare
 
     def test_lexicographic_and_distinct(self, even_positions):
         enum = ss.enumerate_runs(even_positions, "101", 6)
@@ -321,6 +326,11 @@ class TestBruteForceSelection:
             [("q0", "0", "q0"), ("q0", "1", "q1"), ("q1", "0", "q0"), ("q1", "1", "q1")],
         )
         assert txt(ss.brute_force_prefix_selection("01101", dfa, {"q1"})) == "10"
+        # without q1 -1-> q1 the prefix 011 falls off, so its next symbol is dropped
+        partial = ss.Automaton(
+            ["0", "1"], ["q0", "q1"], "q0", [("q0", "0", "q0"), ("q0", "1", "q1"), ("q1", "0", "q0")]
+        )
+        assert txt(ss.brute_force_prefix_selection("0110", partial, {"q1"})) == "1"
 
     def test_all_words_selected(self):
         dfa = ss.Automaton(["0", "1"], ["s"], "s", [("s", "0", "s"), ("s", "1", "s")])

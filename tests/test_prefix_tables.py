@@ -106,9 +106,6 @@ def test_measure_tables_equal_enumeration_bit_for_bit(seed, partial, n_max, k):
             got = table.get(w, 0.0)
             assert repr(got) == repr(expected)
             assert type(got) is type(expected)
-            if len(w) == k:
-                pruned = _measure_tables(selector, start, n, k, rows, w)[n].get(w, 0.0)
-                assert repr(pruned) == repr(expected)
 
 
 def test_measure_value_types(after_ones):
