@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 
 from .alphabet import Alphabet, word_token
 from .chains import compatible_chain, snake_distribution, uniform_chain
 from .compat import _check
-from .errors import CapExceeded, NotCompatible, SftSelectError, ValidationError
+from .errors import (
+    CapExceeded, NotCompatible, SftSelectError, UndefinedTransition, UnknownSymbol, ValidationError
+)
 from .experiment import ExperimentConfig, _write_block_rows, run_experiment, write_experiment_csv
 from .formats import (
     _transition_text,
@@ -32,28 +35,52 @@ from .formats import (
 from .machines import SelectionCursor, snake_state_label
 from .measures import block_measure_ladder, parry_measure, stationary_distribution, uniform_measure
 from .oracles import equirun_scan, lemma_check
-from .seqgen import (
-    CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, block_frequency_reports, generate_chunks
-)
+from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, generate_chunks
+from .seqgen import _block_lengths, _count_blocks
 
 # LEMMA lines per write: memory stays bounded, and a pipe sees few writes
 _LEMMA_BATCH = 1024
+# characters of a symbol input read at a time, so memory stays bounded
+_PIECE = 1 << 16
 
 
-def _read_input(args) -> str:
-    if getattr(args, "infile", None):
-        return Path(args.infile).read_text()
-    return sys.stdin.read()
+def _input(args):
+    """The --in file opened for reading, or stdin, as a context manager."""
+    return open(args.infile) if args.infile else contextlib.nullcontext(sys.stdin)
 
 
-@contextlib.contextmanager
+def _symbol_pieces(alphabet: Alphabet, source):
+    """The symbols of the text ``source`` as index arrays, read
+    :data:`_PIECE` characters at a time.  Over multi-character symbols a
+    token cut at the end of a piece waits for the next one.  A foreign
+    symbol is refused with its position in the whole input, after the
+    symbols before it have been yielded."""
+    done, held = 0, []  # held: the pieces of a token not yet ended, joined once
+    while True:
+        piece = source.read(_PIECE)
+        cut = len(piece)
+        if piece and not alphabet.single_char and not piece[-1].isspace():
+            cut -= len(piece.rsplit(None, 1)[-1])
+            if not cut:
+                held.append(piece)
+                continue
+        text, held = "".join(held) + piece[:cut], [piece[cut:]]
+        try:
+            idx = read_symbol_text(alphabet, text)
+        except UnknownSymbol as exc:
+            symbols = "".join(text.split()) if alphabet.single_char else text.split()
+            yield alphabet.encode(symbols[: exc.position - 1])
+            raise UnknownSymbol(exc.symbol, alphabet, done + exc.position) from None
+        done += idx.size
+        if idx.size:
+            yield idx
+        if not piece:
+            return
+
+
 def _output(args):
-    """The --out file opened for writing, or stdout."""
-    if getattr(args, "out", None):
-        with open(args.out, "w") as out:
-            yield out
-    else:
-        yield sys.stdout
+    """The --out file opened for writing, or stdout, as a context manager."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(args, text: str):
@@ -78,7 +105,16 @@ def cmd_gen(args) -> int:
     if args.kind == "sample":
         if not args.measure:
             raise ValidationError("--kind sample needs --measure FILE")
+        if args.alphabet:
+            raise ValidationError(
+                f"--alphabet {args.alphabet} does not apply to --kind sample, "
+                "which draws over the measure's alphabet"
+            )
         mu = parse_measure(args.measure)
+    elif args.measure:
+        raise ValidationError(
+            f"--measure does not apply to --kind {args.kind}, only to --kind sample"
+        )
     else:
         mu = uniform_measure(_alphabet(args)) if args.kind == "uniform" else None
     alphabet = _alphabet(args) if mu is None else mu.alphabet
@@ -90,12 +126,32 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _selections(selector, pieces):
+    """What ``selector`` keeps of each index array of ``pieces``, read as
+    one input; at an undefined transition, what the symbols before it keep,
+    then the error."""
+    cursor = SelectionCursor(selector)
+    for idx in pieces:
+        start, done = cursor.state, cursor.position
+        try:
+            yield cursor.feed_indices(idx)
+        except UndefinedTransition as err:
+            yield SelectionCursor(selector, start).feed_indices(idx[: err.position - 1 - done])
+            raise
+
+
 def cmd_select(args) -> int:
     selector = parse_selector(args.selector)
-    text = _read_input(args)
-    idx = read_symbol_text(selector.alphabet, text)
-    out = SelectionCursor(selector).feed_indices(idx)
-    _emit(args, write_symbol_text(selector.alphabet, out) + "\n")
+    alphabet, sep = selector.alphabet, ""
+    if args.infile and args.out and os.path.exists(args.out):
+        if os.path.samefile(args.infile, args.out):  # writing would cut what is still unread
+            raise ValidationError("--in and --out name the same file")
+    with _input(args) as source, _output(args) as out:  # a piece a write
+        for kept in _selections(selector, _symbol_pieces(alphabet, source)):
+            if kept.size:
+                out.write(sep + write_symbol_text(alphabet, kept))
+                sep = "" if alphabet.single_char else " "
+        out.write("\n")
     return 0
 
 
@@ -110,8 +166,9 @@ def cmd_freq(args) -> int:
         alphabet = mu.alphabet
     else:
         mu = uniform_measure(alphabet) if args.uniform else None
-    idx = read_symbol_text(alphabet, _read_input(args))
-    reports = block_frequency_reports(alphabet, idx, args.k, args.mode)
+    ks = _block_lengths(args.k)
+    with _input(args) as source:  # the count budget is checked before a piece is read
+        reports = _count_blocks(alphabet, ks, args.mode, _symbol_pieces(alphabet, source))
     ladder = block_measure_ladder(mu, reports) if mu else ((k, None) for k in reports)
     with _output(args) as out:
         out.write("block,count,frequency" + (",target,abs_error" if mu else "") + "\n")

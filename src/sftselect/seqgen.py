@@ -324,22 +324,44 @@ def _block_reports(alphabet: Alphabet, counters: dict) -> dict:
     }
 
 
-def block_frequency_reports(alphabet, x, ks, mode: str = SLIDING) -> dict:
-    """FrequencyReports for the nonempty block lengths ``ks``, by ascending
-    k, from the counters of :func:`_block_counters`."""
-    alphabet = Alphabet(alphabet)
-    idx = x if isinstance(x, np.ndarray) else alphabet.encode(x)
+def _block_lengths(ks) -> list:
+    """The distinct block lengths ``ks`` in ascending order, each at least 1."""
     ks = sorted(set(ks))
     if ks[0] < 1:
         raise BlockLengthOutOfRange("block length must be at least 1")
-    if ks[-1] > idx.size:
-        raise BlockLengthOutOfRange(
-            f"block length {ks[-1]} exceeds the sequence length {idx.size}"
-        )
+    return ks
+
+
+def _require_fit(k: int, n: int):
+    """Refuse a block length ``k`` past a sequence of ``n`` symbols."""
+    if k > n:
+        raise BlockLengthOutOfRange(f"block length {k} exceeds the sequence length {n}")
+
+
+def _count_blocks(alphabet: Alphabet, ks: list, mode: str, chunks) -> dict:
+    """FrequencyReports for the lengths ``ks`` of :func:`_block_lengths`:
+    the counters of :func:`_block_counters` are made, so a length past the
+    count budget is refused, before the first chunk is taken from
+    ``chunks``; then each chunk is fed once to each distinct counter, and
+    a length past the whole sequence is refused."""
     counters = _block_counters(len(alphabet), ks, mode)
-    for counter in dict.fromkeys(counters.values()):
-        counter.update(idx)
+    distinct = list(dict.fromkeys(counters.values()))
+    for chunk in chunks:
+        for counter in distinct:
+            counter.update(chunk)
+    _require_fit(ks[-1], distinct[0].n)
     return _block_reports(alphabet, counters)
+
+
+def block_frequency_reports(alphabet, x, ks, mode: str = SLIDING) -> dict:
+    """FrequencyReports for the nonempty block lengths ``ks``, by ascending
+    k, from the counters of :func:`_block_counters`.  A length past the
+    sequence is refused before the count budget is checked."""
+    alphabet = Alphabet(alphabet)
+    idx = x if isinstance(x, np.ndarray) else alphabet.encode(x)
+    ks = _block_lengths(ks)
+    _require_fit(ks[-1], idx.size)
+    return _count_blocks(alphabet, ks, mode, [idx])
 
 
 def discrepancy(report: FrequencyReport, mu: MarkovMeasure) -> float:

@@ -406,6 +406,23 @@ class TestCliExitCodes:
         expected = write_symbol_text(golden.alphabet, ss.sample_markov(golden, 7, 100))
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--kind", "sample", "--measure", "{msr}", "--alphabet", "x", "y"],
+             "error: --alphabet ['x', 'y'] does not apply to --kind sample, "
+             "which draws over the measure's alphabet\n"),
+            (["--kind", "champernowne", "--measure", "{msr}"],
+             "error: --measure does not apply to --kind champernowne, only to --kind sample\n"),
+            (["--measure", "{msr}"],
+             "error: --measure does not apply to --kind uniform, only to --kind sample\n"),
+        ],
+    )
+    def test_gen_refuses_options_its_kind_does_not_use(self, argv, err, capsys):
+        msr = str(fx.data_path("golden_parry.msr"))
+        assert main(["gen", "--n", "12", *[a.replace("{msr}", msr) for a in argv]]) == 1
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("kind", ["uniform", "champernowne"])
     @pytest.mark.parametrize("symbols", [["0", "1"], ["ab", "c", "ddd"]])
     def test_gen_writes_a_chunk_at_a_time(self, kind, symbols):
