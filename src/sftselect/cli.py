@@ -3,7 +3,11 @@
 Exit codes: 0 success, 1 usage or parse/validation failure, 2 domain
 validation failure (compatibility, irreducibility, completeness), 3 check
 failure (a lemma bound or an experiment tolerance/support check did not
-hold).  A library error exits with its type's ``exit_code``.
+hold), 141 (:data:`CLOSED_STDOUT`) when the reader of stdout closed it
+before the command was done, as in ``sftselect lemma-check ... | head``,
+with nothing on stderr.  A library error exits with its type's
+``exit_code``; a failed write to an ``--out`` file is an ``error:`` line
+and exit 1, as any other ``OSError``.
 """
 
 from __future__ import annotations
@@ -34,10 +38,13 @@ from .formats import (
 )
 from .machines import SelectionCursor, snake_state_label
 from .measures import block_measure_ladder, parry_measure, stationary_distribution, uniform_measure
-from .oracles import equirun_scan, lemma_check
+from .oracles import _lemma_rows, equirun_scan
 from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, generate_chunks
 from .seqgen import _block_lengths, _count_blocks
 
+# the status of a command whose reader closed stdout before it was done:
+# 128 + SIGPIPE, what a shell reports for a filter that signal ends
+CLOSED_STDOUT = 141
 # LEMMA lines per write: memory stays bounded, and a pipe sees few writes
 _LEMMA_BATCH = 1024
 # characters of a symbol input read at a time, so memory stays bounded
@@ -52,30 +59,33 @@ def _input(args):
 def _symbol_pieces(alphabet: Alphabet, source):
     """The symbols of the text ``source`` as index arrays, read
     :data:`_PIECE` characters at a time.  Over multi-character symbols a
-    token cut at the end of a piece waits for the next one.  A foreign
-    symbol is refused with its position in the whole input, after the
-    symbols before it have been yielded."""
-    done, held = 0, []  # held: the pieces of a token not yet ended, joined once
+    token cut at the end of a piece waits for the next one, unless it is
+    already longer than the longest symbol.  A foreign symbol is refused
+    with its position in the whole input, after the symbols before it have
+    been yielded."""
+    done, held, longest = 0, "", max(map(len, alphabet.symbols))  # held: a token not yet ended
     while True:
         piece = source.read(_PIECE)
         cut = len(piece)
         if piece and not alphabet.single_char and not piece[-1].isspace():
             cut -= len(piece.rsplit(None, 1)[-1])
-            if not cut:
-                held.append(piece)
-                continue
-        text, held = "".join(held) + piece[:cut], [piece[cut:]]
-        try:
-            idx = read_symbol_text(alphabet, text)
-        except UnknownSymbol as exc:
-            symbols = "".join(text.split()) if alphabet.single_char else text.split()
-            yield alphabet.encode(symbols[: exc.position - 1])
-            raise UnknownSymbol(exc.symbol, alphabet, done + exc.position) from None
-        done += idx.size
-        if idx.size:
-            yield idx
-        if not piece:
-            return
+        if cut or not piece:
+            text, held = held + piece[:cut], piece[cut:]
+            try:
+                idx = read_symbol_text(alphabet, text)
+            except UnknownSymbol as exc:
+                symbols = "".join(text.split()) if alphabet.single_char else text.split()
+                yield alphabet.encode(symbols[: exc.position - 1])
+                raise UnknownSymbol(exc.symbol, alphabet, done + exc.position) from None
+            done += idx.size
+            if idx.size:
+                yield idx
+            if not piece:
+                return
+        else:
+            held += piece
+        if len(held) > longest:  # no symbol matches it, however it ends
+            raise UnknownSymbol(held, alphabet, done + 1)
 
 
 def _output(args):
@@ -261,18 +271,25 @@ def _number(x) -> str:
     return str(x) if isinstance(x, int) else repr(x)
 
 
+def _lemma_head(lemma: str, state, n: int) -> str:
+    """The ``LEMMA`` line's text before the word, shared by a table's lines."""
+    return f"LEMMA {lemma} p={state} n={n} w="
+
+
+def _bound_text(lower, upper) -> str:
+    """The ``bound=`` text: the upper bound, or the equirun band."""
+    return _number(upper) if lower is None else f"[{_number(lower)},{_number(upper)}]"
+
+
 def _format_lemma_line(result, single_char: bool = True) -> str:
     """One ``LEMMA`` line; ``single_char`` tells :func:`word_token` how the
-    checked alphabet spells the word."""
-    word = word_token(result.word, single_char)
-    if result.lower is None:
-        bound = _number(result.upper)
-    else:
-        bound = f"[{_number(result.lower)},{_number(result.upper)}]"
-    status = "PASS" if result.passed else "FAIL"
+    checked alphabet spells the word.  :func:`cmd_lemma_check` writes the
+    same pieces, each made once."""
+    r = result
     return (
-        f"LEMMA {result.lemma} p={result.state} n={result.n} w={word} "
-        f"value={_number(result.value)} bound={bound} {status}"
+        f"{_lemma_head(r.lemma, r.state, r.n)}{word_token(r.word, single_char)} "
+        f"value={_number(r.value)} bound={_bound_text(r.lower, r.upper)} "
+        f"{'PASS' if r.passed else 'FAIL'}"
     )
 
 
@@ -285,21 +302,34 @@ def cmd_lemma_check(args) -> int:
             selector, args.equirun, args.epsilon, args.n_max,
             mu=mu, witness=witness, cap=args.max_enum,
         )
-        results = scan.results
+        tables, lengths = scan.rows, [args.equirun]
         if scan.passed:
             footer = f"# equirun witness n={scan.witness_n}\n"
     else:
-        results = lemma_check(
-            selector, args.n_max, args.w_max, mu=mu, witness=witness, cap=args.max_enum
-        )
-    all_pass, lines, single = True, [], selector.alphabet.single_char
+        tables = _lemma_rows(selector, args.n_max, args.w_max, mu, witness, args.max_enum)
+        lengths = range(min(args.n_max, args.w_max) + 1)
+    # each word's token, each table's head and each bound's text (with either
+    # status) are made once.  A table checks a prefix of the words in this
+    # order, by length and then lexicographically, so zip pairs its rows with
+    # their tokens; a zero bound is not looked up (0.0 and -0.0 print apart)
+    alphabet, tails, all_pass, lines = selector.alphabet, {}, True, []
+    tokens = [word_token(w, alphabet.single_char) for i in lengths for w in alphabet.words(i)]
     with _output(args) as out:  # lines go out as they are made, a batch a write
-        for r in results:
-            all_pass = all_pass and r.passed
-            lines.append(f"{_format_lemma_line(r, single)}\n")
-            if len(lines) == _LEMMA_BATCH:
-                out.write("".join(lines))
-                lines.clear()
+        for rows in tables:
+            head = None
+            for (lemma, p, n, _w, value, upper, lower, _e, passed, _s), token in zip(rows, tokens):
+                if head is None:
+                    head = _lemma_head(lemma, p, n)
+                tail = tails.get(upper) if upper else None
+                if tail is None:
+                    bound = _bound_text(lower, upper)
+                    tail = tails[upper] = (f" bound={bound} PASS\n", f" bound={bound} FAIL\n")
+                all_pass = all_pass and passed
+                status = tail[0] if passed else tail[1]
+                lines.append(f"{head}{token} value={_number(value)}{status}")
+                if len(lines) == _LEMMA_BATCH:
+                    out.write("".join(lines))
+                    lines.clear()
         out.write("".join(lines) + footer)
     return 0 if all_pass else 3
 
@@ -439,6 +469,13 @@ def main(argv=None) -> int:
         )
         return exc.exit_code
     except (SftSelectError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            # the reader closed stdout: point it at the null device, so what
+            # it still holds goes nowhere at exit instead of failing again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return CLOSED_STDOUT
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
 

@@ -14,9 +14,15 @@ class DomainError(SftSelectError):
 
 
 class UnknownSymbol(SftSelectError):
+    """A symbol outside the alphabet; the message shows a symbol longer than
+    32 characters by its first 32 and the number of its characters read."""
+
     def __init__(self, symbol, alphabet, position=None):
         at = f" at position {position}" if position is not None else ""
-        super().__init__(f"symbol {symbol!r} is not in alphabet {list(alphabet)}{at}")
+        shown = repr(symbol)
+        if isinstance(symbol, str) and len(symbol) > 32:
+            shown = f"{symbol[:32]!r}... ({len(symbol)} characters read)"
+        super().__init__(f"symbol {shown} is not in alphabet {list(alphabet)}{at}")
         self.symbol = symbol
         self.position = position
 

@@ -13,9 +13,11 @@ length <= K to its count or measure at every run length n <= n_max:
   check too (only the count DP is pruned to one word), and is capped.
 
 Both come from one table source, ``_tables``, and every check, one-sided
-or the two-sided equirun band, is built by one function, ``_result``: a
-count is checked against #A**(n - |w|) exactly, a measure against the
-conditional measure of w with a float tolerance.
+or the two-sided equirun band, is made by one kernel, ``_check_rows``, as
+plain rows a table at a time: a count is checked against #A**(n - |w|)
+exactly, a measure against the conditional measure of w with a float
+tolerance.  The public checks make :class:`LemmaCheckResult` objects from
+the rows as they are read; the CLI writes the rows themselves.
 
 Enumerating runs outright (:func:`enumerate_runs`, ``_walk_runs``) is the
 oracle the tables are tested against; it stays capped, and past the cap the
@@ -25,7 +27,7 @@ statistical path is the right tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -153,11 +155,12 @@ def _words_to(size: int, length: int) -> int:
 
 
 def _check_size(length: int, words: int, keys: int, results: int = 0, result_bytes: int = 0):
-    """Refuse, before anything is built, a check whose word tuples, count-DP
-    keys and held results would pass ``COUNT_BUDGET_BYTES``, each counted
-    at its cost measured with tracemalloc: 40 + 8 * ``length`` bytes a
-    word, 176 + 8 * ``length`` a key (with its share of the prefix table)
-    and ``result_bytes`` a result, as its caller holds it."""
+    """Refuse, before anything is built, a check whose words, count-DP keys
+    and held results would pass ``COUNT_BUDGET_BYTES``, each counted at its
+    cost measured with tracemalloc: 40 + 8 * ``length`` bytes a word (as a
+    tuple; ``lemma-check`` holds each word's token in its place), 176 + 8 *
+    ``length`` a key (with its share of the prefix table) and
+    ``result_bytes`` a result, as its caller holds it."""
     need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
     if need > COUNT_BUDGET_BYTES:
         raise ValidationError(
@@ -269,29 +272,41 @@ def _bound(mu: Optional[MarkovMeasure]):
     return None if mu is None else lru_cache(maxsize=None)(partial(conditional_word_measure, mu))
 
 
-def _result(selector, bound, witness, p, n: int, w: tuple, value, tol, epsilon=None):
-    """The check of one run count (``bound`` None) or measure against its
-    bound: #A**(n - |w|), or the conditional measure of w after the
-    last-selected label of p, read from ``bound`` (see :func:`_bound`).
-    Counts are exact, so ``tol`` applies to measures only.  Given
-    ``epsilon``, the two-sided equirun check with lower bound
-    (1 - epsilon) * upper; ``strict`` is then ``value < upper``, and
-    ``value < upper - tol`` for the one-sided checks."""
+def _check_rows(selector, bound, witness, p, n: int, table: dict, groups, tol, epsilon=None):
+    """The checks of the table of (p, n) for the words of ``groups``, pairs
+    (length, words), in order, as tuples in :class:`LemmaCheckResult`'s
+    field order: the run count (``bound`` None) or measure of w in
+    ``table`` (0 if absent) against #A**(n - |w|), once per length, or the
+    conditional measure of w after the last-selected label of p, read from
+    ``bound`` (see :func:`_bound`).  Counts are exact, so ``tol`` applies to
+    measures only.  Given ``epsilon``, the two-sided equirun check with
+    lower bound (1 - epsilon) * upper; ``strict`` is then ``value < upper``,
+    and ``value < upper - tol`` for the one-sided checks."""
     if bound is None:
-        kind, upper, tol = "count", len(selector.alphabet) ** (n - len(w)), 0
+        kind, zero, size, tol = "count", 0, len(selector.alphabet), 0
     else:
-        kind, upper = "measure", bound(witness.last_selected[p], w)
-    if epsilon is None:
-        return LemmaCheckResult(
-            lemma=f"{kind}-upper", state=p, n=n, word=w, value=value, upper=upper,
-            passed=value <= upper + tol, strict=value < upper - tol,
-        )
-    lower = (1.0 - epsilon) * upper
-    return LemmaCheckResult(
-        lemma=f"equirun-{kind}", state=p, n=n, word=w, value=value, upper=upper,
-        lower=lower, epsilon=epsilon, passed=lower - tol <= value <= upper + tol,
-        strict=value < upper,
-    )
+        kind, zero, label = "measure", 0.0, witness.last_selected[p]
+    lemma, get = f"{kind}-upper" if epsilon is None else f"equirun-{kind}", table.get
+    for length, words in groups:
+        if bound is None:
+            upper = size ** (n - length)
+        for w in words:
+            value = get(w, zero)
+            if bound is not None:
+                upper = bound(label, w)
+            if epsilon is None:
+                passed, strict = value <= upper + tol, value < upper - tol
+                yield lemma, p, n, w, value, upper, None, None, passed, strict
+            else:
+                lower = (1.0 - epsilon) * upper
+                passed = lower - tol <= value <= upper + tol
+                yield lemma, p, n, w, value, upper, lower, epsilon, passed, value < upper
+
+
+def _result(selector, bound, witness, p, n: int, w: tuple, value, tol, epsilon=None):
+    """The check of one count or measure ``value`` of w (see :func:`_check_rows`)."""
+    rows = _check_rows(selector, bound, witness, p, n, {w: value}, [(len(w), [w])], tol, epsilon)
+    return LemmaCheckResult(*next(rows))
 
 
 def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap, tol):
@@ -348,6 +363,25 @@ def measure_output_prefix_runs(
     return _prefix_check(selector, mu, witness, start, n, word, True, cap, tol)
 
 
+def _lemma_rows(selector, n_max: int, w_max: int, mu, witness, cap: int, tol: float = 1e-12):
+    """The checks of :func:`lemma_check`, a table's rows at a time; the cap
+    and the budget are checked at the call."""
+    if n_max < 0 or w_max < 0:
+        raise ValidationError(f"n_max {n_max} and w_max {w_max} must be >= 0")
+    _require_oblivious(selector)
+    weights = _weights(selector, mu, witness, n_max, cap)
+    nq, m = len(selector.states), min(n_max, w_max)
+    top = _words_to(len(selector.alphabet), m)
+    _check_size(m, top, nq * top)
+    bound, words = _bound(mu), selector.alphabet.words  # made as a table checks them, never held
+    return (
+        _check_rows(selector, bound, witness, p, n, table, groups, tol)
+        for p in selector.states
+        for n, table in enumerate(_tables(selector, p, n_max, w_max, weights))
+        for groups in [[(length, words(length)) for length in range(min(n, m) + 1)]]
+    )
+
+
 def lemma_check(
     selector: Selector,
     n_max: int,
@@ -364,36 +398,29 @@ def lemma_check(
     All checks from one state read one table, built once.  Only the
     measure walk is capped at ``cap`` nominal runs (#A**n_max).  The cap
     and the budget of :func:`_check_size` are checked at the call; the
-    results are made one at a time, so the budget counts none of them,
-    and the measure bounds are cached, one per (label, word).
+    results are made one at a time, from the rows of one table at a time,
+    so the budget counts none of them, and each bound is computed once per
+    table and length for counts, once per (label, word) for measures.
     """
-    if n_max < 0 or w_max < 0:
-        raise ValidationError(f"n_max {n_max} and w_max {w_max} must be >= 0")
-    _require_oblivious(selector)
-    rows = _weights(selector, mu, witness, n_max, cap)
-    nq, m = len(selector.states), min(n_max, w_max)
-    top = _words_to(len(selector.alphabet), m)
-    _check_size(m, top, nq * top)
-    bound, zero = _bound(mu), 0 if mu is None else 0.0
-    words = [tuple(selector.alphabet.words(length)) for length in range(m + 1)]
-    return (
-        _result(selector, bound, witness, p, n, w, table.get(w, zero), tol)
-        for p in selector.states
-        for n, table in enumerate(_tables(selector, p, n_max, w_max, rows))
-        for length in range(min(n, w_max) + 1)
-        for w in words[length]
-    )
+    tables = _lemma_rows(selector, n_max, w_max, mu, witness, cap, tol)
+    return (LemmaCheckResult(*row) for rows in tables for row in rows)
 
 
 @dataclass(frozen=True)
 class EquirunScanResult:
     """Least run length at which every (state, word) count sits inside the
-    two-sided band, with the per-pair results at the reported length."""
+    two-sided band, with the check rows (see :func:`_check_rows`) at the
+    reported length, a tuple per state; ``results`` makes their objects at
+    its first read."""
 
     k: int
     epsilon: float
     witness_n: Optional[int]
-    results: tuple
+    rows: tuple
+
+    @cached_property
+    def results(self) -> tuple:
+        return tuple(LemmaCheckResult(*row) for rows in self.rows for row in rows)
 
     @property
     def passed(self) -> bool:
@@ -420,8 +447,9 @@ def equirun_scan(
     and only it is capped at ``cap`` nominal runs (#A**n).  An ``n_max``
     below k leaves nothing to scan and raises ValidationError, as do k < 1,
     an epsilon that is negative or NaN, and a scan past the budget of
-    :func:`_check_size`: each state keeps its count DP, and a result costs
-    640 + n_max bytes with the previous length's and its printed line.
+    :func:`_check_size`: each state keeps its count DP, and a check row is
+    counted at 640 + n_max bytes, what a result object cost with the
+    previous length's and its printed line; a row costs less.
     """
     if k < 1 or not epsilon >= 0:
         raise ValidationError(f"equirun scan needs k >= 1 and epsilon >= 0, got {k} and {epsilon}")
@@ -434,22 +462,19 @@ def equirun_scan(
     blocks = size ** min(k, 64)
     _check_size(k, blocks, nq * nq * _words_to(size, k), nq * blocks, 640 + n_max)
     words = list(selector.alphabet.words(k))
-    bound, zero = _bound(mu), 0 if mu is None else 0.0
+    bound = _bound(mu)
     # the count DP grows one layer per n, so each state keeps its own; the
     # measure walk is redone for each n, after the cap check for that n
     counts = [islice(_tables(selector, p, n_max, k, None), k, None) for p in selector.states]
-    results: tuple = ()
     for n in range(k, n_max + 1):
-        rows = _weights(selector, mu, witness, n, cap)
-        results = tuple(
-            _result(selector, bound, witness, p, n, w, table.get(w, zero), tol, epsilon)
-            for p, layers in zip(selector.states, counts)
-            for table in [next(layers) if rows is None else _tables(selector, p, n, k, rows)[n]]
-            for w in words
-        )
-        if all(r.passed for r in results):
-            return EquirunScanResult(k=k, epsilon=epsilon, witness_n=n, results=results)
-    return EquirunScanResult(k=k, epsilon=epsilon, witness_n=None, results=results)
+        weights, checks = _weights(selector, mu, witness, n, cap), []
+        for p, layers in zip(selector.states, counts):
+            table = next(layers) if weights is None else _tables(selector, p, n, k, weights)[n]
+            rows = _check_rows(selector, bound, witness, p, n, table, [(k, words)], tol, epsilon)
+            checks.append(tuple(rows))
+        if all(passed for rows in checks for *_check, passed, _strict in rows):
+            return EquirunScanResult(k=k, epsilon=epsilon, witness_n=n, rows=tuple(checks))
+    return EquirunScanResult(k=k, epsilon=epsilon, witness_n=None, rows=tuple(checks))
 
 
 def brute_force_prefix_selection(x, dfa: Automaton, accepting) -> tuple:
