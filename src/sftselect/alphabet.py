@@ -105,13 +105,13 @@ class Alphabet:
         return tuple(self._symbols[i] for i in indices)
 
     def text(self, indices: Sequence[int]) -> str:
-        """Render an index array as text: concatenated for single-character
-        alphabets, whitespace-separated tokens otherwise."""
+        """Render an index array, in its own integer dtype, as text: concatenated
+        for single-character alphabets, whitespace-separated tokens otherwise."""
+        arr = _require_letters(indices, len(self))
         if self._byte_out is not None:
-            arr = np.asarray(indices, dtype=np.int64)
             return self._byte_out[arr].tobytes().decode("latin-1")
         sep = "" if self._single_char else " "
-        return sep.join(self._symbols[i] for i in indices)
+        return sep.join(self._symbols[i] for i in arr.tolist())
 
     def word_label(self, word: Iterable[str]) -> str:
         """Human/CSV label for a word of tokens (``eps`` for the empty word)."""
@@ -123,6 +123,16 @@ class Alphabet:
     def words(self, length: int):
         """All words of the given length in lexicographic (declaration) order."""
         return itertools.product(self._symbols, repeat=length)
+
+
+def _require_letters(letters, size: int) -> np.ndarray:
+    """``letters`` as an integer array (int64 if not one); any outside [0, size) is refused."""
+    letters = np.asarray(letters)
+    letters = letters if letters.dtype.kind in "iu" else letters.astype(np.int64)
+    if letters.size and (letters.max() >= size or letters.dtype.kind == "i" and letters.min() < 0):
+        bad = letters[(letters < 0) | (letters >= size)][0]
+        raise ValidationError(f"letter {bad} is outside [0, {size})")
+    return letters
 
 
 def word_token(word: Iterable[str], single_char: bool) -> str:

@@ -5,8 +5,8 @@ selector, counts length-k blocks on both sides, and compares the output
 frequencies against the target measure (uniform or Markov).  The sequence
 is processed in bounded chunks: memory stays O(#states + #A**max(k))
 however long the input is, with one count vector per side when sliding.
-Each chunk is walked, trimmed, selected by :func:`sftselect.machines._selected`
-and counted by the counters :func:`sftselect.seqgen._block_counters` chose.
+Each chunk is walked to its keep bits (:func:`sftselect.machines._kept`),
+trimmed, selected and counted by :func:`sftselect.seqgen._block_counters`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 from .compat import CompatibilityResult, check_selector_compatibility
 from .errors import NotCompatible, ValidationError
 from .formats import machine_digest
-from .machines import Selector, _require_oblivious, _selected, scc_decomposition
-from .machines import transition_rows, walk
+from .machines import Selector, _kept, _require_oblivious, _selection_tables, run_states
+from .machines import scc_decomposition
 from .measures import MarkovMeasure, block_measure_ladder, support_forbidden_blocks, uniform_measure
 from .seqgen import ALIGNED, SLIDING, BlockCounter, FrequencyReport, GeneratorSpec, generate_chunks
 from .seqgen import _block_counters, _block_reports
@@ -103,7 +103,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ``check_selector_compatibility``).  With ``after_recurrent`` counting is
     restarted at the position where the run enters a recurrent component;
     by default the transient prefix is counted too, tolerances absorb it.
-    Each chunk is walked, trimmed of that prefix, selected and counted.
+    Each chunk is walked to its keep bits, trimmed of that prefix, selected
+    and counted; recurrent classes are closed, so only the first chunk
+    that ends in one walks its state path, to place the entry.
     The counters of each side are :func:`sftselect.seqgen._block_counters`'s;
     the forbidden-pair watch reads the output's sliding counter, at
     max(ks + (2,)), or in aligned mode a sliding pair counter of its own.
@@ -121,8 +123,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if target.alphabet != alpha:
         raise ValidationError("target measure and selector use different alphabets")
     na = len(alpha)
-    nxt, keep = selector.tables()
-    table = transition_rows(nxt)
+    table, keeps = _selection_tables(selector)
 
     scc = scc_decomposition(selector)
     recurrent = np.array([scc.recurrent[scc.component_of(q)] for q in selector.states])
@@ -137,18 +138,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     pos = 0
     for chunk in generate_chunks(config.generator, config.chunk):
-        path = walk(selector, table, chunk, state, pos)
-        state = int(path[-1])
-        if entry_pos is None:
-            hits = np.flatnonzero(recurrent[path[1:]])
-            if hits.size:
-                entry_pos = pos + int(hits[0]) + 1
+        kept, end = _kept(selector, table, keeps, chunk, state, pos)
+        if entry_pos is None and recurrent[end]:  # recurrent classes are closed
+            entry_pos = pos + int(np.argmax(recurrent[run_states(table, chunk, state)[1:]])) + 1
+        state = end
         skip = 0  # the transient prefix of the chunk, left out after_recurrent
         if config.after_recurrent:
             skip = chunk.size if entry_pos is None else max(entry_pos - pos, 0)
         pos += chunk.size
-        chunk, path = chunk[skip:], path[skip:]
-        out = _selected(keep, path, chunk)
+        chunk = chunk[skip:]
+        out = np.compress(kept[skip:], chunk)
         for counter in fed_in:
             counter.update(chunk)
         for counter in fed_out:

@@ -17,14 +17,14 @@ machines are immutable and safe to share across threads.  The only
 mutable object here is :class:`SelectionCursor`, single-owner while fed.
 
 Every deterministic walk over an index array goes through one kernel,
-:func:`run_states`: given the walk table of a dense next-state table (see
-:func:`transition_rows`), letters and a start state, it returns the path
-of states, the start included.  A selector's output on the walk is
-:func:`_selected`, which reads the actions with one flat gather
-``keep.ravel()[path[:-1] * #A + letters]``, and state-visit counts are
-``np.bincount(path[:-1])``.  Markov sampling in :mod:`sftselect.seqgen` is
-the same walk over a draw table.  The scalar :func:`run_word` stays as the
-reference the kernel is tested against.
+:func:`_emitted`: given the walk table of a dense next-state table (see
+:func:`transition_rows`), a table laid out like its trace, letters and a
+start state, it returns each letter's entry and the end state.  Over the
+trace they are states (:func:`run_states`; ``np.bincount(path[:-1])``
+counts visits), over :func:`_selection_tables` a selector's keep bits,
+which ``np.compress`` applies, and over a draw table uint8 Markov samples
+(:mod:`sftselect.seqgen`).  The scalar :func:`run_word` and the path
+gather :func:`_selected` are the references the kernel is tested against.
 
 The walk table is built once per stream, from ``tables()`` as stored,
 with no rebuild.  Undefined transitions lead to an absorbing dead state,
@@ -32,9 +32,9 @@ so partial machines walk like complete ones and :func:`walk` finds the
 first undefined step in the path.  For the largest block length k whose
 tables fit a fixed entry budget, it holds a block table (state, code of
 k letters) -> end state and a trace table of the k states inside each
-block.  :func:`run_states` finds each k-block's end state, writes the
-states inside the blocks with one ``np.take`` of the traces, and walks
-the fewer than k letters after the last block one at a time.  The block
+block.  :func:`_emitted` finds each k-block's end state and writes the
+entries of the blocks with one ``np.take``; the fewer than k letters
+after the last block read the row of their zero-padded block.  The block
 ends follow the enumerative data-parallel walk of Mytkowicz, Musuvathi
 and Schulte (ASPLOS 2014): for at most ``_GROUP_STATES`` states, ``_GROUP``
 gathers map every start state through each group of ``_GROUP`` blocks at
@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .alphabet import Alphabet, as_word, word_token
+from .alphabet import Alphabet, _require_letters, as_word, word_token
 from .errors import (
     Incomplete,
     NotOblivious,
@@ -73,7 +73,7 @@ DROP = "drop"
 # Entries a walk table's block and trace tables may take, which fixes the
 # block length; the longest block (it bounds a unary alphabet's, and block
 # codes cost one numpy pass per letter); and the most letters
-# :func:`run_states` walks at a time.
+# :func:`_emitted` walks at a time.
 _BLOCK_BUDGET = 1 << 16
 _MAX_BLOCK = 16
 _SLICE = 1 << 16
@@ -392,7 +392,7 @@ def block_letters(codes: np.ndarray, k: int, base: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WalkTable:
-    """A next-state table in the form :func:`run_states` walks, built by
+    """A next-state table in the form :func:`_emitted` walks, built by
     :func:`transition_rows`.
 
     ``dead`` is the absorbing state that undefined transitions lead to.
@@ -478,35 +478,35 @@ def _trace_rows(table: WalkTable, codes: np.ndarray, state: int) -> tuple:
     return rows, int(flat[rows[-1]]) // width
 
 
-def run_states(table: WalkTable, letters: np.ndarray, state: int) -> np.ndarray:
-    """The states of the walk from ``state`` over ``table``: the start,
-    then the state after each letter (one more entry than ``letters``).  A
-    walk that falls off the table ends in the dead state.
+def _emitted(table: WalkTable, emit: np.ndarray, letters: np.ndarray, state: int) -> tuple:
+    """(entries, end state) of the walk from ``state`` over ``table``: the
+    entry of ``emit``, any table laid out like ``table.trace``, for each
+    letter.  A walk that falls off the table ends in the dead state.
 
     The block ends come from :func:`_trace_rows`, and one ``np.take`` of
-    the traces writes the states inside the blocks into the path.  Letters
-    are walked in slices of at most ``_SLICE``, so the Python lists stay
-    bounded; the letters that do not fill a block take the leading states
-    of their zero-padded block's trace."""
+    ``emit`` writes the entries of the blocks.  Letters are walked in
+    slices of at most ``_SLICE``, so the Python lists stay bounded."""
     n = len(letters)
     k, na = table.k, table.letters
-    if n and (letters.min() < 0 or letters.max() >= na):
-        bad = letters[(letters < 0) | (letters >= na)][0]
-        raise ValidationError(f"letter {bad} is outside [0, {na})")
-    path = np.empty(n + 1, dtype=np.int64)
-    path[0] = state
-    trace, width = table.trace, na**k
-    whole = n - n % k
+    letters = _require_letters(letters, na)
+    out = np.empty(n, dtype=emit.dtype)
+    r = n % k  # the letters after the last block
     span = _SLICE - _SLICE % k
-    for lo in range(0, whole, span):
-        hi = min(lo + span, whole)
+    for lo in range(0, n - r, span):
+        hi = min(lo + span, n - r)
         rows, state = _trace_rows(table, block_codes(letters[lo:hi], k, na), state)
-        np.take(trace, rows, axis=0, out=path[lo + 1 : hi + 1].reshape(-1, k), mode="clip")
-    if whole < n:
-        block = np.zeros(k, dtype=np.int64)
-        block[: n - whole] = letters[whole:]
-        path[whole + 1 :] = trace[state * width + block_codes(block, k, na)[0], : n - whole]
-    return path
+        np.take(emit, rows, axis=0, out=out[lo:hi].reshape(-1, k), mode="clip")
+    if r:  # they read the row of their zero-padded block
+        row = state * na**k + int(block_codes(letters[n - r :], r, na)[0]) * na ** (k - r)
+        out[n - r :] = emit[row, :r]
+        state = int(table.trace[row, r - 1])
+    return out, state
+
+
+def run_states(table: WalkTable, letters: np.ndarray, state: int) -> np.ndarray:
+    """The int64 path of the walk from ``state`` over ``table``: the start,
+    then the state after each letter (:func:`_emitted` over the trace)."""
+    return np.concatenate([[state], _emitted(table, table.trace, letters, state)[0]])
 
 
 def walk(
@@ -517,9 +517,8 @@ def walk(
     number of input symbols consumed before ``letters`` (errors report the
     1-based position of the offending symbol)."""
     path = run_states(table, letters, state)
-    dead = table.dead
-    if path[-1] == dead:
-        i = int(np.argmax(path == dead))
+    if path[-1] == table.dead:
+        i = int(np.argmax(path == table.dead))
         raise UndefinedTransition(
             machine.states[path[i - 1]],
             machine.alphabet.symbol(int(letters[i - 1])),
@@ -528,11 +527,29 @@ def walk(
     return path
 
 
+def _selection_tables(selector: Selector) -> tuple:
+    """(walk table, keep table) of a selector, the keep bits laid out like
+    the trace: ``[s * #A**k + c, j]`` keeps the j-th letter of block c read
+    from s.  The dead state keeps nothing.  One byte per trace entry."""
+    nxt, keep = selector.tables()
+    table, na = transition_rows(nxt), nxt.shape[1]
+    full = np.vstack([keep, np.zeros(na, dtype=bool)]).ravel()
+    rows = np.arange(len(table.trace))
+    before = np.hstack([(rows // na**table.k)[:, None], table.trace[:, :-1]])
+    return table, full[before * na + block_letters(rows % na**table.k, table.k, na)]
+
+
+def _kept(machine, table: WalkTable, keeps, letters: np.ndarray, state: int, position=0) -> tuple:
+    """:func:`_emitted` over a keep table (:func:`_selection_tables`); a walk
+    that ends in the dead state is walked again, only to raise :func:`walk`'s."""
+    kept, end = _emitted(table, keeps, letters, state)
+    if end == table.dead:
+        walk(machine, table, letters, state, position)
+    return kept, end
+
+
 def _selected(keep: np.ndarray, path: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """The letters a selector keeps on the walk ``path`` over ``letters``:
-    letter i when state ``path[i]`` keeps it.  One flat gather reads the
-    actions, and ``np.compress`` takes the letters: 0.19 ms per 2**16
-    letters, against 0.76 ms for a 2-D index and a boolean mask (numpy 2.4)."""
+    """The letters kept on ``path`` by one flat gather: :func:`_kept`'s reference."""
     return np.compress(keep.ravel()[path[:-1] * keep.shape[1] + letters], letters)
 
 
@@ -547,8 +564,7 @@ class SelectionCursor:
     def __init__(self, selector: Selector, start=None):
         self._selector = selector
         self._position = 0
-        nxt, self._keep = selector.tables()
-        self._table = transition_rows(nxt)
+        self._table, self._keeps = _selection_tables(selector)
         self._state_idx = selector.state_index(
             selector.initial if start is None else start
         )
@@ -588,14 +604,16 @@ class SelectionCursor:
         that has no transition on it, as after the same error from :meth:`feed`.
         """
         try:
-            path = walk(self._selector, self._table, indices, self._state_idx, self._position)
+            kept, end = _kept(
+                self._selector, self._table, self._keeps, indices, self._state_idx, self._position
+            )
         except UndefinedTransition as err:
             self._position = err.position
             self._state_idx = self._selector.state_index(err.state)
             raise
         self._position += len(indices)
-        self._state_idx = int(path[-1])
-        return _selected(self._keep, path, indices).astype(np.int64, copy=False)
+        self._state_idx = end
+        return np.compress(kept, indices).astype(np.int64, copy=False)
 
 
 def apply_selector(selector: Selector, stream: Iterable) -> Iterator:

@@ -281,7 +281,7 @@ def _check_rows(selector, bound, witness, p, n: int, table: dict, groups, tol, e
     ``bound`` (see :func:`_bound`).  Counts are exact, so ``tol`` applies to
     measures only.  Given ``epsilon``, the two-sided equirun check with
     lower bound (1 - epsilon) * upper; ``strict`` is then ``value < upper``,
-    and ``value < upper - tol`` for the one-sided checks."""
+    and ``value < upper - tol`` for the one-sided checks (Python bools)."""
     if bound is None:
         kind, zero, size, tol = "count", 0, len(selector.alphabet), 0
     else:
@@ -295,12 +295,12 @@ def _check_rows(selector, bound, witness, p, n: int, table: dict, groups, tol, e
             if bound is not None:
                 upper = bound(label, w)
             if epsilon is None:
-                passed, strict = value <= upper + tol, value < upper - tol
+                passed, strict = bool(value <= upper + tol), bool(value < upper - tol)
                 yield lemma, p, n, w, value, upper, None, None, passed, strict
             else:
                 lower = (1.0 - epsilon) * upper
-                passed = lower - tol <= value <= upper + tol
-                yield lemma, p, n, w, value, upper, lower, epsilon, passed, value < upper
+                passed = bool(lower - tol <= value <= upper + tol)
+                yield lemma, p, n, w, value, upper, lower, epsilon, passed, bool(value < upper)
 
 
 def _result(selector, bound, witness, p, n: int, w: tuple, value, tol, epsilon=None):

@@ -15,14 +15,14 @@ Symbols are drawn by inverse CDF in alphabet order: the symbol drawn with
 u from weights w is the first i with u < w[0] + ... + w[i], summed left
 to right, or the last positive weight when u reaches the row total.  A
 Markov sample is therefore a deterministic walk (see
-:func:`sftselect.machines.run_states`) over a draw table built once per
+:func:`sftselect.machines._emitted`) over a draw table built once per
 measure.  Its letters are the intervals that the distinct cumulative sums
 (breaks) of every row of P, and of pi, cut out of [0,1): the letter of u
-counts the breaks <= u, by one comparison per break over a whole slice
-(3 for the golden-mean Parry measure) or by binary search past 255.  Its
-states are the symbols plus a start state whose row is pi.  The walk
-composes blocks of k letters (k = 5 for the golden-mean Parry measure)
-in groups, so sampling costs a few vectorized passes per letter.
+counts the breaks <= u, read off the raw uint64 by integer thresholds
+(:func:`_thresholds`), one comparison each (2 for the golden-mean Parry
+measure) or by binary search past 255.  Its states, emitted as uint8, are
+the symbols plus a start state whose row is pi.  The walk composes blocks
+of k letters (k = 5 for golden mean) in groups: a few passes per letter.
 
 The :class:`BlockCounter` that serves each of a set of block lengths is
 chosen in one place, :func:`_block_counters`, for ``freq`` and experiments:
@@ -36,9 +36,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .alphabet import Alphabet
+from .alphabet import Alphabet, _require_letters
 from .errors import BlockLengthOutOfRange, ValidationError
-from .machines import COUNT_BUDGET_BYTES, block_codes, block_letters, run_states, transition_rows
+from .machines import COUNT_BUDGET_BYTES, _emitted, block_codes, block_letters, transition_rows
 from .measures import MarkovMeasure, block_measure_array
 
 SLIDING = "sliding"
@@ -71,18 +71,24 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def splitmix64_floats(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Values offset+1 .. offset+count of the splitmix64 [0,1) stream for
-    ``seed`` taken modulo 2**64, computed in one vectorized pass (the
+def _splitmix64_bits(seed: int, count: int, offset: int = 0) -> np.ndarray:
+    """Outputs offset+1 .. offset+count of the splitmix64 stream for ``seed``
+    taken modulo 2**64, mixed in place in one vectorized pass (the
     generator is counter based: the i-th state is seed + i * gamma)."""
-    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
     z += np.uint64(seed & _MASK)
+    shifted = np.empty_like(z)  # one buffer for the rounds' shifts
     for shift, mult in ((30, _M1), (27, _M2)):
-        z ^= z >> np.uint64(shift)
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
         z *= np.uint64(mult)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return np.multiply(z, 2.0**-53)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
+
+
+def splitmix64_floats(seed: int, count: int, offset: int = 0) -> np.ndarray:
+    """The [0,1) values of :func:`_splitmix64_bits`: top 53 bits over 2**53."""
+    return (_splitmix64_bits(seed, count, offset) >> np.uint64(11)) * 2.0**-53
 
 
 def _draw_table(mu: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -107,13 +113,20 @@ def _draw_table(mu: MarkovMeasure) -> tuple[np.ndarray, np.ndarray]:
     return breaks, table
 
 
+def _thresholds(breaks: np.ndarray) -> np.ndarray:
+    """T_b = ceil(b * 2**53) * 2**11 for each break b < 1: u = (z >> 11) *
+    2**-53 >= b exactly when z >= T_b, and u < 1 never reaches b >= 1."""
+    return np.ceil(breaks[breaks < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
 def _draw_letters(breaks: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """``searchsorted(breaks, us, "right")``; up to 255 breaks (a uint8 count)
-    a sum of comparisons is faster (3 breaks, 2**16 values: 0.07 against 1.1 ms)."""
+    """``searchsorted(breaks, us, "right")``, also for uint64 ``us`` and
+    :func:`_thresholds`; up to 255 breaks (a uint8 count) a sum of
+    comparisons is faster (3 breaks, 2**16 values: 0.07 against 1.1 ms)."""
     if breaks.size > 255:
         return np.searchsorted(breaks, us, side="right")
     letters = np.zeros(us.size, dtype=np.uint8)
-    for b in breaks.tolist():
+    for b in breaks:
         letters += us >= b
     return letters
 
@@ -183,23 +196,22 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
 def generate_chunks(spec: GeneratorSpec, chunk: int = 1 << 16) -> Iterable[np.ndarray]:
     """Yield the sequence of ``spec`` in bounded chunks so consumers never
     hold the whole sequence (the splitmix64 stream is counter based, so a
-    Markov sample continues exactly across chunk boundaries)."""
+    Markov sample continues exactly across chunk boundaries).  Markov
+    chunks are uint8 up to 254 symbols, Champernowne chunks int64."""
     if chunk < 1:
         raise ValidationError(f"chunk size must be positive, got {chunk}")
     if spec.kind == CHAMPERNOWNE:
         yield from _champernowne_chunks(len(spec.alphabet), spec.n, chunk)
         return
     breaks, table = _draw_table(spec.measure)
-    walk_table = transition_rows(table)
+    thresholds, walk_table = _thresholds(breaks), transition_rows(table)
+    # the states: the symbols, the start row (pi) and the dead state
+    symbols = walk_table.trace.astype(np.min_scalar_type(len(spec.alphabet) + 1))
     state = len(spec.alphabet)  # the start row, pi
-    produced = 0
-    while produced < spec.n:
-        take = min(chunk, spec.n - produced)
-        us = splitmix64_floats(spec.seed, take, offset=produced)
-        path = run_states(walk_table, _draw_letters(breaks, us), state)
-        state = int(path[-1])
-        produced += take
-        yield path[1:]
+    for lo in range(0, spec.n, chunk):
+        z = _splitmix64_bits(spec.seed, min(chunk, spec.n - lo), offset=lo)
+        letters, state = _emitted(walk_table, symbols, _draw_letters(thresholds, z), state)
+        yield letters
 
 
 class BlockCounter:
@@ -208,8 +220,8 @@ class BlockCounter:
     SLIDING counts every window of length k (n-k+1 of them over n symbols);
     ALIGNED counts the disjoint blocks w1 w2 ... (floor(n/k) of them).
     Memory is one #A**k int64 count vector, at most COUNT_BUDGET_BYTES,
-    plus a k-sized carry.  A sliding counter also gives the exact counts of
-    every shorter length (:meth:`marginal`).
+    plus a k-sized carry in the chunks' dtype.  A sliding counter also gives
+    the exact counts of every shorter length (:meth:`marginal`).
     """
 
     def __init__(self, alphabet_size: int, k: int, mode: str = SLIDING):
@@ -232,7 +244,8 @@ class BlockCounter:
         self._carry = np.zeros(0, dtype=np.int64)
 
     def update(self, chunk: np.ndarray):
-        chunk = np.asarray(chunk, dtype=np.int64)
+        """Count ``chunk`` in its own integer dtype; a foreign letter is refused first."""
+        chunk = _require_letters(chunk, self.base)
         self.n += chunk.size
         seq = np.concatenate([self._carry, chunk]) if self._carry.size else chunk
         step = 1 if self.mode == SLIDING else self.k
