@@ -102,7 +102,8 @@ class Alphabet:
             raise UnknownSymbol(exc.args[0], self._symbols, word.index(exc.args[0]) + 1) from None
 
     def decode(self, indices: Sequence[int]) -> tuple[str, ...]:
-        return tuple(self._symbols[i] for i in indices)
+        """The symbols of an index array; an index outside [0, #A) is refused."""
+        return tuple(self._symbols[i] for i in _require_letters(indices, len(self)).tolist())
 
     def text(self, indices: Sequence[int]) -> str:
         """Render an index array, in its own integer dtype, as text: concatenated

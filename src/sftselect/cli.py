@@ -182,8 +182,9 @@ def cmd_freq(args) -> int:
     ladder = block_measure_ladder(mu, reports) if mu else ((k, None) for k in reports)
     with _output(args) as out:
         out.write("block,count,frequency" + (",target,abs_error" if mu else "") + "\n")
+        suffixes = {}
         for k, targets in ladder:
-            _write_block_rows(reports[k], targets, out)
+            _write_block_rows(reports[k], targets, out, suffixes)
     return 0
 
 

@@ -188,52 +188,64 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def _write_block_rows(rep: FrequencyReport, targets: Optional[np.ndarray], out: TextIO):
+def _write_block_rows(rep: FrequencyReport, targets, out: TextIO, suffixes: Optional[dict] = None):
     """Write the rows of one block length, blocks in lexicographic order.
     A row is a label and a tail, ``,count,frequency,target,abs_error``
     (``,count,frequency`` when ``targets`` is None).  A label is a head of
     leading letters plus one of the suffixes, the labels of the last m
     letters: m is the most letters, 1 to k, with #A**m <= ``_CSV_SLICE``
-    (1 if #A is larger).  Each row is ranked among the distinct (count,
-    target bits) pairs, a slice of #A**m rows at a time, and each distinct
-    tail is formatted once, into an object array.  Each head's slice goes
-    out in one ``write``: one ``"".join`` over the (head, suffix, tail)
-    triples of an object array whose suffix column is filled once."""
+    (1 if #A is larger), built once per m in a shared ``suffixes`` dict.
+    A row's key is (count - least count) * T + the rank of its target's
+    bits among the T distinct ones (T = 1 without targets).  Over a range
+    of at most #A**k keys, its rank is read from the cumulative sum of a
+    presence table; otherwise, with the count's rank for count - least
+    count, it is searched among the sorted distinct keys.  Each distinct
+    tail is formatted once, and each slice of #A**m rows (one head) goes
+    out in one ``write``, a ``"".join`` over (head, suffix, tail) triples."""
     counts = np.asarray(rep.counts, dtype=np.int64)
-    columns = [counts]
-    if targets is not None:
-        targets = np.ascontiguousarray(targets, dtype=np.float64)
-        columns.append(targets.view(np.uint64))
-    levels = [_distinct(column) for column in columns]
     alpha = rep.alphabet
     m = 1
     while m < rep.k and len(alpha) ** (m + 1) <= _CSV_SLICE:
         m += 1
     size = len(alpha) ** m
     slices = [slice(lo, lo + size) for lo in range(0, counts.size, size)]
+    if targets is not None:
+        bits = np.ascontiguousarray(targets, dtype=np.float64).view(np.uint64)
+        level = _distinct(bits)
+    tsize = 1 if targets is None else level.size
+    low = int(counts.min())
+    span = (int(counts.max()) - low + 1) * tsize
+    table = span <= counts.size
+    values = None if table else _distinct(counts)
     rank = np.empty(counts.size, dtype=np.int64)
-    for s in slices:  # a row's key: its count's rank, then its target bits' rank
-        key = 0
-        for column, level in zip(columns, levels):
-            key = key * level.size + np.searchsorted(level, column[s])
-        rank[s] = key
-    keys = _distinct(rank)
-    first = np.empty(keys.size, dtype=np.int64)  # a row of each key
-    for s in slices:
-        rank[s] = np.searchsorted(keys, rank[s])  # now the key's rank
-        first[rank[s]] = np.arange(s.start, s.stop)
-    c, f = counts[first].tolist(), rep.frequencies[first].tolist()
+    for s in slices:  # a row's key: its count's code, then its target bits' rank
+        key = counts[s] - low if table else np.searchsorted(values, counts[s])
+        rank[s] = key if targets is None else key * tsize + np.searchsorted(level, bits[s])
+    if table:
+        present = np.zeros(span, dtype=bool)
+        present[rank] = True
+        keys, at = np.flatnonzero(present), np.cumsum(present) - 1
+    else:
+        keys = _distinct(rank)
+    for s in slices:  # now the key's rank
+        rank[s] = at[rank[s]] if table else np.searchsorted(keys, rank[s])
+    c = keys // tsize + low if table else values[keys // tsize]
+    c, f = c.tolist(), (c / max(rep.windows, 1)).tolist()  # no windows: every count is 0
     if targets is None:
         tails = [f",{c},{f!r}\n" for c, f in zip(c, f)]
     else:
-        t = targets[first].tolist()
-        tails = [f",{c},{f!r},{t!r},{abs(f - t)!r}\n" for c, f, t in zip(c, f, t)]
+        t, ts = level.view(np.float64).tolist(), (keys % tsize).tolist()
+        texts = [repr(x) for x in t]
+        tails = [f",{c},{f!r},{texts[i]},{abs(f - t[i])!r}\n" for c, f, i in zip(c, f, ts)]
     tails = np.array(tails, dtype=object)
     sep = "" if alpha.single_char else " "
     # RFC 4180: a symbol with , or " quotes every label, " written as ""
     quote = '"' if any(c in a for a in alpha for c in ',"') else ""
+    suffixes = {} if suffixes is None else suffixes
+    if m not in suffixes:
+        suffixes[m] = [sep.join(w).replace('"', '""') + quote for w in alpha.words(m)]
     triples = np.empty((size, 3), dtype=object)
-    triples[:, 1] = [sep.join(w).replace('"', '""') + quote for w in alpha.words(m)]
+    triples[:, 1] = suffixes[m]
     for head, s in zip(alpha.words(rep.k - m), slices):
         triples[:, 0] = quote + (sep.join(head).replace('"', '""') + sep if head else "")
         triples[:, 2] = tails[rank[s]]
@@ -259,8 +271,9 @@ def write_experiment_csv(report: ExperimentReport, out: TextIO):
     for k in config.ks:
         out.write(f"# input_D_{k}={report.input_discrepancies[k]!r}\n")
     out.write("block,count,frequency,target,abs_error\n")
+    suffixes = {}
     for k, targets in block_measure_ladder(config.target, config.ks):
-        _write_block_rows(report.output_reports[k], targets, out)
+        _write_block_rows(report.output_reports[k], targets, out, suffixes)
     failures = [
         f"D_{k}={report.output_discrepancies[k]!r}"
         for k in config.ks

@@ -22,7 +22,7 @@ counts the breaks <= u, read off the raw uint64 by integer thresholds
 (:func:`_thresholds`), one comparison each (2 for the golden-mean Parry
 measure) or by binary search past 255.  Its states, emitted as uint8, are
 the symbols plus a start state whose row is pi.  The walk composes blocks
-of k letters (k = 5 for golden mean) in groups: a few passes per letter.
+of k letters (k = 7 for golden mean) in groups: a few passes per letter.
 
 The :class:`BlockCounter` that serves each of a set of block lengths is
 chosen in one place, :func:`_block_counters`, for ``freq`` and experiments:
@@ -204,7 +204,8 @@ def generate_chunks(spec: GeneratorSpec, chunk: int = 1 << 16) -> Iterable[np.nd
         yield from _champernowne_chunks(len(spec.alphabet), spec.n, chunk)
         return
     breaks, table = _draw_table(spec.measure)
-    thresholds, walk_table = _thresholds(breaks), transition_rows(table)
+    thresholds = _thresholds(breaks)  # no draw reaches a letter past these breaks
+    walk_table = transition_rows(table[:, : thresholds.size + 1])
     # the states: the symbols, the start row (pi) and the dead state
     symbols = walk_table.trace.astype(np.min_scalar_type(len(spec.alphabet) + 1))
     state = len(spec.alphabet)  # the start row, pi
@@ -256,18 +257,24 @@ class BlockCounter:
 
     def marginal(self, k: int) -> np.ndarray:
         """Counts of the length-k blocks: the counter's own for k = self.k,
-        and for a sliding counter those of every 1 <= k < self.k.  Each
-        k-window is the prefix of one counted window, or starts too late for
-        that and lies in the carry, the last min(n, self.k - 1) symbols."""
-        if k == self.k:  # the carry is shorter than a window; no copy
-            return self.counts
-        if self.mode != SLIDING:
-            raise ValidationError("aligned blocks of different lengths do not nest")
-        if not 1 <= k <= self.k:
-            raise BlockLengthOutOfRange(f"block length {k} is outside 1..{self.k}")
-        tail = BlockCounter(self.base, k)
-        tail.update(self._carry)
-        return self.counts.reshape(self.base**k, -1).sum(axis=1) + tail.counts
+        and for a sliding counter those of every 1 <= k < self.k."""
+        return next(self._marginals([k]))[1]
+
+    def _marginals(self, ks):
+        """Yield (k, :meth:`marginal` k) for the distinct ``ks``, longest first.
+        Each k-window is the prefix of one counted window, or lies in the
+        carry, the last min(n, self.k - 1) symbols.  The prefix counts at k
+        are those at k + 1 summed over their last letter, exact integers."""
+        prefix, j = self.counts, self.k
+        for k in sorted(ks, reverse=True):
+            if k != self.k and self.mode != SLIDING:
+                raise ValidationError("aligned blocks of different lengths do not nest")
+            if not 1 <= k <= self.k:
+                raise BlockLengthOutOfRange(f"block length {k} is outside 1..{self.k}")
+            while j > k:  # the strided sums beat a reshape sum over a short last axis
+                prefix, j = sum(prefix[a :: self.base] for a in range(self.base)), j - 1
+            tail = np.bincount(block_codes(self._carry, k, self.base, 1), minlength=prefix.size)
+            yield k, prefix + tail if k < self.k else self.counts  # no carry window at self.k
 
 
 @dataclass(frozen=True)
@@ -330,9 +337,13 @@ def _block_counters(base: int, ks, mode: str, least: int = 1) -> dict:
 
 
 def _block_reports(alphabet: Alphabet, counters: dict) -> dict:
-    """The FrequencyReport of each length from :func:`_block_counters`."""
+    """The FrequencyReport of each length from :func:`_block_counters`, a
+    counter's lengths down its one :meth:`BlockCounter._marginals` ladder."""
+    counts = {}
+    for counter in dict.fromkeys(counters.values()):
+        counts.update(counter._marginals([k for k, c in counters.items() if c is counter]))
     return {
-        k: FrequencyReport(alphabet=alphabet, mode=c.mode, k=k, n=c.n, counts=c.marginal(k))
+        k: FrequencyReport(alphabet=alphabet, mode=c.mode, k=k, n=c.n, counts=counts[k])
         for k, c in counters.items()
     }
 

@@ -36,6 +36,14 @@ class TestAlphabet:
         assert binary.decode(idx) == ("0", "1", "1", "0")
         assert binary.text(idx) == "0110"
 
+    def test_decode_refuses_indices_outside_the_alphabet(self, binary):
+        # a negative index used to wrap to the last symbol, 2 to raise IndexError
+        for bad in ([-1, 0], [0, 2], np.array([1, 3], dtype=np.uint8)):
+            with pytest.raises(ss.ValidationError, match="outside \\[0, 2\\)"):
+                binary.decode(bad)
+        assert binary.decode(np.array([1, 0], dtype=np.uint8)) == ("1", "0")
+        assert binary.decode([]) == ()
+
     def test_unknown_symbol(self, binary):
         with pytest.raises(ss.UnknownSymbol):
             binary.encode("012")
