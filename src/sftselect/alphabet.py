@@ -21,7 +21,7 @@ class Alphabet:
     the package, so that identical inputs give identical outputs.
     """
 
-    __slots__ = ("_symbols", "_index", "_single_char", "_byte_lut", "_byte_out")
+    __slots__ = ("_symbols", "_index", "_single_char", "_byte_in", "_byte_out")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(str(s) for s in symbols)
@@ -38,12 +38,15 @@ class Alphabet:
         self._symbols = syms
         self._index = {s: i for i, s in enumerate(syms)}
         self._single_char = all(len(s) == 1 for s in syms)
-        # byte fast path only when every symbol fits in latin-1
-        self._byte_lut = self._byte_out = None
+        # byte fast path only when every symbol fits in latin-1: one
+        # bytes.translate table each way, a foreign byte read as 255, past
+        # every letter (whitespace and "#" leave at most 243 symbols)
+        self._byte_in = self._byte_out = None
         if self._single_char and all(ord(s) < 256 for s in syms):
-            self._byte_out = np.array([ord(s) for s in syms], dtype=np.uint8)
-            self._byte_lut = np.full(256, -1, dtype=np.int64)
-            self._byte_lut[self._byte_out] = np.arange(len(syms))
+            table_in, table_out = bytearray(b"\xff" * 256), bytearray(256)
+            for i, s in enumerate(syms):
+                table_in[ord(s)], table_out[i] = i, ord(s)
+            self._byte_in, self._byte_out = bytes(table_in), bytes(table_out)
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -84,22 +87,30 @@ class Alphabet:
         """Convert a word (iterable of tokens; a str iterates per character)
         into an int64 index array; the first symbol outside the alphabet is
         refused with its 1-based position in the word."""
-        if isinstance(word, str) and self._byte_lut is not None:
-            try:
-                raw = np.frombuffer(word.encode("latin-1"), dtype=np.uint8)
-            except UnicodeEncodeError as exc:
-                self.encode(word[: exc.start])  # an earlier foreign symbol comes first
-                raise UnknownSymbol(word[exc.start], self._symbols, exc.start + 1) from None
-            idx = self._byte_lut[raw]
-            bad = np.nonzero(idx < 0)[0]
-            if bad.size:
-                raise UnknownSymbol(word[bad[0]], self._symbols, int(bad[0]) + 1)
-            return idx
+        if isinstance(word, str):
+            letters = self._byte_letters(word)
+            if letters is not None:
+                return letters.astype(np.int64)
+        # a foreign symbol is found, and named, by the symbol-by-symbol path
         word = word if isinstance(word, (str, list, tuple)) else list(word)
         try:
             return np.array([self._index[s] for s in word], dtype=np.int64)
         except KeyError as exc:
             raise UnknownSymbol(exc.args[0], self._symbols, word.index(exc.args[0]) + 1) from None
+
+    def _byte_letters(self, text: str, delete: bytes = b""):
+        """The uint8 letters of ``text``, a read-only array, the characters
+        of ``delete`` dropped, by one ``bytes.translate``; None without a
+        byte table, or when ``text`` holds a character not in latin-1 or
+        another not in the alphabet."""
+        if self._byte_in is None:
+            return None
+        try:
+            raw = text.encode("latin-1")
+        except UnicodeEncodeError:
+            return None
+        letters = np.frombuffer(raw.translate(self._byte_in, delete), dtype=np.uint8)
+        return letters if not letters.size or letters.max() < len(self._symbols) else None
 
     def decode(self, indices: Sequence[int]) -> tuple[str, ...]:
         """The symbols of an index array; an index outside [0, #A) is refused."""
@@ -110,7 +121,8 @@ class Alphabet:
         for single-character alphabets, whitespace-separated tokens otherwise."""
         arr = _require_letters(indices, len(self))
         if self._byte_out is not None:
-            return self._byte_out[arr].tobytes().decode("latin-1")
+            raw = arr.astype(np.uint8, copy=False).tobytes()
+            return raw.translate(self._byte_out).decode("latin-1")
         sep = "" if self._single_char else " "
         return sep.join(self._symbols[i] for i in arr.tolist())
 
@@ -127,8 +139,13 @@ class Alphabet:
 
 
 def _require_letters(letters, size: int) -> np.ndarray:
-    """``letters`` as an integer array (int64 if not one); any outside [0, size) is refused."""
+    """``letters`` as an integer array (int64 if not one); any outside [0, size),
+    or any float that is not a whole number, is refused."""
     letters = np.asarray(letters)
+    if letters.dtype.kind == "f":
+        whole = np.isfinite(letters) & (np.trunc(letters) == letters)
+        if not whole.all():
+            raise ValidationError(f"letter {letters[~whole][0]} is not a whole number")
     letters = letters if letters.dtype.kind in "iu" else letters.astype(np.int64)
     if letters.size and (letters.max() >= size or letters.dtype.kind == "i" and letters.min() < 0):
         bad = letters[(letters < 0) | (letters >= size)][0]

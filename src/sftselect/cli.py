@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import os
 import sys
-from pathlib import Path
 
 from .alphabet import Alphabet, word_token
 from .chains import compatible_chain, snake_distribution, uniform_chain
@@ -26,7 +25,9 @@ from .errors import (
 )
 from .experiment import ExperimentConfig, _write_block_rows, run_experiment, write_experiment_csv
 from .formats import (
+    _file_text,
     _transition_text,
+    _undecodable,
     parse_automaton,
     parse_matrix,
     parse_measure,
@@ -52,20 +53,24 @@ _PIECE = 1 << 16
 
 
 def _input(args):
-    """The --in file opened for reading, or stdin, as a context manager."""
-    return open(args.infile) if args.infile else contextlib.nullcontext(sys.stdin)
+    """The --in file opened for reading as UTF-8, or stdin, as a context manager."""
+    return open(args.infile, encoding="utf-8") if args.infile else contextlib.nullcontext(sys.stdin)
 
 
-def _symbol_pieces(alphabet: Alphabet, source):
-    """The symbols of the text ``source`` as index arrays, read
-    :data:`_PIECE` characters at a time.  Over multi-character symbols a
-    token cut at the end of a piece waits for the next one, unless it is
-    already longer than the longest symbol.  A foreign symbol is refused
-    with its position in the whole input, after the symbols before it have
-    been yielded."""
+def _symbol_pieces(alphabet: Alphabet, source, path):
+    """The symbols of the text ``source``, the file at ``path`` or stdin,
+    as index arrays, read :data:`_PIECE` characters at a time.  Over
+    multi-character symbols a token cut at the end of a piece waits for the
+    next one, unless it is already longer than the longest symbol.  A
+    foreign symbol is refused with its position in the whole input, after
+    the symbols before it have been yielded; a byte that does not decode,
+    by its offset in the file."""
     done, held, longest = 0, "", max(map(len, alphabet.symbols))  # held: a token not yet ended
     while True:
-        piece = source.read(_PIECE)
+        try:
+            piece = source.read(_PIECE)
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
         cut = len(piece)
         if piece and not alphabet.single_char and not piece[-1].isspace():
             cut -= len(piece.rsplit(None, 1)[-1])
@@ -90,7 +95,7 @@ def _symbol_pieces(alphabet: Alphabet, source):
 
 def _output(args):
     """The --out file opened for writing, or stdout, as a context manager."""
-    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    return open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(args, text: str):
@@ -157,7 +162,7 @@ def cmd_select(args) -> int:
         if os.path.samefile(args.infile, args.out):  # writing would cut what is still unread
             raise ValidationError("--in and --out name the same file")
     with _input(args) as source, _output(args) as out:  # a piece a write
-        for kept in _selections(selector, _symbol_pieces(alphabet, source)):
+        for kept in _selections(selector, _symbol_pieces(alphabet, source, args.infile)):
             if kept.size:
                 out.write(sep + write_symbol_text(alphabet, kept))
                 sep = "" if alphabet.single_char else " "
@@ -178,7 +183,8 @@ def cmd_freq(args) -> int:
         mu = uniform_measure(alphabet) if args.uniform else None
     ks = _block_lengths(args.k)
     with _input(args) as source:  # the count budget is checked before a piece is read
-        reports = _count_blocks(alphabet, ks, args.mode, _symbol_pieces(alphabet, source))
+        pieces = _symbol_pieces(alphabet, source, args.infile)
+        reports = _count_blocks(alphabet, ks, args.mode, pieces)
     ladder = block_measure_ladder(mu, reports) if mu else ((k, None) for k in reports)
     with _output(args) as out:
         out.write("block,count,frequency" + (",target,abs_error" if mu else "") + "\n")
@@ -195,7 +201,7 @@ def cmd_parry(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    pi = stationary_distribution(_transition_text(Path(args.path).read_text()))
+    pi = stationary_distribution(_transition_text(_file_text(args.path)))
     _emit(args, "pi " + " ".join(repr(float(x)) for x in pi.weights) + "\n")
     return 0
 

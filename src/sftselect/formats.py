@@ -25,6 +25,7 @@ line, the wrong number of ``row`` lines) has ``line`` None.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 from pathlib import Path
 
@@ -37,6 +38,8 @@ from .measures import Distribution, MarkovMeasure, SftSpec, StochasticMatrix
 
 #: The keywords a file holds at most once.
 _ONCE = ("alphabet", "states", "initial", "pi")
+#: Bytes read at a time when a file is scanned for a byte that is not UTF-8.
+_SCAN = 1 << 16
 
 
 def _read(text: str, checks: dict) -> dict:
@@ -167,20 +170,51 @@ def parse_matrix_text(text: str) -> SftSpec:
     return SftSpec(alphabet, matrix)
 
 
+def _undecodable(path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for text that ``exc`` could not decode.  For the file
+    at ``path`` it names the file's first byte that UTF-8 does not decode
+    and that byte's offset, found by reading the file again :data:`_SCAN`
+    bytes at a time; for stdin (``path`` None), the byte of ``exc``."""
+    name, at = "stdin", ""
+    if path is not None:
+        name, decoder, done = path, codecs.getincrementaldecoder("utf-8")(), 0
+        with open(path, "rb") as raw:
+            while True:
+                piece = raw.read(_SCAN)
+                done += len(piece)
+                try:
+                    decoder.decode(piece, final=not piece)
+                except UnicodeDecodeError as err:  # err.object: bytes held back, then piece
+                    exc, at = err, f" at byte offset {done - len(err.object) + err.start}"
+                if at or not piece:
+                    break
+    byte = exc.object[exc.start]
+    return ParseError(None, f"{name}: byte {byte:#04x}{at} is not UTF-8 text ({exc.reason})")
+
+
+def _file_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; an undecodable byte is
+    refused (:func:`_undecodable`), not raised as a UnicodeDecodeError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+
+
 def parse_selector(path) -> Selector:
-    return parse_selector_text(Path(path).read_text())
+    return parse_selector_text(_file_text(path))
 
 
 def parse_automaton(path) -> Automaton:
-    return parse_automaton_text(Path(path).read_text())
+    return parse_automaton_text(_file_text(path))
 
 
 def parse_measure(path) -> MarkovMeasure:
-    return parse_measure_text(Path(path).read_text())
+    return parse_measure_text(_file_text(path))
 
 
 def parse_matrix(path) -> SftSpec:
-    return parse_matrix_text(Path(path).read_text())
+    return parse_matrix_text(_file_text(path))
 
 
 def serialize_machine(machine) -> str:
@@ -262,13 +296,28 @@ def machine_digest(machine) -> str:
     return hashlib.sha256(serialize_machine(machine).encode()).hexdigest()[:12]
 
 
+#: Every character below 256 that ``str.split()`` takes for whitespace:
+#: ``\t \n \x0b \x0c \r \x1c-\x1f``, space, ``\x85`` and ``\xa0``.
+SPACES = bytes(c for c in range(256) if chr(c).isspace())
+
+
 def read_symbol_text(alphabet: Alphabet, text: str) -> np.ndarray:
     """Parse raw sequence text: contiguous characters for single-character
     alphabets (whitespace ignored), whitespace-separated tokens otherwise.
-    A symbol outside the alphabet is refused with its 1-based position."""
-    if alphabet.single_char:
-        return alphabet.encode("".join(text.split()))
-    return alphabet.encode(text.split())
+    A symbol outside the alphabet is refused with its 1-based position.
+
+    The letters are uint8 (a read-only array) over an alphabet of single
+    latin-1 characters, int64 otherwise.  There latin-1 text is read by one
+    ``bytes.translate`` that also drops :data:`SPACES`; text holding wider
+    whitespace (U+3000, say) or a foreign symbol takes the path that
+    splits it."""
+    if not alphabet.single_char:
+        return alphabet.encode(text.split())
+    letters = alphabet._byte_letters(text, SPACES)
+    if letters is None:  # wider whitespace, or a foreign symbol to find
+        text = "".join(text.split())
+        letters = alphabet._byte_letters(text)
+    return alphabet.encode(text) if letters is None else letters
 
 
 def write_symbol_text(alphabet: Alphabet, indices) -> str:

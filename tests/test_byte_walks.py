@@ -7,8 +7,9 @@ first chunk that ends in a recurrent state, checked against ``run_word``
 plus ``block_frequencies``.  Markov sampling compares raw splitmix64
 outputs against integer thresholds, checked against the float draw at and
 beside every threshold, and its chunks are uint8.  Also the refusals of
-foreign letters by ``BlockCounter.update`` and ``Alphabet.text``, and the
-Python bools of the lemma checks.
+foreign letters, and of float letters that are not whole numbers, by
+``BlockCounter.update`` and ``Alphabet.text``, and the Python bools of the
+lemma checks.
 """
 
 import random
@@ -272,6 +273,28 @@ class TestForeignLetters:
         sep = "" if alpha.single_char else " "
         assert alpha.text(np.array([1, 0], dtype=np.uint8)) == sep.join(symbols[::-1])
         assert alpha.text([]) == ""
+
+
+    @pytest.mark.parametrize("bad", [[1.9, 0.2], [0.0, 0.5], [np.nan], [np.inf], [-np.inf]])
+    @pytest.mark.parametrize("symbols", [["0", "1"], ["ab", "c"]])
+    def test_float_letters_that_are_not_whole_are_refused(self, symbols, bad):
+        """They used to be truncated: ``text([1.9, 0.2])`` read ``"10"``."""
+        alpha, counter = ss.Alphabet(symbols), ss.BlockCounter(2, 1)
+        for call in (alpha.text, alpha.decode, counter.update):
+            for letters in (bad, np.array(bad, dtype=np.float32)):
+                with pytest.raises(ss.ValidationError, match="is not a whole number"):
+                    call(letters)
+        assert counter.n == 0 and not counter.counts.any()
+
+    def test_whole_float_letters_are_read_as_integers(self):
+        alpha, counter = ss.Alphabet(["0", "1"]), ss.BlockCounter(2, 1)
+        assert alpha.text([1.0, 0.0, -0.0]) == "100"
+        assert alpha.decode(np.array([1.0, 0.0])) == ("1", "0")
+        assert alpha.decode([]) == () and alpha.text([]) == ""  # [] is a float64 array
+        counter.update(np.array([1.0, 1.0, 0.0]))
+        assert counter.counts.tolist() == [1, 2]
+        with pytest.raises(ss.ValidationError, match="letter 2 is outside"):
+            alpha.text([2.0])
 
 
 def test_measure_checks_are_python_bools(even_positions, golden, golden_witness):

@@ -13,7 +13,10 @@ import io
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect import cli
@@ -23,7 +26,7 @@ from sftselect.formats import read_symbol_text, serialize_machine, write_symbol_
 from sftselect.seqgen import block_frequency_reports
 
 ALPHABETS = {"binary": ["0", "1"], "multi": ["ab", "c", "ddd"], "greek": ["α", "β", "γ"]}
-SPACES = [" ", "  ", "\n", "\t ", " \n "]
+SPACES = [" ", "  ", "\n", "\t ", " \n ", "\x1c", "\x85", "\xa0", "\u3000"]
 PIECES = [*range(1, 8), 1 << 16]  # and the default: one piece
 
 
@@ -244,3 +247,44 @@ def test_select_reports_the_first_fault_in_input_order(text, status, err, piece,
     argv = ["select", "--selector", machine_file(_selector(["0", "1"], partial=True))]
     with mock.patch.object(cli, "_PIECE", piece):
         assert _run(argv, text, "stdin", tmp_path, capsys) == (status, "", err)
+
+
+# single-character alphabets with and without a byte table: one with a
+# symbol at byte 255, the byte table's mark for a foreign byte, and the
+# largest, every latin-1 character that is not whitespace or "#"
+BYTE_ALPHABETS = [
+    ["0", "1"],
+    ["b", "a", "\xe9"],
+    ["\xff", "x"],
+    [chr(c) for c in range(256) if not chr(c).isspace() and chr(c) != "#"],
+]
+WIDE_ALPHABETS = [["α", "β", "γ"], ["0", "€"]]
+OTHERS = ["2", "#", "\xfe", "€", "　", " ", "λ"]  # foreign, or wider whitespace
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), symbols=st.sampled_from(BYTE_ALPHABETS + WIDE_ALPHABETS))
+def test_translate_reader_equals_the_split_reader(data, symbols):
+    """``read_symbol_text`` against ``encode`` of the split text and a scalar
+    reference: the same letters, or the same refusal; uint8 letters over an
+    alphabet with a byte table."""
+    alphabet = ss.Alphabet(symbols)
+    spaces = [chr(c) for c in range(256) if chr(c).isspace()]
+    chars = sorted(set(symbols[:8] + spaces + OTHERS))
+    text = data.draw(st.text(st.sampled_from(chars), max_size=60))
+    joined = "".join(text.split())
+    foreign = [(c, i + 1) for i, c in enumerate(joined) if c not in symbols][:1]
+    try:
+        expected = alphabet.encode(joined)
+    except ss.UnknownSymbol as exc:
+        assert [(exc.symbol, exc.position)] == foreign
+        with pytest.raises(ss.UnknownSymbol) as got:
+            read_symbol_text(alphabet, text)
+        assert (got.value.symbol, got.value.position, str(got.value)) == (
+            exc.symbol, exc.position, str(exc)
+        )
+        return
+    letters = read_symbol_text(alphabet, text)
+    assert not foreign
+    assert letters.tolist() == expected.tolist() == [symbols.index(c) for c in joined]
+    assert letters.dtype == (np.uint8 if symbols in BYTE_ALPHABETS else np.int64)
