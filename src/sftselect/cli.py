@@ -488,6 +488,12 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # stdin and stdout are UTF-8 under any locale, as files are; stdout keeps its
+    # error handler, so a C locale's surrogate-escaped --alphabet byte goes back out
+    if sys.stdin is not None:
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
     sys.exit(main())
 
 

@@ -136,34 +136,23 @@ def infer_iota(machine, declared=None) -> dict:
     return labels
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-        return rx
-
-
 def _infer_last_selected(selector: Selector, last_read: dict, violations: list):
     """Last-selected labels by constraint propagation, appending the clashes
     to ``violations``: return (labeling, unconstrained states).  A drop
     transition's two ends share one class, and each class one label."""
-    uf = _UnionFind(selector.states)
+    parent = {q: q for q in selector.states}
     anchors: dict = {}
 
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
     def anchor(state, symbol, why):
-        root = uf.find(state)
+        root = find(state)
         prev = anchors.get(root)
         if prev is None:
             anchors[root] = (symbol, why)
@@ -182,10 +171,10 @@ def _infer_last_selected(selector: Selector, last_read: dict, violations: list):
             if p in last_read:
                 anchor(p, last_read[p], f"source of keep transition {p} -{a}-> {q}")
         else:
-            rp, rq = uf.find(p), uf.find(q)
+            rp, rq = find(p), find(q)
             if rp != rq:
                 ap, aq = anchors.pop(rp, None), anchors.pop(rq, None)
-                root = uf.union(p, q)
+                parent[rq] = root = rp
                 if ap is not None and aq is not None and ap[0] != aq[0]:
                     violations.append(
                         Violation(
@@ -204,7 +193,7 @@ def _infer_last_selected(selector: Selector, last_read: dict, violations: list):
     unconstrained = []
     class_default: dict = {}
     for q in selector.states:
-        root = uf.find(q)
+        root = find(q)
         if root in anchors:
             last_selected[q] = anchors[root][0]
             continue

@@ -597,7 +597,7 @@ class SelectionCursor:
         return out
 
     def feed_indices(self, indices: np.ndarray) -> np.ndarray:
-        """Fast path over symbol-index arrays; returns emitted indices.
+        """Fast path over symbol-index arrays; returns the emitted indices, in their dtype.
 
         On an undefined transition the cursor stops at the offending
         symbol: ``position`` is its 1-based position and ``state`` the state
@@ -613,7 +613,7 @@ class SelectionCursor:
             raise
         self._position += len(indices)
         self._state_idx = end
-        return np.compress(kept, indices).astype(np.int64, copy=False)
+        return np.compress(kept, indices)
 
 
 def apply_selector(selector: Selector, stream: Iterable) -> Iterator:

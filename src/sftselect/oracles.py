@@ -21,14 +21,18 @@ the rows as they are read; the CLI writes the rows themselves.
 
 Enumerating runs outright (:func:`enumerate_runs`, ``_walk_runs``) is the
 oracle the tables are tested against; it stays capped, and past the cap the
-statistical path is the right tool.
+statistical path is the right tool.  It walks the run tree as the measure
+walk does, with one stack of nodes (state, depth, symbol read into it,
+keeps, weight) pushed in reverse alphabet order, and keeps the path to the
+popped node in two lists, its inputs and their keep bits, written at the
+node's depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import islice
+from itertools import compress, islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -63,50 +67,28 @@ def _check_cap(machine, n: int, cap: int):
 
 
 def _walk_runs(machine, start, n: int, weights=None) -> Iterator[tuple]:
-    """Depth-first enumeration of the realizable length-n runs from ``start``.
-
-    Yields (input, output, end, weight) with inputs in lexicographic order.
-    ``weights(state, symbol)`` multiplies into the run weight per step; the
-    weight is 1.0 when omitted.  Output is () for automata.
-    """
+    """Depth-first enumeration of the realizable length-n runs from ``start``,
+    as (input, output, end, weight) with inputs in lexicographic order.
+    ``weights(state, symbol)`` multiplies into the run weight per step, left
+    to right from 1.0 (1.0 throughout when omitted).  Output is () for automata."""
     machine.state_index(start)
-    if n == 0:
-        yield (), (), start, 1.0
-        return
     is_selector = isinstance(machine, Selector)
-    symbols = machine.alphabet.symbols
-    na = len(symbols)
-    sym_idx = [0] * n
-    states = [start] + [None] * n
-    acc = [1.0] * (n + 1)
-    kept = [False] * n
-    inputs = [None] * n
-    d = 0
-    while d >= 0:
+    symbols = machine.alphabet.symbols[::-1]
+    inputs, kept = [None] * n, [False] * n
+    stack = [(start, 0, None, False, 1.0)]
+    while stack:
+        state, d, a, keeps, acc = stack.pop()
+        if d:
+            inputs[d - 1], kept[d - 1] = a, keeps
         if d == n:
-            out = tuple(inputs[i] for i in range(n) if kept[i])
-            yield tuple(inputs), out, states[n], acc[n]
-            d -= 1
+            yield tuple(inputs), tuple(compress(inputs, kept)), state, acc
             continue
-        i = sym_idx[d]
-        if i >= na:
-            sym_idx[d] = 0
-            d -= 1
-            continue
-        sym_idx[d] = i + 1
-        a = symbols[i]
-        step = machine.step_or_none(states[d], a)
-        if step is None:
-            continue
-        if is_selector:
-            target, keeps = step
-        else:
-            target, keeps = step, False
-        inputs[d] = a
-        kept[d] = keeps
-        states[d + 1] = target
-        acc[d + 1] = acc[d] if weights is None else acc[d] * weights(states[d], a)
-        d += 1
+        for b in symbols:
+            step = machine.step_or_none(state, b)
+            if step is not None:
+                target, keeps = step if is_selector else (step, False)
+                weight = acc if weights is None else acc * weights(state, b)
+                stack.append((target, d + 1, b, keeps, weight))
 
 
 def enumerate_runs(machine, start, n: int, cap: int = DEFAULT_RUN_CAP) -> RunEnumeration:
@@ -235,7 +217,7 @@ def _measure_tables(selector: Selector, start, n_max: int, k: int, weight_rows) 
     numpy scalars)."""
     steps = _steps(selector)
     tables: list = [{} for _ in range(n_max + 1)]
-    stack = [(selector.state_index(start), 0, 1.0, ((),))] if tables else []
+    stack = [(selector.state_index(start), 0, 1.0, ((),))]
     while stack:
         q, d, acc, prefixes = stack.pop()
         table = tables[d]

@@ -63,19 +63,22 @@ def random_complete_dfa(rng: random.Random, max_states: int = 4):
     return dfa, accepting
 
 
-def random_selector(rng: random.Random, max_states: int = 4, partial: bool = False) -> ss.Selector:
-    """Seeded random binary selector with per-transition actions; complete
-    unless ``partial``, which leaves out each transition with probability 1/4."""
+def random_selector(
+    rng: random.Random, max_states: int = 4, partial: bool = False, symbols=("0", "1")
+) -> ss.Selector:
+    """Seeded random selector (binary by default) with per-transition actions;
+    complete unless ``partial``, which leaves out each transition with
+    probability 1/4."""
     n = rng.randint(1, max_states)
     states = [f"s{i}" for i in range(n)]
     transitions = [
         (q, a, rng.choice(("keep", "drop")), states[rng.randrange(n)])
         for q in states
-        for a in ("0", "1")
+        for a in symbols
     ]
     if partial:
         transitions = [t for t in transitions if rng.random() >= 0.25]
-    return ss.Selector(["0", "1"], states, states[0], transitions)
+    return ss.Selector(list(symbols), states, states[0], transitions)
 
 
 def random_irreducible_measure(rng: random.Random, size: int) -> ss.MarkovMeasure:

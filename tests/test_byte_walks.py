@@ -6,7 +6,8 @@ each letter's keep bit, checked against ``_selected`` of the full
 first chunk that ends in a recurrent state, checked against ``run_word``
 plus ``block_frequencies``.  Markov sampling compares raw splitmix64
 outputs against integer thresholds, checked against the float draw at and
-beside every threshold, and its chunks are uint8.  Also the refusals of
+beside every threshold, and its chunks are uint8; the cursor hands
+back kept letters in the dtype it was fed.  Also the refusals of
 foreign letters, and of float letters that are not whole numbers, by
 ``BlockCounter.update`` and ``Alphabet.text``, and the Python bools of the
 lemma checks.
@@ -172,6 +173,18 @@ def test_feed_indices_raises_the_walks_undefined_transition(data, nq, holes, dty
 
 GOLDEN = (1 + 5**0.5) / 2
 SPECIAL_BREAKS = [0.0, 5e-324, 1e-300, 0.5, 1 / GOLDEN, 1 - 2.0**-53, 1.0, 1 + 2.0**-52]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_feed_indices_keeps_the_letters_dtype(even_positions_full, dtype):
+    """Kept letters come back in the dtype they were fed in, so ``select``
+    writes its uint8 pieces with no int64 copy between."""
+    letters = np.random.default_rng(7).integers(0, 2, size=5000).astype(dtype)
+    kept = ss.SelectionCursor(even_positions_full).feed_indices(letters)
+    assert kept.dtype == dtype
+    word = even_positions_full.alphabet.decode(letters)
+    expected = ss.SelectionCursor(even_positions_full).feed_many(word)
+    assert list(even_positions_full.alphabet.decode(kept)) == expected
 
 
 def _float_letters(breaks: np.ndarray, z: np.ndarray) -> np.ndarray:
