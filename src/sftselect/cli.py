@@ -7,13 +7,15 @@ hold), 141 (:data:`CLOSED_STDOUT`) when the reader of stdout closed it
 before the command was done, as in ``sftselect lemma-check ... | head``,
 with nothing on stderr.  A library error exits with its type's
 ``exit_code``; a failed write to an ``--out`` file is an ``error:`` line
-and exit 1, as any other ``OSError``.
+and exit 1, as any other ``OSError``.  :func:`main` builds its parser once
+per process and runs subcommand ``x-y`` by ``cmd_x_y``, looked up at each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -377,24 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, func, help):
+    def add(name, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
         p.add_argument("--out", help="write output to this file instead of stdout")
         return p
 
-    p = add("gen", cmd_gen, "generate a sequence")
+    p = add("gen", "generate a sequence")
     p.add_argument("--kind", choices=["champernowne", "uniform", "sample"], default="uniform")
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", help="measure file for --kind sample")
     p.add_argument("--alphabet", nargs="+", help="symbols for champernowne/uniform")
 
-    p = add("select", cmd_select, "run a selector over a sequence")
+    p = add("select", "run a selector over a sequence")
     p.add_argument("--selector", required=True)
     p.add_argument("--in", dest="infile", help="input sequence file (default stdin)")
 
-    p = add("freq", cmd_freq, "block frequencies of a sequence")
+    p = add("freq", "block frequencies of a sequence")
     p.add_argument("--k", type=int, action="append", required=True)
     p.add_argument("--mode", choices=["sliding", "aligned"], default="sliding")
     target = p.add_mutually_exclusive_group()
@@ -403,27 +404,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", nargs="+")
     p.add_argument("--in", dest="infile")
 
-    p = add("parry", cmd_parry, "Parry measure of an SFT matrix")
+    p = add("parry", "Parry measure of an SFT matrix")
     p.add_argument("matrix")
 
-    p = add("stationary", cmd_stationary, "stationary distribution of a stochastic matrix")
+    p = add("stationary", "stationary distribution of a stochastic matrix")
     p.add_argument("path")
 
-    def add_machine(name, func, help, measure_required=False):
+    def add_machine(name, help, measure_required=False):
         """A subcommand reading one machine (see :func:`_load_machine`)."""
-        p = add(name, func, help)
+        p = add(name, help)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--selector")
         group.add_argument("--automaton")
         p.add_argument("--measure", required=measure_required)
         return p
 
-    add_machine("compat", cmd_compat, "check compatibility with a measure", True)
-    add_machine("chain", cmd_chain, "state chain of a machine")
-    p = add_machine("snake", cmd_snake, "length-n run chain of a machine")
+    add_machine("compat", "check compatibility with a measure", True)
+    add_machine("chain", "state chain of a machine")
+    p = add_machine("snake", "length-n run chain of a machine")
     p.add_argument("-n", type=int, required=True)
 
-    p = add("lemma-check", cmd_lemma_check, "check the run-counting bounds exactly")
+    p = add("lemma-check", "check the run-counting bounds exactly")
     p.add_argument("--selector", required=True)
     p.add_argument("--measure")
     p.add_argument("--n-max", type=int, default=8)
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equirun", type=int, help="run the two-sided scan for this block length")
     p.add_argument("--epsilon", type=float, default=0.1)
 
-    p = add("experiment", cmd_experiment, "end-to-end frequency preservation experiment")
+    p = add("experiment", "end-to-end frequency preservation experiment")
     p.add_argument("--selector", required=True)
     target = p.add_mutually_exclusive_group()
     target.add_argument("--measure")
@@ -453,8 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` shares across calls, built at the first one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -463,7 +470,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NotCompatible as exc:
         for violation in exc.violations:
             print(violation, file=sys.stderr)
@@ -488,12 +495,13 @@ def main(argv=None) -> int:
 
 
 def entry():
-    # stdin and stdout are UTF-8 under any locale, as files are; stdout keeps its
-    # error handler, so a C locale's surrogate-escaped --alphabet byte goes back out
+    # the standard streams are UTF-8 under any locale, as files are; stdout and stderr
+    # keep their error handlers, so a C locale's surrogate-escaped --alphabet byte goes back out
     if sys.stdin is not None:
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-    if sys.stdout is not None:
-        sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     sys.exit(main())
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect import fixtures as fx
+from sftselect import measures
 from sftselect.measures import _power_iteration
 
 from conftest import random_irreducible_measure, random_word
@@ -75,6 +77,18 @@ class TestStationaryDistribution:
             ss.stationary_distribution(P)
         assert err.value.components is not None
 
+    def test_a_singular_balance_system_falls_back_to_least_squares(self):
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as lstsq:
+            x = measures._solve_balance(np.eye(2))
+        assert lstsq.call_count == 1
+        assert x.tolist() == [0.5, 0.5]
+
+    def test_a_solution_that_is_not_stationary_is_refused(self, monkeypatch):
+        monkeypatch.setattr(measures, "_solve_balance", lambda P: np.array([1.0, 0.0]))
+        with pytest.raises(ss.NonConvergence) as err:
+            ss.stationary_distribution(fx.golden_parry_measure().P)
+        assert err.value.iterations == 1
+
     def test_residual_bound(self):
         rng = random.Random(10)
         for size in (2, 3, 5, 8):
@@ -130,6 +144,12 @@ class TestParryMeasure:
         # one step from the uniform vector moves it by 0.1, far from converged
         with pytest.raises(ss.NonConvergence):
             _power_iteration(spec.M, budget=1)
+
+    def test_a_wrong_eigenvector_is_refused(self, monkeypatch):
+        monkeypatch.setattr(measures, "_power_iteration", lambda M: (GOLDEN, np.array([1.0, 0.0])))
+        with pytest.raises(ss.NonConvergence) as err:
+            ss.parry_measure(fx.golden_mean_sft())
+        assert err.value.iterations == measures.POWER_ITER_BUDGET
 
     def test_support_pattern_matches_matrix(self):
         rng = random.Random(17)

@@ -1,10 +1,10 @@
-"""The command line reads stdin and writes stdout as UTF-8 under any locale,
-as it reads and writes files: a byte that is not UTF-8 on stdin is refused
-with one ``error:`` line, symbols outside latin-1 pass through pipes under
-``PYTHONIOENCODING=latin-1``, and an ``--alphabet`` symbol that a C locale
-passes as surrogate-escaped bytes is written back as its bytes.  Each
-command runs in its own interpreter, through ``cli.entry``; none prints a
-traceback."""
+"""The command line reads stdin and writes stdout and stderr as UTF-8 under
+any locale, as it reads and writes files: a byte that is not UTF-8 on stdin
+is refused with one ``error:`` line, symbols outside latin-1 pass through
+pipes and into refusals under ``PYTHONIOENCODING=latin-1``, and an
+``--alphabet`` symbol that a C locale passes as surrogate-escaped bytes is
+written back as its bytes.  Each command runs in its own interpreter,
+through ``cli.entry``; none prints a traceback."""
 
 import os
 import subprocess
@@ -45,6 +45,14 @@ def test_symbols_outside_latin1_pass_through_pipes():
     freq = _run(["freq", *alphabet, "--k", "1"], gen.stdout, PYTHONIOENCODING="latin-1")
     assert (freq.returncode, freq.stderr) == (0, b"")
     assert freq.stdout == "block,count,frequency\nα,4,0.8\nβ,1,0.2\n".encode()
+
+
+@pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "latin-1"}, {"LC_ALL": "C.UTF-8"}])
+def test_a_refusal_names_symbols_outside_latin1_in_utf8(env):
+    done = _run(["freq", "--alphabet", "α", "β", "--k", "1"], "αγ\n".encode(), **env)
+    assert (done.returncode, done.stdout) == (1, b"")
+    refused = "error: symbol 'γ' is not in alphabet ['α', 'β'] at position 2\n"
+    assert done.stderr == refused.encode()
 
 
 def test_a_c_locale_alphabet_byte_is_written_back():
