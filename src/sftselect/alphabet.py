@@ -135,6 +135,8 @@ class Alphabet:
 
     def words(self, length: int):
         """All words of the given length in lexicographic (declaration) order."""
+        if length < 0:
+            raise ValidationError(f"word length {length} is negative")
         return itertools.product(self._symbols, repeat=length)
 
 

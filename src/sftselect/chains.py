@@ -350,6 +350,8 @@ def empirical_state_frequencies(
         idx = alpha.encode(x)
     if n is None:
         n = len(idx)
+    if n < 0:
+        raise ValidationError(f"input length n = {n} is negative")
     idx = idx[:n]
     if len(idx) < n:
         raise ValidationError(f"input has only {len(idx)} symbols, need {n}")

@@ -41,7 +41,7 @@ from .formats import (
 )
 from .machines import SelectionCursor, snake_state_label
 from .measures import block_measure_ladder, parry_measure, stationary_distribution, uniform_measure
-from .oracles import _lemma_rows, equirun_scan
+from .oracles import DEFAULT_RUN_CAP, _lemma_rows, equirun_scan
 from .seqgen import CHAMPERNOWNE, MARKOV_SAMPLE, GeneratorSpec, generate_chunks
 from .seqgen import _block_lengths, _count_blocks
 
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-enum",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_RUN_CAP,
         help="cap on the nominal runs (#A**n) of a measure walk; counts are not capped",
     )
     p.add_argument("--equirun", type=int, help="run the two-sided scan for this block length")

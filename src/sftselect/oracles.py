@@ -3,14 +3,14 @@
 The checks read per-start-state tables that map every output prefix of
 length <= K to its count or measure at every run length n <= n_max:
 
-* counts come from a forward dynamic program over (state, output truncated
-  to K) with exact integers, so they cost O(n * |Q| * #A**K * #A) and need
-  no cap;
+* counts come from a backward recurrence over the tables of all states,
+  with exact integers, so they cost O(n * |Q| * #A**K * #A) and need no
+  cap;
 * measures come from one pre-order walk of the run tree with children in
   alphabet order, so every sum is taken over the runs in lexicographic
   order, exactly as the enumeration adds them, and its floats are bit for
   bit the enumeration's.  The walk visits all #A**n nodes, for a single
-  check too (only the count DP is pruned to one word), and is capped.
+  check too (only the count tables are cut to one word), and is capped.
 
 Both come from one table source, ``_tables``, and every check, one-sided
 or the two-sided equirun band, is made by one kernel, ``_check_rows``, as
@@ -61,6 +61,8 @@ class RunEnumeration:
 
 
 def _check_cap(machine, n: int, cap: int):
+    if n < 0:
+        raise ValidationError(f"run length {n} is negative")
     nominal = len(machine.alphabet) ** n
     if nominal > cap:
         raise CapExceeded(nominal, cap)
@@ -137,7 +139,7 @@ def _words_to(size: int, length: int) -> int:
 
 
 def _check_size(length: int, words: int, keys: int, results: int = 0, result_bytes: int = 0):
-    """Refuse, before anything is built, a check whose words, count-DP keys
+    """Refuse, before anything is built, a check whose words, count-table keys
     and held results would pass ``COUNT_BUDGET_BYTES``, each counted at its
     cost measured with tracemalloc: 40 + 8 * ``length`` bytes a word (as a
     tuple; ``lemma-check`` holds each word's token in its place), 176 + 8 *
@@ -150,48 +152,38 @@ def _check_size(length: int, words: int, keys: int, results: int = 0, result_byt
         )
 
 
-def _count_layers(selector: Selector, start, k: int, word: Optional[tuple] = None) -> Iterator[dict]:
-    """Yield, for n = 0, 1, 2, ..., the number of length-n runs from
-    ``start`` per (state index, output truncated to k).
-
-    Counts are exact integers and runs with the same key are merged, so
-    each step costs O(|Q| * #A**k * #A) and a layer holds at most
-    |Q| * (#A**0 + ... + #A**k) keys.  Given ``word`` (with k = |word|),
-    runs whose output stops being a prefix of it are dropped on the way,
-    which leaves O(|Q| * k) keys."""
+def _count_tables(selector: Selector, k: int, word: Optional[tuple] = None) -> Iterator[list]:
+    """Yield, for n = 0, 1, 2, ..., every state index's table: output prefix
+    w (|w| <= k) -> the number of length-n runs from that state whose output
+    begins with w (absent if none).  A run from q that reads a to t outputs
+    what the run from t outputs, behind a if q keeps a, so a table at n + 1
+    adds up its targets' tables at n: a drop keeps w; a keep of a moves w to
+    a.w while |a.w| <= k, and () to () as well.  Given ``word`` (k = |word|),
+    only its suffixes, the words its count is made from, are kept."""
     steps = _steps(selector)
-    layer = {(selector.state_index(start), ()): 1}
+    layer = [{(): 1} for _ in selector.states]
     while True:
         yield layer
-        following: dict = {}
-        for (q, out), c in layer.items():
-            for _ai, a, t, keeps in steps[q]:
-                if keeps and len(out) < k:
-                    if word is not None and word[len(out)] != a:
-                        continue
-                    key = (t, out + (a,))
-                else:
-                    key = (t, out)
-                following[key] = following.get(key, 0) + c
+        following = []
+        for arcs in steps:
+            table: dict = {}
+            for _ai, a, t, keeps in arcs:
+                for w, c in layer[t].items():
+                    if keeps:
+                        if not w:
+                            table[w] = table.get(w, 0) + c
+                        w = (a,) + w
+                        if len(w) > k or word is not None and word[k - len(w) :] != w:
+                            continue
+                    table[w] = table.get(w, 0) + c
+            following.append(table)
         layer = following
-
-
-def _prefix_counts(layer: dict) -> dict:
-    """The table of a :func:`_count_layers` layer: every output prefix w
-    (|w| <= k) -> the number of its runs whose output begins with w.
-    Prefixes no run outputs are absent."""
-    table: dict = {}
-    for (_q, out), c in layer.items():
-        for i in range(len(out) + 1):
-            w = out[:i]
-            table[w] = table.get(w, 0) + c
-    return table
 
 
 def _weights(selector: Selector, mu, witness, n: int, cap: int):
     """The step weights of the measure walk to run length n, after checking
     that ``witness`` has last-selected labels and that #A**n is within
-    ``cap``; None without a measure (the count DP needs neither).  Row q
+    ``cap``; None without a measure (the count tables need neither).  Row q
     is the lift of the measure out of state index q (see
     :func:`compat._step_weights`), as Python floats."""
     if mu is None:
@@ -240,11 +232,12 @@ def _measure_tables(selector: Selector, start, n_max: int, k: int, weight_rows) 
 
 def _tables(selector: Selector, start, n_max: int, k: int, rows, word: Optional[tuple] = None):
     """The tables of n = 0..n_max from ``start``: output prefix w with
-    |w| <= k -> the runs whose output begins with w, counted lazily by the
-    DP of :func:`_count_layers` (pruned to ``word``) when ``rows`` is None,
-    else weighed by the walk of :func:`_measure_tables` over ``rows``, as a list."""
+    |w| <= k -> the runs whose output begins with w, counted lazily by
+    :func:`_count_tables` (cut to ``word``) when ``rows`` is None, else
+    weighed by the walk of :func:`_measure_tables` over ``rows``, as a list."""
     if rows is None:
-        return map(_prefix_counts, islice(_count_layers(selector, start, k, word), n_max + 1))
+        q = selector.state_index(start)
+        return (layer[q] for layer in islice(_count_tables(selector, k, word), n_max + 1))
     return _measure_tables(selector, start, n_max, k, rows)
 
 
@@ -293,7 +286,7 @@ def _result(selector, bound, witness, p, n: int, w: tuple, value, tol, epsilon=N
 
 def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap, tol):
     """The value and check of one (start, n, word), shared by the two public
-    single checks; the count DP is pruned to the prefixes of ``word``, the
+    single checks; the count tables keep the suffixes of ``word`` only, the
     measure walk visits every run to n."""
     w = as_word(word)
     if len(w) > n:
@@ -429,9 +422,9 @@ def equirun_scan(
     and only it is capped at ``cap`` nominal runs (#A**n).  An ``n_max``
     below k leaves nothing to scan and raises ValidationError, as do k < 1,
     an epsilon that is negative or NaN, and a scan past the budget of
-    :func:`_check_size`: each state keeps its count DP, and a check row is
-    counted at 640 + n_max bytes, what a result object cost with the
-    previous length's and its printed line; a row costs less.
+    :func:`_check_size`: one count layer holds every state's table, and a
+    check row is counted at 640 + n_max bytes, what a result object cost
+    with the previous length's and its printed line; a row costs less.
     """
     if k < 1 or not epsilon >= 0:
         raise ValidationError(f"equirun scan needs k >= 1 and epsilon >= 0, got {k} and {epsilon}")
@@ -445,13 +438,14 @@ def equirun_scan(
     _check_size(k, blocks, nq * nq * _words_to(size, k), nq * blocks, 640 + n_max)
     words = list(selector.alphabet.words(k))
     bound = _bound(mu)
-    # the count DP grows one layer per n, so each state keeps its own; the
-    # measure walk is redone for each n, after the cap check for that n
-    counts = [islice(_tables(selector, p, n_max, k, None), k, None) for p in selector.states]
+    # the count tables of all states grow one layer per n; the measure walk
+    # is redone for each state and n, after the cap check for that n
+    counts = islice(_count_tables(selector, k), k, None)
     for n in range(k, n_max + 1):
         weights, checks = _weights(selector, mu, witness, n, cap), []
-        for p, layers in zip(selector.states, counts):
-            table = next(layers) if weights is None else _tables(selector, p, n, k, weights)[n]
+        measured = (_measure_tables(selector, p, n, k, weights)[n] for p in selector.states)
+        tables = next(counts) if weights is None else measured
+        for p, table in zip(selector.states, tables):
             rows = _check_rows(selector, bound, witness, p, n, table, [(k, words)], tol, epsilon)
             checks.append(tuple(rows))
         if all(passed for rows in checks for *_check, passed, _strict in rows):

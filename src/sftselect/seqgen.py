@@ -31,6 +31,7 @@ one sliding counter serves every length, aligned mode one per length.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -134,20 +135,15 @@ def _draw_letters(breaks: np.ndarray, us: np.ndarray) -> np.ndarray:
 def _champernowne_chunks(base: int, n: int, chunk: int):
     """Bounded-size pieces of the by-length, then lexicographic word
     concatenation; at most ~chunk symbols are materialized at a time."""
-    emitted = 0
-    length = 1
-    while emitted < n:
-        count = base**length
-        code = 0
-        while code < count and emitted < n:
-            batch = min(max(chunk // length, 1), count - code)
-            codes = np.arange(code, code + batch, dtype=np.int64)
-            flat = block_letters(codes, length, base).reshape(-1)
-            take = min(flat.size, n - emitted)
-            yield flat[:take]
-            emitted += take
-            code += batch
-        length += 1
+    for length in itertools.count(1):
+        words, batch = base**length, max(chunk // length, 1)
+        for code in range(0, words, batch):
+            if n <= 0:
+                return
+            codes = np.arange(code, min(code + batch, words), dtype=np.int64)
+            flat = block_letters(codes, length, base).reshape(-1)[:n]
+            n -= flat.size
+            yield flat
 
 
 def champernowne(alphabet, n: int) -> np.ndarray:

@@ -67,6 +67,10 @@ class TestAlphabet:
         assert len(list(binary.words(0))) == 1
         assert len(list(binary.words(5))) == 32
 
+    def test_negative_word_length_is_typed(self, binary):
+        with pytest.raises(ss.ValidationError, match="word length -1 is negative"):
+            binary.words(-1)
+
     def test_word_label_empty_is_eps(self, binary):
         assert binary.word_label(()) == ss.EPSILON_TOKEN
 

@@ -228,6 +228,12 @@ class TestEmpiricalFrequencies:
         with pytest.raises(ss.ValidationError, match="input has only 3 symbols, need 5"):
             ss.empirical_state_frequencies(after_ones.underlying_automaton(), "010", n=5)
 
+    @pytest.mark.parametrize("n", [-1, -6])
+    def test_negative_length_is_typed(self, n):
+        automaton = ss.Automaton(["0", "1"], ["s"], "s", [("s", "0", "s"), ("s", "1", "s")])
+        with pytest.raises(ss.ValidationError, match=f"n = {n} is negative"):
+            ss.empirical_state_frequencies(automaton, "01101", n=n)
+
     def test_undefined_transition(self, even_positions, golden, golden_witness):
         chain = ss.compatible_chain(even_positions, golden, golden_witness)
         with pytest.raises(ss.UndefinedTransition):

@@ -26,6 +26,10 @@ class TestEnumerateRuns:
         enum = ss.enumerate_runs(after_ones, "q1", 0)
         assert enum.runs == (((), (), "q1"),)
 
+    def test_negative_length_is_typed(self, after_ones):
+        with pytest.raises(ss.ValidationError, match="run length -1 is negative"):
+            ss.enumerate_runs(after_ones, "q0", -1)
+
     def test_even_positions_partial(self, even_positions):
         enum = ss.enumerate_runs(even_positions, "000", 1)
         assert enum.count == 2

@@ -1,10 +1,13 @@
 """Differential tests of the output-prefix tables behind the run-counting
 checks against the run enumeration ``_walk_runs``: counts must be equal,
 measures ``repr``-identical (type included), and the equirun scan must give
-the lines an enumeration-based scan gives."""
+the lines an enumeration-based scan gives.  The count tables are also
+checked against the forward (state, output) dynamic program they replaced,
+kept here as ``reference_count_layers`` and ``reference_prefix_counts``."""
 
 import random
 from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 import pytest
@@ -13,9 +16,47 @@ from hypothesis import strategies as st
 
 import sftselect as ss
 from sftselect.cli import _format_lemma_line
-from sftselect.oracles import _count_layers, _measure_tables, _prefix_counts, _walk_runs
+from sftselect.oracles import _count_tables, _measure_tables, _steps, _walk_runs
 
 from conftest import random_complete_dfa, random_irreducible_measure, random_selector
+
+
+def reference_count_layers(selector, start, k: int, word: Optional[tuple] = None) -> Iterator[dict]:
+    """Yield, for n = 0, 1, 2, ..., the number of length-n runs from
+    ``start`` per (state index, output truncated to k).
+
+    Counts are exact integers and runs with the same key are merged, so
+    each step costs O(|Q| * #A**k * #A) and a layer holds at most
+    |Q| * (#A**0 + ... + #A**k) keys.  Given ``word`` (with k = |word|),
+    runs whose output stops being a prefix of it are dropped on the way,
+    which leaves O(|Q| * k) keys."""
+    steps = _steps(selector)
+    layer = {(selector.state_index(start), ()): 1}
+    while True:
+        yield layer
+        following: dict = {}
+        for (q, out), c in layer.items():
+            for _ai, a, t, keeps in steps[q]:
+                if keeps and len(out) < k:
+                    if word is not None and word[len(out)] != a:
+                        continue
+                    key = (t, out + (a,))
+                else:
+                    key = (t, out)
+                following[key] = following.get(key, 0) + c
+        layer = following
+
+
+def reference_prefix_counts(layer: dict) -> dict:
+    """The table of a :func:`reference_count_layers` layer: every output prefix w
+    (|w| <= k) -> the number of its runs whose output begins with w.
+    Prefixes no run outputs are absent."""
+    table: dict = {}
+    for (_q, out), c in layer.items():
+        for i in range(len(out) + 1):
+            w = out[:i]
+            table[w] = table.get(w, 0) + c
+    return table
 
 
 def enumerated_counts(selector, start, n, k) -> dict:
@@ -69,12 +110,13 @@ def test_count_tables_equal_enumeration(seed, partial, n_max, k):
     selector = random_selector(rng, partial=partial)
     start = rng.choice(selector.states)
     key_limit = len(selector.states) * len(all_words(selector.alphabet, k))
-    for n, layer in enumerate(_count_layers(selector, start, k)):
+    q = selector.state_index(start)
+    for n, layer in enumerate(_count_tables(selector, k)):
         if n > n_max:
             break
-        # merged on (state, output truncated to k): polynomially many keys
-        assert len(layer) <= key_limit
-        table = _prefix_counts(layer)
+        # one table of words of length <= k per state: polynomially many keys
+        assert sum(map(len, layer)) <= key_limit
+        table = layer[q]
         assert table == enumerated_counts(selector, start, n, k)
         for w in all_words(selector.alphabet, min(n, k)):
             count, result = ss.count_output_prefix_runs(
@@ -108,6 +150,38 @@ def test_measure_tables_equal_enumeration_bit_for_bit(seed, partial, n_max, k):
             assert type(got) is type(expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    size=st.integers(1, 3),
+    partial=st.booleans(),
+    oblivious=st.booleans(),
+    n_max=st.integers(0, 40),
+    k=st.integers(0, 6),
+)
+def test_count_tables_equal_forward_dp(seed, size, partial, oblivious, n_max, k):
+    rng = random.Random(seed)
+    selector = random_selector(rng, partial=partial, symbols=tuple("012"[:size]))
+    if oblivious:  # one action per state, drawn afresh
+        action = {q: rng.choice(("keep", "drop")) for q in selector.states}
+        arcs = [(q, a, action[q], t) for q, a, _action, t in selector.transitions()]
+        selector = ss.Selector(selector.alphabet, selector.states, selector.initial, arcs)
+        assert ss.is_oblivious(selector)[0]
+    layers = list(islice(_count_tables(selector, k), n_max + 1))
+    for q, start in enumerate(selector.states):
+        reference = islice(reference_count_layers(selector, start, k), n_max + 1)
+        assert [layer[q] for layer in layers] == list(map(reference_prefix_counts, reference))
+    # one word per length, each letter drawn at random: its suffixes only
+    for length in range(min(k, n_max) + 1):
+        word = tuple(rng.choice(selector.alphabet.symbols) for _ in range(length))
+        tables = list(islice(_count_tables(selector, length, word), n_max + 1))
+        for start in selector.states:
+            reference = islice(reference_count_layers(selector, start, length, word), n_max + 1)
+            expected = [reference_prefix_counts(layer).get(word, 0) for layer in reference]
+            got = [layer[selector.state_index(start)].get(word, 0) for layer in tables]
+            assert got == expected
+
+
 def test_measure_value_types(after_ones):
     rows = [[0.25, 0.75], [0.5, 0.5]]
     tables = _measure_tables(after_ones, "q0", 2, 1, rows)
@@ -127,8 +201,8 @@ def test_nonoblivious_counts_equal_enumeration(nonoblivious, n):
             )
             assert count == table.get(w, 0)
         # n + 1 symbols is longer than any output of a length-n run
-        layer = next(islice(_count_layers(nonoblivious, p, n + 1), n, None))
-        assert _prefix_counts(layer) == table
+        layer = next(islice(_count_tables(nonoblivious, n + 1), n, None))
+        assert layer[nonoblivious.state_index(p)] == table
 
 
 def test_lemma_check_equals_per_word_calls(after_ones, even_positions, golden, golden_witness):
