@@ -164,7 +164,3 @@ def word_token(word: Iterable[str], single_char: bool) -> str:
         return "".join(word) or EPSILON_TOKEN
     return ".".join(s.replace("\\", "\\\\").replace(".", "\\.") for s in word) or EPSILON_TOKEN
 
-
-def as_word(word: Iterable[str]) -> tuple[str, ...]:
-    """Normalize any token iterable (including a plain str) to a tuple."""
-    return tuple(word)

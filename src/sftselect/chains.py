@@ -30,7 +30,7 @@ from .alphabet import Alphabet
 from .compat import CompatibilityWitness, _step_weights, is_shift_complete
 from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun, ValidationError
 from .machines import (
-    COUNT_BUDGET_BYTES, Automaton, SccReport, _snake_from_runs, _snake_runs, block_letters,
+    Automaton, SccReport, _require_budget, _snake_from_runs, _snake_runs, block_letters,
     scc_decomposition, transition_rows, walk,
 )
 from .measures import (
@@ -59,11 +59,8 @@ def _dense(size: int, rows, cols, sums) -> np.ndarray:
 
 def _require_dense(size: int):
     """Refuse a chain whose dense matrix would pass ``COUNT_BUDGET_BYTES``."""
-    if size * size * 8 > COUNT_BUDGET_BYTES:
-        raise ValidationError(
-            f"a dense chain over {size} states needs {size}**2 float64 entries, "
-            f"past the budget of {COUNT_BUDGET_BYTES} bytes"
-        )
+    what = f"a dense chain over {size} states needs {size}**2 float64 entries"
+    _require_budget(size * size * 8, what)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import contextlib
 import functools
 import os
 import sys
+from decimal import Decimal
 
 from .alphabet import Alphabet, word_token
 from .chains import compatible_chain, snake_distribution, uniform_chain
@@ -276,8 +277,8 @@ def cmd_snake(args) -> int:
 
 
 def _number(x) -> str:
-    """An int as is, anything else (a float or np.float64) by its repr."""
-    return str(x) if isinstance(x, int) else repr(x)
+    """An int in full (Decimal has no digit limit), else a float's repr."""
+    return str(Decimal(x)) if isinstance(x, int) else repr(x)
 
 
 def _lemma_head(lemma: str, state, n: int) -> str:

@@ -108,6 +108,8 @@ class UnrealizableRun(DomainError):
 
 
 class CapExceeded(DomainError):
+    """``requested`` is #A**n, or its text ("2**15000") for n past max(cap.bit_length(), 64)."""
+
     def __init__(self, requested, cap):
         super().__init__(f"enumeration of {requested} runs exceeds the cap of {cap}")
         self.requested = requested

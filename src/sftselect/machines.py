@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .alphabet import Alphabet, _require_letters, as_word, word_token
+from .alphabet import Alphabet, _require_letters, word_token
 from .errors import (
     Incomplete,
     NotOblivious,
@@ -84,6 +84,13 @@ _GROUP_STATES = 16
 #: bytes one array a request sizes may take: a BlockCounter's counts, a
 #: snake's run tables, a dense state chain
 COUNT_BUDGET_BYTES = 1 << 30
+
+
+def _require_budget(need: int, what: str, error=ValidationError):
+    """Raise ``error`` naming ``what`` if ``need`` bytes pass the budget; a
+    power of #A is sized as #A ** min(n, 64), past it for two or more letters."""
+    if need > COUNT_BUDGET_BYTES:
+        raise error(f"{what}, past the budget of {COUNT_BUDGET_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -325,7 +332,7 @@ def run_word(machine, start, word) -> Run:
     missing transition (1-based position) and UnknownSymbol for foreign
     symbols.
     """
-    word = as_word(word)
+    word = tuple(word)
     is_selector = isinstance(machine, Selector)
     machine.state_index(start)
     state = start
@@ -790,12 +797,9 @@ def _snake_runs(machine, n: int) -> np.ndarray:
         raise ValidationError("snake construction needs n >= 1")
     nxt = machine.tables()[0]
     nq, na = nxt.shape
-    # n >= 64 is past the budget for two symbols; skip the huge power
-    if na > 1 and n >= 64 or nq * na**n * (24 * (na + n) + 256) > COUNT_BUDGET_BYTES:
-        raise ValidationError(
-            f"snake of length {n} has up to {nq}*{na}**{n} runs of "
-            f"{24 * (na + n) + 256} bytes, past the budget of {COUNT_BUDGET_BYTES} bytes"
-        )
+    per_run = 24 * (na + n) + 256
+    what = f"snake of length {n} has up to {nq}*{na}**{n} runs of {per_run} bytes"
+    _require_budget(nq * na ** min(n, 64) * per_run, what)
     end = np.arange(nq, dtype=np.int64)[:, None]
     full = _with_dead_state(nxt)
     for _ in range(n):

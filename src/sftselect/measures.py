@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .alphabet import Alphabet, as_word
+from .alphabet import Alphabet
 from .errors import (
     NonConvergence,
     NotIrreducible,
@@ -185,7 +185,7 @@ def _pattern_period(mask: np.ndarray) -> int:
 
 def word_measure(mu: MarkovMeasure, word: Iterable[str]) -> float:
     """mu(w) = pi[w1] * prod P[wi, wi+1]; the empty word has measure 1."""
-    w = as_word(word)
+    w = tuple(word)
     if not w:
         return 1.0
     alpha = mu.alphabet
@@ -200,7 +200,7 @@ def word_measure(mu: MarkovMeasure, word: Iterable[str]) -> float:
 def conditional_word_measure(mu: MarkovMeasure, symbol: str, word: Iterable[str]) -> float:
     """Measure of ``word`` conditioned on the previous symbol: starts from the
     transition row of ``symbol`` instead of the stationary vector."""
-    w = as_word(word)
+    w = tuple(word)
     prev = mu.alphabet.index(symbol)
     value = 1.0
     entries = mu.P.entries
@@ -335,7 +335,7 @@ def support_forbidden_blocks(mu: MarkovMeasure) -> set:
 def word_in_support(mu: MarkovMeasure, word: Iterable[str]) -> bool:
     """Whether the word has positive measure (no forbidden step, positive
     initial weight).  The empty word is always in the support."""
-    w = as_word(word)
+    w = tuple(word)
     if not w:
         return True
     if mu.pi[w[0]] <= 0.0:

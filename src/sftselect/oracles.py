@@ -12,12 +12,12 @@ length <= K to its count or measure at every run length n <= n_max:
   bit the enumeration's.  The walk visits all #A**n nodes, for a single
   check too (only the count tables are cut to one word), and is capped.
 
-Both come from one table source, ``_tables``, and every check, one-sided
-or the two-sided equirun band, is made by one kernel, ``_check_rows``, as
-plain rows a table at a time: a count is checked against #A**(n - |w|)
-exactly, a measure against the conditional measure of w with a float
-tolerance.  The public checks make :class:`LemmaCheckResult` objects from
-the rows as they are read; the CLI writes the rows themselves.
+Each check reads ``_count_tables`` or ``_measure_tables`` itself, and is
+made by one kernel, ``_check_rows``, one-sided or the two-sided equirun
+band, as plain rows a table at a time: a count is checked against
+#A**(n - |w|) exactly, a measure against the conditional measure of w with
+a float tolerance.  The public checks make :class:`LemmaCheckResult`
+objects from the rows as they are read; the CLI writes the rows themselves.
 
 Enumerating runs outright (:func:`enumerate_runs`, ``_walk_runs``) is the
 oracle the tables are tested against; it stays capped, and past the cap the
@@ -37,10 +37,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .alphabet import as_word
 from .compat import CompatibilityWitness, _step_weights
 from .errors import CapExceeded, NotCompatible, NotStronglyConnected, ValidationError
-from .machines import COUNT_BUDGET_BYTES, Automaton, Selector, _require_oblivious, scc_decomposition
+from .machines import Automaton, Selector, _require_budget, _require_oblivious, scc_decomposition
 from .measures import MarkovMeasure, conditional_word_measure
 
 DEFAULT_RUN_CAP = 1 << 20
@@ -63,7 +62,10 @@ class RunEnumeration:
 def _check_cap(machine, n: int, cap: int):
     if n < 0:
         raise ValidationError(f"run length {n} is negative")
-    nominal = len(machine.alphabet) ** n
+    size = len(machine.alphabet)
+    if size > 1 and n > max(cap.bit_length(), 64):  # past the cap: name #A**n, build none
+        raise CapExceeded(f"{size}**{n}", cap)
+    nominal = size**n
     if nominal > cap:
         raise CapExceeded(nominal, cap)
 
@@ -146,10 +148,7 @@ def _check_size(length: int, words: int, keys: int, results: int = 0, result_byt
     ``length`` a key (with its share of the prefix table) and
     ``result_bytes`` a result, as its caller holds it."""
     need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
-    if need > COUNT_BUDGET_BYTES:
-        raise ValidationError(
-            f"the checks would take {need} bytes, past the budget of {COUNT_BUDGET_BYTES} bytes"
-        )
+    _require_budget(need, f"the checks would take {need} bytes")
 
 
 def _count_tables(selector: Selector, k: int, word: Optional[tuple] = None) -> Iterator[list]:
@@ -230,17 +229,6 @@ def _measure_tables(selector: Selector, start, n_max: int, k: int, weight_rows) 
     return tables
 
 
-def _tables(selector: Selector, start, n_max: int, k: int, rows, word: Optional[tuple] = None):
-    """The tables of n = 0..n_max from ``start``: output prefix w with
-    |w| <= k -> the runs whose output begins with w, counted lazily by
-    :func:`_count_tables` (cut to ``word``) when ``rows`` is None, else
-    weighed by the walk of :func:`_measure_tables` over ``rows``, as a list."""
-    if rows is None:
-        q = selector.state_index(start)
-        return (layer[q] for layer in islice(_count_tables(selector, k, word), n_max + 1))
-    return _measure_tables(selector, start, n_max, k, rows)
-
-
 def _bound(mu: Optional[MarkovMeasure]):
     """The conditional measure of ``mu``, (label, w) -> float, each pair
     computed once; None in count mode."""
@@ -288,13 +276,17 @@ def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap,
     """The value and check of one (start, n, word), shared by the two public
     single checks; the count tables keep the suffixes of ``word`` only, the
     measure walk visits every run to n."""
-    w = as_word(word)
+    w = tuple(word)
     if len(w) > n:
         raise ValidationError(f"|word| = {len(w)} exceeds run length {n}")
     if require_oblivious:
         _require_oblivious(selector)
     rows = _weights(selector, mu, witness, n, cap)
-    value = list(_tables(selector, start, n, len(w), rows, w))[n].get(w, 0 if mu is None else 0.0)
+    if rows is None:
+        q = selector.state_index(start)
+        value = next(islice(_count_tables(selector, len(w), w), n, None))[q].get(w, 0)
+    else:
+        value = _measure_tables(selector, start, n, len(w), rows)[n].get(w, 0.0)
     return value, _result(selector, _bound(mu), witness, start, n, w, value, tol)
 
 
@@ -351,8 +343,12 @@ def _lemma_rows(selector, n_max: int, w_max: int, mu, witness, cap: int, tol: fl
     bound, words = _bound(mu), selector.alphabet.words  # made as a table checks them, never held
     return (
         _check_rows(selector, bound, witness, p, n, table, groups, tol)
-        for p in selector.states
-        for n, table in enumerate(_tables(selector, p, n_max, w_max, weights))
+        for q, p in enumerate(selector.states)
+        for n, table in enumerate(  # a state's tables, counted lazily or walked when reached
+            (layer[q] for layer in islice(_count_tables(selector, w_max), n_max + 1))
+            if weights is None
+            else _measure_tables(selector, p, n_max, w_max, weights)
+        )
         for groups in [[(length, words(length)) for length in range(min(n, m) + 1)]]
     )
 
@@ -435,9 +431,8 @@ def equirun_scan(
         raise NotStronglyConnected("equirun scan expects a strongly connected selector")
     size, nq = len(selector.alphabet), len(selector.states)
     blocks = size ** min(k, 64)
-    _check_size(k, blocks, nq * nq * _words_to(size, k), nq * blocks, 640 + n_max)
-    words = list(selector.alphabet.words(k))
-    bound = _bound(mu)
+    _check_size(k, blocks, nq * _words_to(size, k), nq * blocks, 640 + n_max)
+    words, bound = list(selector.alphabet.words(k)), _bound(mu)
     # the count tables of all states grow one layer per n; the measure walk
     # is redone for each state and n, after the cap check for that n
     counts = islice(_count_tables(selector, k), k, None)
@@ -460,7 +455,7 @@ def brute_force_prefix_selection(x, dfa: Automaton, accepting) -> tuple:
     Quadratic on purpose; this is the definition-level reference for the
     selector machinery.
     """
-    word = as_word(x)
+    word = tuple(x)
     accepting = set(accepting)
     out = []
     for i in range(1, len(word) + 1):

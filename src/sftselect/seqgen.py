@@ -39,7 +39,7 @@ import numpy as np
 
 from .alphabet import Alphabet, _require_letters
 from .errors import BlockLengthOutOfRange, ValidationError
-from .machines import COUNT_BUDGET_BYTES, _emitted, block_codes, block_letters, transition_rows
+from .machines import _emitted, _require_budget, block_codes, block_letters, transition_rows
 from .measures import MarkovMeasure, block_measure_array
 
 SLIDING = "sliding"
@@ -224,13 +224,9 @@ class BlockCounter:
     def __init__(self, alphabet_size: int, k: int, mode: str = SLIDING):
         if k < 1:
             raise BlockLengthOutOfRange("block length must be at least 1")
-        # k >= 64 is past the budget for two symbols; skip the huge power
-        if alphabet_size > 1 and (k >= 64 or alphabet_size**k * 8 > COUNT_BUDGET_BYTES):
-            raise BlockLengthOutOfRange(
-                f"block length {k} over {alphabet_size} symbols needs "
-                f"{alphabet_size}**{k} int64 counts, past the budget of "
-                f"{COUNT_BUDGET_BYTES} bytes"
-            )
+        counts = f"{alphabet_size}**{k} int64 counts"
+        what = f"block length {k} over {alphabet_size} symbols needs {counts}"
+        _require_budget(alphabet_size ** min(k, 64) * 8, what, BlockLengthOutOfRange)
         if mode not in (SLIDING, ALIGNED):
             raise ValidationError(f"unknown counting mode {mode!r}")
         self.base = alphabet_size

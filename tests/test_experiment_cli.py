@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 from unittest import mock
 
 import numpy as np
@@ -615,6 +616,37 @@ class TestCliExitCodes:
         assert captured.err.startswith("error: enumeration of 64 runs exceeds the cap of 32")
         assert "raise --max-enum" in captured.err
         assert main([*args, "--max-enum", "32"]) == 0
+
+    def test_lemma_check_far_past_the_cap_is_one_error_line(self, capsys):
+        """At n = 15000 the refusal names 2**15000, a count with more digits
+        than int-to-str allows, instead of printing it."""
+        even = str(fx.data_path("even_positions.sel"))
+        golden = str(fx.data_path("golden_parry.msr"))
+        args = ["lemma-check", "--selector", even, "--measure", golden, "--n-max", "15000"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: enumeration of 2**15000 runs exceeds the cap of 1048576; raise --max-enum"
+        )
+
+    def test_lemma_check_prints_counts_past_the_digit_limit(self, capsys):
+        """Counts print in full past the interpreter's int-to-str limit."""
+        sel = str(fx.data_path("after_ones.sel"))
+        args = ["lemma-check", "--selector", sel, "--n-max", "2200", "--w-max", "0"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            status = main(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert status == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 * 2201
+        for line in out:
+            fields = dict(field.split("=", 1) for field in line.split()[2:7])
+            assert int(fields["value"]) == 2 ** int(fields["n"]) == int(fields["bound"])
 
     def test_lemma_check_max_enum_help(self, capsys):
         assert main(["lemma-check", "--help"]) == 0

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sftselect as ss
-from sftselect import experiment, seqgen
+from sftselect import experiment, machines, seqgen
 from sftselect import fixtures as fx
 from sftselect.cli import main
 from sftselect.experiment import write_experiment_csv
@@ -107,7 +107,7 @@ class TestCountBudget:
         assert peak < 1 << 20
 
     def test_budget_boundary(self, monkeypatch):
-        monkeypatch.setattr(seqgen, "COUNT_BUDGET_BYTES", 8 * 2**10)
+        monkeypatch.setattr(machines, "COUNT_BUDGET_BYTES", 8 * 2**10)
         assert ss.BlockCounter(2, 10).counts.size == 2**10
         for mode in (ss.SLIDING, ss.ALIGNED):
             with pytest.raises(ss.BlockLengthOutOfRange):

@@ -57,6 +57,28 @@ class TestEnumerateRuns:
         with pytest.raises(ss.CapExceeded):
             ss.enumerate_runs(after_ones, "q0", 6, cap=32)
 
+    @pytest.mark.parametrize("size, n", [(2, 15000), (3, 3 * 10**7)])
+    def test_far_past_the_cap_names_the_power(self, size, n):
+        """#A**n past max(cap.bit_length(), 64) is named, never built: 2**15000
+        has more digits than int-to-str allows, 3**(3 * 10**7) takes seconds."""
+        start = time.perf_counter()
+        with pytest.raises(ss.CapExceeded) as err:
+            ss.enumerate_runs(_alternating(size, 1), "s0", n)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.requested == f"{size}**{n}"
+        assert str(err.value) == f"enumeration of {size}**{n} runs exceeds the cap of {1 << 20}"
+
+    @pytest.mark.parametrize(
+        "n, cap, requested",
+        [(64, 1, 2**64), (65, 1, "2**65"), (101, 2**100, 2**101), (102, 2**100, "2**102")],
+    )
+    def test_cap_names_the_power_past_its_bit_length_and_64(self, n, cap, requested):
+        with pytest.raises(ss.CapExceeded) as err:
+            ss.enumerate_runs(_alternating(2, 1), "s0", n, cap=cap)
+        assert err.value.requested == requested
+        with pytest.raises(ss.CapExceeded, match=r"enumeration of 1 runs exceeds the cap of 0"):
+            ss.enumerate_runs(_alternating(1, 1), "s0", n, cap=0)
+
     def test_enumeration_allows_mixed_actions(self, nonoblivious):
         # only the counting bounds assume obliviousness
         enum = ss.enumerate_runs(nonoblivious, "q0", 4)
@@ -297,6 +319,12 @@ class TestBudget:
         with pytest.raises(ss.ValidationError, match=r"checks would take \d+ bytes, past the budget"):
             check(after_ones)
         assert time.perf_counter() - start < 1.0
+
+    def test_equirun_counts_one_layer_of_keys(self):
+        """A scan holds one count layer, every state's table, not one per
+        state: a 300-state scan at k = 6 is within the budget."""
+        scan = ss.equirun_scan(_alternating(2, 300), 6, 1.0, 6)
+        assert scan.witness_n == 6 and len(scan.results) == 300 * 2**6
 
     def test_traced_peak_is_within_the_counted_bytes(self, monkeypatch, after_ones, tmp_path):
         """The CLI run stays within what is counted: lemma lines are written
