@@ -141,9 +141,12 @@ class Alphabet:
 
 
 def _require_letters(letters, size: int) -> np.ndarray:
-    """``letters`` as an integer array (int64 if not one); any outside [0, size),
-    or any float that is not a whole number, is refused."""
+    """``letters`` as a 1-D integer array (int64 if not one); any other shape,
+    any letter outside [0, size), or any float that is not a whole number,
+    is refused."""
     letters = np.asarray(letters)
+    if letters.ndim != 1:
+        raise ValidationError(f"letters must be a 1-D array, not one of shape {letters.shape}")
     if letters.dtype.kind == "f":
         whole = np.isfinite(letters) & (np.trunc(letters) == letters)
         if not whole.all():

@@ -43,7 +43,10 @@ those give the block ends.  Snakes take a Python step a block.
 
 Every big-endian block code in the package is :func:`block_codes`: its
 ``step`` is k for disjoint blocks (the walk, aligned block counting) and
-1 for the sliding windows of block counting.  :func:`block_letters` is
+1 for the sliding windows of block counting.  Codes come in the narrowest
+unsigned dtype that holds them (int64 past uint32), so a pass moves 1 to
+4 bytes a window; the walk widens its m/k codes to int64 for row
+arithmetic.  :func:`block_letters` is
 its inverse, which spells out Champernowne words and snake run labels.
 
 Every connectivity question reads one condensation, :func:`_condensation`
@@ -350,26 +353,30 @@ def run_word(machine, start, word) -> Run:
 
 
 def block_codes(letters: np.ndarray, k: int, base: int, step: Optional[int] = None) -> np.ndarray:
-    """Big-endian int64 codes of the k-blocks of ``letters`` over ``base``
+    """Big-endian codes of the k-blocks of ``letters`` over ``base``
     letters that start every ``step`` letters (default k): block
     ``a1..ak`` has code ``(..(a1*base + a2)..)*base + ak``.  Step k gives
     the ``len(letters) // k`` disjoint blocks, step 1 the
-    ``len(letters) - k + 1`` sliding windows; the result is a new array.
-    Disjoint blocks, and windows of k <= 3, take Horner's rule in place,
-    k - 1 passes.  Wider windows double between two buffers: for each bit
-    of k after the highest, ``code_2h[i] = code_h[i] * base**h +
-    code_h[i + h]``, then one more letter if the bit is set; 4 passes for
-    k = 16, against 15."""
+    ``len(letters) - k + 1`` sliding windows; the result is a new array in
+    the narrowest of uint8, uint16 and uint32 that holds ``base**k - 1``,
+    int64 past them.  The letters are cast to that dtype once, and no
+    partial code passes the last one, so none wraps.  Disjoint blocks, and
+    windows of k <= 3, take Horner's rule in place, k - 1 passes.  Wider
+    windows double between two buffers: for each bit of k after the
+    highest, ``code_2h[i] = code_h[i] * base**h + code_h[i + h]``, then one
+    more letter if the bit is set; 4 passes for k = 16, against 15."""
     step = k if step is None else step
-    letters = np.asarray(letters)
+    top = base**k - 1  # the largest code
+    dtype = np.min_scalar_type(top) if top < 1 << 32 else np.int64
+    letters = np.asarray(letters).astype(dtype, copy=False)
     end = max((len(letters) - k) // step + 1, 0) * step
     if step != 1 or k <= 3:
-        codes = letters[:end:step].astype(np.int64)
+        codes = letters[:end:step].copy()
         for j in range(1, k):
             codes *= base
             codes += letters[j : j + end : step]
         return codes
-    codes, h = letters.astype(np.int64), 1
+    codes, h = letters.copy(), 1
     spare = np.empty_like(codes)
     for bit in bin(k)[3:]:
         m = max(codes.size - 2 * h + 1, 0)  # the windows of width 2h
@@ -467,7 +474,9 @@ def _block_ends(rows: list, codes: np.ndarray, state: int) -> list:
 def _trace_rows(table: WalkTable, codes: np.ndarray, state: int) -> tuple:
     """The trace row of each block of ``codes`` from ``state`` and the
     state after the last block, by the group walk of the module docstring
-    or by one Python step a block."""
+    or by one Python step a block.  The codes are widened to int64 first,
+    so the row arithmetic ``state * width + code`` cannot wrap."""
+    codes = codes.astype(np.int64, copy=False)
     flat, width, m = table.end.ravel(), table.letters**table.k, len(codes)
     if len(table.end) > _GROUP_STATES or m < _GROUP:
         lanes, ends = codes[None, :], _block_ends(table.rows, codes, state)
@@ -493,9 +502,9 @@ def _emitted(table: WalkTable, emit: np.ndarray, letters: np.ndarray, state: int
     The block ends come from :func:`_trace_rows`, and one ``np.take`` of
     ``emit`` writes the entries of the blocks.  Letters are walked in
     slices of at most ``_SLICE``, so the Python lists stay bounded."""
-    n = len(letters)
     k, na = table.k, table.letters
     letters = _require_letters(letters, na)
+    n = len(letters)
     out = np.empty(n, dtype=emit.dtype)
     r = n % k  # the letters after the last block
     span = _SLICE - _SLICE % k

@@ -134,7 +134,8 @@ def _draw_letters(breaks: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def _champernowne_chunks(base: int, n: int, chunk: int):
     """Bounded-size pieces of the by-length, then lexicographic word
-    concatenation; at most ~chunk symbols are materialized at a time."""
+    concatenation, in the narrowest unsigned dtype that holds ``base - 1``;
+    at most ~chunk symbols are materialized at a time."""
     for length in itertools.count(1):
         words, batch = base**length, max(chunk // length, 1)
         for code in range(0, words, batch):
@@ -143,7 +144,7 @@ def _champernowne_chunks(base: int, n: int, chunk: int):
             codes = np.arange(code, min(code + batch, words), dtype=np.int64)
             flat = block_letters(codes, length, base).reshape(-1)[:n]
             n -= flat.size
-            yield flat
+            yield flat.astype(np.min_scalar_type(base - 1))
 
 
 def champernowne(alphabet, n: int) -> np.ndarray:
@@ -192,8 +193,9 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
 def generate_chunks(spec: GeneratorSpec, chunk: int = 1 << 16) -> Iterable[np.ndarray]:
     """Yield the sequence of ``spec`` in bounded chunks so consumers never
     hold the whole sequence (the splitmix64 stream is counter based, so a
-    Markov sample continues exactly across chunk boundaries).  Markov
-    chunks are uint8 up to 254 symbols, Champernowne chunks int64."""
+    Markov sample continues exactly across chunk boundaries).  Chunks come
+    in the narrowest unsigned dtype: Markov chunks are uint8 up to 254
+    symbols, Champernowne chunks up to 256; :func:`generate` is int64."""
     if chunk < 1:
         raise ValidationError(f"chunk size must be positive, got {chunk}")
     if spec.kind == CHAMPERNOWNE:
@@ -217,8 +219,10 @@ class BlockCounter:
     SLIDING counts every window of length k (n-k+1 of them over n symbols);
     ALIGNED counts the disjoint blocks w1 w2 ... (floor(n/k) of them).
     Memory is one #A**k int64 count vector, at most COUNT_BUDGET_BYTES,
-    plus a k-sized carry in the chunks' dtype.  A sliding counter also gives
-    the exact counts of every shorter length (:meth:`marginal`).
+    plus a k-sized carry in the chunks' dtype.  Each chunk's block codes
+    (:func:`block_codes`, narrow) are added into the counts in place by
+    ``np.add.at``, so no #A**k vector is made per chunk.  A sliding counter
+    also gives the exact counts of every shorter length (:meth:`marginal`).
     """
 
     def __init__(self, alphabet_size: int, k: int, mode: str = SLIDING):
@@ -237,14 +241,14 @@ class BlockCounter:
         self._carry = np.zeros(0, dtype=np.int64)
 
     def update(self, chunk: np.ndarray):
-        """Count ``chunk`` in its own integer dtype; a foreign letter is refused first."""
+        """Count ``chunk`` in its own integer dtype; a foreign letter, or an
+        array that is not 1-D, is refused before anything is counted."""
         chunk = _require_letters(chunk, self.base)
         self.n += chunk.size
         seq = np.concatenate([self._carry, chunk]) if self._carry.size else chunk
         step = 1 if self.mode == SLIDING else self.k
         codes = block_codes(seq, self.k, self.base, step)
-        if codes.size:
-            self.counts += np.bincount(codes, minlength=self.counts.size)
+        np.add.at(self.counts, codes, 1)
         self._carry = seq[codes.size * step :].copy()
 
     def marginal(self, k: int) -> np.ndarray:
@@ -265,8 +269,11 @@ class BlockCounter:
                 raise BlockLengthOutOfRange(f"block length {k} is outside 1..{self.k}")
             while j > k:  # the strided sums beat a reshape sum over a short last axis
                 prefix, j = sum(prefix[a :: self.base] for a in range(self.base)), j - 1
-            tail = np.bincount(block_codes(self._carry, k, self.base, 1), minlength=prefix.size)
-            yield k, prefix + tail if k < self.k else self.counts  # no carry window at self.k
+            # a copy, as the next length folds from prefix; the carry is
+            # shorter than self.k, so self.counts itself gains no window
+            counts = prefix.copy() if k < self.k else self.counts
+            np.add.at(counts, block_codes(self._carry, k, self.base, 1), 1)
+            yield k, counts
 
 
 @dataclass(frozen=True)

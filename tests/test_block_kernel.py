@@ -36,6 +36,14 @@ def random_table(rng: np.random.Generator, nq: int, na: int, holes: float) -> np
     return nxt
 
 
+def code_dtype(base: int, k: int) -> np.dtype:
+    """The dtype of ``block_codes``: the narrowest of uint8, uint16 and
+    uint32 that holds base**k - 1, int64 past them."""
+    top = base**k - 1
+    dtypes = (np.uint8, np.uint16, np.uint32, np.int64)
+    return next(np.dtype(t) for t in dtypes if top <= np.iinfo(t).max)
+
+
 # (states, letters): small tables give k > 1, the wide ones k = 1
 SHAPES = st.one_of(
     st.tuples(st.integers(1, 6), st.integers(1, 5)),
@@ -196,11 +204,11 @@ def test_block_codes_at_any_step_and_their_letters(data, k, base, step):
             code = code * base + a
         expected.append(code)
     codes = block_codes(arr, k, base, step)
-    assert codes.dtype == np.int64
+    assert codes.dtype == code_dtype(base, k)
     assert codes.tolist() == expected
     assert block_letters(codes, k, base).tolist() == [letters[lo : lo + k] for lo in starts]
     assert block_codes(arr, k, base, k).tolist() == block_codes(arr, k, base).tolist()
-    codes[:] = -1
+    codes[:] = np.iinfo(codes.dtype).max
     assert arr.tolist() == letters
 
 
@@ -221,9 +229,9 @@ def test_sliding_codes_by_doubling_match_horner(data, k, dtype):
             code = code * base + a
         expected.append(code)
     codes = block_codes(arr, k, base, 1)
-    assert codes.dtype == np.int64
+    assert codes.dtype == code_dtype(base, k)
     assert codes.tolist() == expected
-    codes[:] = -1
+    codes[:] = np.iinfo(codes.dtype).max
     assert arr.tolist() == letters
 
 

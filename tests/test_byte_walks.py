@@ -247,7 +247,7 @@ def test_markov_chunks_are_uint8_and_samples_int64(golden):
     np.testing.assert_array_equal(np.concatenate(chunks), sample)
     np.testing.assert_array_equal(sample, reference_sample(golden, 2**64 - 1, 1000))
     champernowne = ss.GeneratorSpec(kind=ss.CHAMPERNOWNE, alphabet=golden.alphabet, n=100)
-    assert next(iter(ss.generate_chunks(champernowne))).dtype == np.int64
+    assert next(iter(ss.generate_chunks(champernowne))).dtype == np.uint8
     assert ss.champernowne(golden.alphabet, 10).dtype == np.int64
 
 
