@@ -28,10 +28,11 @@ import numpy as np
 
 from .alphabet import Alphabet
 from .compat import CompatibilityWitness, _step_weights, is_shift_complete
-from .errors import NotIrreducible, NotShiftComplete, UnrealizableRun, ValidationError
+from .errors import NotIrreducible, NotShiftComplete, UndefinedTransition, UnknownSymbol
+from .errors import UnrealizableRun, ValidationError
 from .machines import (
     Automaton, SccReport, _require_budget, _snake_from_runs, _snake_runs, block_letters,
-    scc_decomposition, transition_rows, walk,
+    run_word, scc_decomposition, transition_rows, walk,
 )
 from .measures import (
     ROW_SUM_TOL, STATIONARITY_TOL, MarkovMeasure, _solve_balance, conditional_word_measure,
@@ -236,13 +237,16 @@ def snake_distribution(
     stationary(p) / #A**n.  Markov mode: mass stationary(p) *
     mu_{last_read(p)}(w); the alternative ``labeling="last_selected"``
     weights runs by the conditional measure of the last selected symbol
-    instead and is exposed for output-block arguments.  Only the last-read
+    instead and is exposed for output-block arguments; any other labeling
+    is refused first, in either mode.  Only the last-read
     form x is the stationary vector of the input-driven chain; it is
     checked on the snake chain's edges (see :func:`_check_stationary`) and
     no matrix is built or solved.  A snake whose dense chain would pass
     the budget is refused once its runs are counted, before the base chain
     is solved or any (p, w) label is built.
     """
+    if labeling not in ("last_read", "last_selected"):
+        raise ValidationError(f"unknown labeling {labeling!r}")
     runs = _snake_runs(machine, n)
     _require_dense(len(runs))
     na = len(machine.alphabet)
@@ -255,14 +259,9 @@ def snake_distribution(
         if witness is None:
             raise ValidationError("Markov snake distribution needs a compatibility witness")
         base_pi = compatible_chain(machine, mu, witness).require_stationary()
-        if labeling == "last_read":
-            labels = witness.last_read
-        elif labeling == "last_selected":
-            if witness.last_selected is None:
-                raise ValidationError("witness carries no last-selected labeling")
-            labels = witness.last_selected
-        else:
-            raise ValidationError(f"unknown labeling {labeling!r}")
+        labels = getattr(witness, labeling)
+        if labels is None:
+            raise ValidationError("witness carries no last-selected labeling")
         # letters in measure order; the products run left to right, as
         # conditional_word_measure multiplies them
         order = mu.alphabet.encode(machine.alphabet)
@@ -296,15 +295,13 @@ def lifted_run_measure(
     word,
 ) -> float:
     """Measure of the run (state, word) under the lifted chain:
-    stationary(state) * mu_{last_read(state)}(word).  The run must exist."""
-    machine = chain.machine
-    nxt = machine.tables()[0]
-    q = machine.state_index(state)
+    stationary(state) * mu_{last_read(state)}(word).  A word :func:`run_word`
+    cannot follow (an undefined step, a foreign symbol) raises UnrealizableRun."""
     word = tuple(word)
-    for a in word:
-        q = nxt.item(q, machine.alphabet.index(a)) if a in machine.alphabet else -1
-        if q < 0:
-            raise UnrealizableRun(state, word)
+    try:
+        run_word(chain.machine, state, word)
+    except (UndefinedTransition, UnknownSymbol):
+        raise UnrealizableRun(state, word) from None
     return chain.stationary_of(state) * conditional_word_measure(
         mu, witness.last_read[state], word
     )

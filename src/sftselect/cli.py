@@ -113,13 +113,15 @@ def _alphabet(args) -> Alphabet:
 
 def _spec(args, alphabet: Alphabet, mu) -> GeneratorSpec:
     """The --n symbols of Champernowne's sequence over ``alphabet`` without
-    a measure, else of a --seed sample of ``mu``."""
+    a measure, else of a --seed sample of ``mu`` (seed 0 when absent)."""
     if mu is None:
         return GeneratorSpec(CHAMPERNOWNE, alphabet, args.n)
-    return GeneratorSpec(MARKOV_SAMPLE, alphabet, args.n, measure=mu, seed=args.seed)
+    return GeneratorSpec(MARKOV_SAMPLE, alphabet, args.n, measure=mu, seed=args.seed or 0)
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "champernowne" and args.seed is not None:
+        raise ValidationError("--seed does not apply to --kind champernowne, which has no seed")
     if args.kind == "sample":
         if not args.measure:
             raise ValidationError("--kind sample needs --measure FILE")
@@ -304,20 +306,25 @@ def _format_lemma_line(result, single_char: bool = True) -> str:
 
 
 def cmd_lemma_check(args) -> int:
+    if args.equirun is None and args.epsilon is not None:
+        raise ValidationError("--epsilon does not apply without --equirun")
+    if args.equirun is not None and args.w_max is not None:
+        raise ValidationError("--w-max does not apply with --equirun")
     selector = parse_selector(args.selector)
     mu, witness = _measure_and_witness(args, selector)
     footer = ""
     if args.equirun is not None:
+        epsilon = 0.1 if args.epsilon is None else args.epsilon
         scan = equirun_scan(
-            selector, args.equirun, args.epsilon, args.n_max,
-            mu=mu, witness=witness, cap=args.max_enum,
+            selector, args.equirun, epsilon, args.n_max, mu=mu, witness=witness, cap=args.max_enum
         )
         tables, lengths = scan.rows, [args.equirun]
         if scan.passed:
             footer = f"# equirun witness n={scan.witness_n}\n"
     else:
-        tables = _lemma_rows(selector, args.n_max, args.w_max, mu, witness, args.max_enum)
-        lengths = range(min(args.n_max, args.w_max) + 1)
+        w_max = 4 if args.w_max is None else args.w_max
+        tables = _lemma_rows(selector, args.n_max, w_max, mu, witness, args.max_enum)
+        lengths = range(min(args.n_max, w_max) + 1)
     # each word's token, each table's head and each bound's text (with either
     # status) are made once.  A table checks a prefix of the words in this
     # order, by length and then lexicographically, so zip pairs its rows with
@@ -345,6 +352,8 @@ def cmd_lemma_check(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.gen == "champernowne" and args.seed is not None:
+        raise ValidationError("--seed does not apply to --gen champernowne, which has no seed")
     selector = parse_selector(args.selector)
     target = parse_measure(args.measure) if args.measure else None
     alphabet = selector.alphabet
@@ -388,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen", "generate a sequence")
     p.add_argument("--kind", choices=["champernowne", "uniform", "sample"], default="uniform")
     p.add_argument("--n", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--measure", help="measure file for --kind sample")
     p.add_argument("--alphabet", nargs="+", help="symbols for champernowne/uniform")
 
@@ -429,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selector", required=True)
     p.add_argument("--measure")
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--w-max", type=int, default=4)
+    p.add_argument("--w-max", type=int)
     p.add_argument(
         "--max-enum",
         type=int,
@@ -437,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on the nominal runs (#A**n) of a measure walk; counts are not capped",
     )
     p.add_argument("--equirun", type=int, help="run the two-sided scan for this block length")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float)
 
     p = add("experiment", "end-to-end frequency preservation experiment")
     p.add_argument("--selector", required=True)
@@ -445,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--measure")
     target.add_argument("--uniform", action="store_true")
     p.add_argument("--gen", choices=["sample", "champernowne"], default="sample")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--n", type=int, default=1_000_000)
     p.add_argument("--k", type=int, action="append")
     p.add_argument("--mode", choices=["sliding", "aligned"], default="sliding")

@@ -108,7 +108,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     that ends in one walks its state path, to place the entry.
     The counters of each side are :func:`sftselect.seqgen._block_counters`'s;
     the forbidden-pair watch reads the output's sliding counter, at
-    max(ks + (2,)), or in aligned mode a sliding pair counter of its own.
+    max(ks + (2,)), or in aligned mode a sliding pair counter serving no length.
     """
     selector = config.selector
     _require_oblivious(selector)
@@ -133,8 +133,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ins = _block_counters(na, config.ks, config.mode)
     outs = _block_counters(na, config.ks, config.mode, least=2)
     # the forbidden-pair watch reads the sliding top counter, or its own
-    watch = outs[config.ks[-1]] if config.mode == SLIDING else BlockCounter(na, 2)
-    fed_in, fed_out = dict.fromkeys(ins.values()), dict.fromkeys([*outs.values(), watch])
+    watch = next(iter(outs)) if config.mode == SLIDING else BlockCounter(na, 2)
+    outs.setdefault(watch, [])
 
     pos = 0
     for chunk in generate_chunks(config.generator, config.chunk):
@@ -148,9 +148,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         pos += chunk.size
         chunk = chunk[skip:]
         out = np.compress(kept[skip:], chunk)
-        for counter in fed_in:
+        for counter in ins:
             counter.update(chunk)
-        for counter in fed_out:
+        for counter in outs:
             counter.update(out)
 
     input_reports = _block_reports(alpha, ins)

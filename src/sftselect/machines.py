@@ -26,28 +26,28 @@ which ``np.compress`` applies, and over a draw table uint8 Markov samples
 (:mod:`sftselect.seqgen`).  The scalar :func:`run_word` and the path
 gather :func:`_selected` are the references the kernel is tested against.
 
-The walk table is built once per stream, from ``tables()`` as stored,
-with no rebuild.  Undefined transitions lead to an absorbing dead state,
-so partial machines walk like complete ones and :func:`walk` finds the
-first undefined step in the path.  For the largest block length k whose
-tables fit a fixed entry budget, it holds a block table (state, code of
-k letters) -> end state and a trace table of the k states inside each
-block.  :func:`_emitted` finds each k-block's end state and writes the
-entries of the blocks with one ``np.take``; the fewer than k letters
-after the last block read the row of their zero-padded block.  The block
-ends follow the enumerative data-parallel walk of Mytkowicz, Musuvathi
+The walk table is built once per stream, from ``tables()`` as stored.  For
+the largest block length k whose tables fit a fixed entry budget, it holds a
+block table (state, code of k letters) -> end state and a trace table of the
+k states inside each block, read off the word-end tables of
+:func:`_word_ends`: undefined transitions lead to an absorbing dead state,
+so partial machines walk like complete ones and :func:`walk` finds the first
+undefined step in the path.  :func:`_emitted` finds each k-block's end state
+and writes the entries of the blocks with one ``np.take``; the fewer than k
+letters after the last block read the row of their zero-padded block.  The
+block ends follow the enumerative data-parallel walk of Mytkowicz, Musuvathi
 and Schulte (ASPLOS 2014): for at most ``_GROUP_STATES`` states, ``_GROUP``
 gathers map every start state through each group of ``_GROUP`` blocks at
 once, a Python loop walks the group starts, and ``_GROUP`` gathers from
 those give the block ends.  Snakes take a Python step a block.
 
 Every big-endian block code in the package is :func:`block_codes`: its
-``step`` is k for disjoint blocks (the walk, aligned block counting) and
-1 for the sliding windows of block counting.  Codes come in the narrowest
-unsigned dtype that holds them (int64 past uint32), so a pass moves 1 to
-4 bytes a window; the walk widens its m/k codes to int64 for row
-arithmetic.  :func:`block_letters` is
-its inverse, which spells out Champernowne words and snake run labels.
+``step`` is k for disjoint blocks (the walk, aligned block counting) and 1
+for the sliding windows of block counting.  :func:`block_letters` is its
+inverse, which spells out Champernowne words and snake run labels.  Their
+arrays, and a Markov draw table's symbols, take the narrowest unsigned dtype
+of their largest value (:func:`_narrow_dtype`, int64 past uint32): a pass
+moves 1 to 4 bytes a code or letter; the walk widens m/k codes to int64.
 
 Every connectivity question reads one condensation, :func:`_condensation`
 (Tarjan's algorithm on the next-state rows), and :func:`_reached`, one sweep
@@ -94,6 +94,11 @@ def _require_budget(need: int, what: str, error=ValidationError):
     power of #A is sized as #A ** min(n, 64), past it for two or more letters."""
     if need > COUNT_BUDGET_BYTES:
         raise error(f"{what}, past the budget of {COUNT_BUDGET_BYTES} bytes")
+
+
+def _narrow_dtype(top: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds ``top`` >= 0, int64 past uint32."""
+    return np.min_scalar_type(top) if top < 1 << 32 else np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -358,17 +363,15 @@ def block_codes(letters: np.ndarray, k: int, base: int, step: Optional[int] = No
     ``a1..ak`` has code ``(..(a1*base + a2)..)*base + ak``.  Step k gives
     the ``len(letters) // k`` disjoint blocks, step 1 the
     ``len(letters) - k + 1`` sliding windows; the result is a new array in
-    the narrowest of uint8, uint16 and uint32 that holds ``base**k - 1``,
-    int64 past them.  The letters are cast to that dtype once, and no
-    partial code passes the last one, so none wraps.  Disjoint blocks, and
-    windows of k <= 3, take Horner's rule in place, k - 1 passes.  Wider
-    windows double between two buffers: for each bit of k after the
-    highest, ``code_2h[i] = code_h[i] * base**h + code_h[i + h]``, then one
-    more letter if the bit is set; 4 passes for k = 16, against 15."""
+    the narrow dtype of ``base**k - 1`` (:func:`_narrow_dtype`).  The
+    letters are cast to it once, and no partial code passes the last one,
+    so none wraps.  Disjoint blocks, and windows of k <= 3, take Horner's
+    rule in place, k - 1 passes.  Wider windows double between two
+    buffers: for each bit of k after the highest, ``code_2h[i] = code_h[i]
+    * base**h + code_h[i + h]``, then one more letter if the bit is set; 4
+    passes for k = 16, against 15."""
     step = k if step is None else step
-    top = base**k - 1  # the largest code
-    dtype = np.min_scalar_type(top) if top < 1 << 32 else np.int64
-    letters = np.asarray(letters).astype(dtype, copy=False)
+    letters = np.asarray(letters).astype(_narrow_dtype(base**k - 1), copy=False)
     end = max((len(letters) - k) // step + 1, 0) * step
     if step != 1 or k <= 3:
         codes = letters[:end:step].copy()
@@ -393,13 +396,13 @@ def block_codes(letters: np.ndarray, k: int, base: int, step: Optional[int] = No
 
 def block_letters(codes: np.ndarray, k: int, base: int) -> np.ndarray:
     """The inverse of :func:`block_codes`: row i holds the k big-endian
-    letters of ``codes[i]``.  The letters come off the low end of a copy of
-    the codes, each written straight into its column: one array pass per
-    letter by a scalar divisor, and no temporary but that copy."""
-    codes = np.array(codes, dtype=np.int64)
-    letters = np.empty((codes.size, k), dtype=np.int64)
+    letters of ``codes[i]``, in the narrow dtype of ``base - 1``, taken off
+    the low end of a narrow copy of the codes (it holds ``base`` too) into
+    their columns: one pass per letter, and no temporary but that copy."""
+    codes = np.array(codes, dtype=_narrow_dtype(max(base**k - 1, base)))
+    letters = np.empty((codes.size, k), dtype=_narrow_dtype(base - 1))
     for j in range(k - 1, -1, -1):
-        np.remainder(codes, base, out=letters[:, j])
+        np.remainder(codes, base, out=letters[:, j], casting="unsafe")
         codes //= base
     return letters
 
@@ -434,25 +437,25 @@ def transition_rows(nxt: np.ndarray) -> WalkTable:
     it costs one row entry per table entry plus that budget, so a caller
     that walks in chunks builds it once."""
     nq, na = nxt.shape
-    full = _with_dead_state(nxt)
     k = 1
     while k < _MAX_BLOCK and (nq + 1) * na ** (k + 1) * (k + 1) <= _BLOCK_BUDGET:
         k += 1
     # trace[s, c, j] is the state after the first j+1 letters of block c,
     # which is end[s, c // na**(k-1-j)] for the (j+1)-letter end table
     trace = np.empty((nq + 1, na**k, k), dtype=np.int64)
-    end = full
-    for j in range(k):
-        if j:
-            end = full[end].reshape(nq + 1, -1)
+    for j, end in enumerate(_word_ends(nxt, k)):
         trace.reshape(nq + 1, na ** (j + 1), -1, k)[:, :, :, j] = end[:, :, None]
     return WalkTable(nq, na, k, _rows(end), trace.reshape(-1, k), end * na**k)
 
 
-def _with_dead_state(nxt: np.ndarray) -> np.ndarray:
-    """``nxt`` plus an absorbing dead state ``len(nxt)`` as the last row,
-    which the undefined (-1) entries lead to."""
-    return np.vstack([np.where(nxt < 0, len(nxt), nxt), np.full(nxt.shape[1], len(nxt))])
+def _word_ends(nxt: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """For j = 1..n, the end state of every j-letter word (column: its code)
+    from every state (row); undefined steps lead to the dead last row."""
+    full = np.vstack([np.where(nxt < 0, len(nxt), nxt), np.full(nxt.shape[1], len(nxt))])
+    end = np.arange(len(full))[:, None]
+    for _ in range(n):
+        end = full[end].reshape(len(full), -1)
+        yield end
 
 
 def _rows(ends: np.ndarray) -> list:
@@ -809,11 +812,9 @@ def _snake_runs(machine, n: int) -> np.ndarray:
     per_run = 24 * (na + n) + 256
     what = f"snake of length {n} has up to {nq}*{na}**{n} runs of {per_run} bytes"
     _require_budget(nq * na ** min(n, 64) * per_run, what)
-    end = np.arange(nq, dtype=np.int64)[:, None]
-    full = _with_dead_state(nxt)
-    for _ in range(n):
-        end = full[end].reshape(nq, -1)
-    runs = np.flatnonzero(end.ravel() < nq)
+    for end in _word_ends(nxt, n):  # the last table, of the n-letter words
+        pass
+    runs = np.flatnonzero(end[:nq].ravel() < nq)
     if not len(runs):
         raise ValidationError(f"machine has no run of length {n}")
     return runs

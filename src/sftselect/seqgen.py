@@ -24,9 +24,9 @@ measure) or by binary search past 255.  Its states, emitted as uint8, are
 the symbols plus a start state whose row is pi.  The walk composes blocks
 of k letters (k = 7 for golden mean) in groups: a few passes per letter.
 
-The :class:`BlockCounter` that serves each of a set of block lengths is
-chosen in one place, :func:`_block_counters`, for ``freq`` and experiments:
-one sliding counter serves every length, aligned mode one per length.
+One place, :func:`_block_counters`, maps each block counter of ``freq``
+and experiments to the lengths it serves: one sliding counter serves every
+length, aligned mode one per length.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 
 from .alphabet import Alphabet, _require_letters
 from .errors import BlockLengthOutOfRange, ValidationError
-from .machines import _emitted, _require_budget, block_codes, block_letters, transition_rows
+from .machines import _emitted, _narrow_dtype, _require_budget, block_codes, block_letters
+from .machines import transition_rows
 from .measures import MarkovMeasure, block_measure_array
 
 SLIDING = "sliding"
@@ -134,8 +135,8 @@ def _draw_letters(breaks: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def _champernowne_chunks(base: int, n: int, chunk: int):
     """Bounded-size pieces of the by-length, then lexicographic word
-    concatenation, in the narrowest unsigned dtype that holds ``base - 1``;
-    at most ~chunk symbols are materialized at a time."""
+    concatenation, as :func:`block_letters` spells them in the narrow dtype
+    of ``base - 1``; at most ~chunk symbols are materialized at a time."""
     for length in itertools.count(1):
         words, batch = base**length, max(chunk // length, 1)
         for code in range(0, words, batch):
@@ -144,7 +145,7 @@ def _champernowne_chunks(base: int, n: int, chunk: int):
             codes = np.arange(code, min(code + batch, words), dtype=np.int64)
             flat = block_letters(codes, length, base).reshape(-1)[:n]
             n -= flat.size
-            yield flat.astype(np.min_scalar_type(base - 1))
+            yield flat
 
 
 def champernowne(alphabet, n: int) -> np.ndarray:
@@ -194,8 +195,8 @@ def generate_chunks(spec: GeneratorSpec, chunk: int = 1 << 16) -> Iterable[np.nd
     """Yield the sequence of ``spec`` in bounded chunks so consumers never
     hold the whole sequence (the splitmix64 stream is counter based, so a
     Markov sample continues exactly across chunk boundaries).  Chunks come
-    in the narrowest unsigned dtype: Markov chunks are uint8 up to 254
-    symbols, Champernowne chunks up to 256; :func:`generate` is int64."""
+    in the narrow dtype of their largest value: Markov chunks are uint8 up
+    to 254 symbols, Champernowne chunks up to 256; :func:`generate` is int64."""
     if chunk < 1:
         raise ValidationError(f"chunk size must be positive, got {chunk}")
     if spec.kind == CHAMPERNOWNE:
@@ -205,7 +206,7 @@ def generate_chunks(spec: GeneratorSpec, chunk: int = 1 << 16) -> Iterable[np.nd
     thresholds = _thresholds(breaks)  # no draw reaches a letter past these breaks
     walk_table = transition_rows(table[:, : thresholds.size + 1])
     # the states: the symbols, the start row (pi) and the dead state
-    symbols = walk_table.trace.astype(np.min_scalar_type(len(spec.alphabet) + 1))
+    symbols = walk_table.trace.astype(_narrow_dtype(len(spec.alphabet) + 1))
     state = len(spec.alphabet)  # the start row, pi
     for lo in range(0, spec.n, chunk):
         z = _splitmix64_bits(spec.seed, min(chunk, spec.n - lo), offset=lo)
@@ -327,24 +328,22 @@ def block_frequencies(alphabet, x, k: int, mode: str = SLIDING) -> FrequencyRepo
 
 
 def _block_counters(base: int, ks, mode: str, least: int = 1) -> dict:
-    """The counter that serves each length of ``ks``: one sliding counter at
-    max(ks + [least]) serves them all by its marginals, so feed each distinct
-    counter once; aligned blocks do not nest, so each length has its own."""
+    """Each counter that serves the lengths ``ks``, mapped to its lengths in
+    the order of ``ks``: one sliding counter at max(ks + [least]) serves them
+    all by its marginals; aligned blocks do not nest, so each has its own."""
     if mode == SLIDING:
-        return dict.fromkeys(ks, BlockCounter(base, max(*ks, least)))
-    return {k: BlockCounter(base, k, mode) for k in ks}
+        return {BlockCounter(base, max(*ks, least)): list(ks)}
+    return {BlockCounter(base, k, mode): [k] for k in ks}
 
 
 def _block_reports(alphabet: Alphabet, counters: dict) -> dict:
-    """The FrequencyReport of each length from :func:`_block_counters`, a
-    counter's lengths down its one :meth:`BlockCounter._marginals` ladder."""
-    counts = {}
-    for counter in dict.fromkeys(counters.values()):
-        counts.update(counter._marginals([k for k, c in counters.items() if c is counter]))
-    return {
-        k: FrequencyReport(alphabet=alphabet, mode=c.mode, k=k, n=c.n, counts=counts[k])
-        for k, c in counters.items()
-    }
+    """The FrequencyReport of each length of a :func:`_block_counters` map, in
+    its order; a counter's lengths come down its one ``_marginals`` ladder."""
+    reports = {}
+    for c, ks in counters.items():
+        counts = dict(c._marginals(ks))
+        reports.update((k, FrequencyReport(alphabet, c.mode, k, c.n, counts[k])) for k in ks)
+    return reports
 
 
 def _block_lengths(ks) -> list:
@@ -365,14 +364,13 @@ def _count_blocks(alphabet: Alphabet, ks: list, mode: str, chunks) -> dict:
     """FrequencyReports for the lengths ``ks`` of :func:`_block_lengths`:
     the counters of :func:`_block_counters` are made, so a length past the
     count budget is refused, before the first chunk is taken from
-    ``chunks``; then each chunk is fed once to each distinct counter, and
-    a length past the whole sequence is refused."""
+    ``chunks``; then each chunk is fed once to each counter, and a length
+    past the whole sequence is refused."""
     counters = _block_counters(len(alphabet), ks, mode)
-    distinct = list(dict.fromkeys(counters.values()))
     for chunk in chunks:
-        for counter in distinct:
+        for counter in counters:
             counter.update(chunk)
-    _require_fit(ks[-1], distinct[0].n)
+    _require_fit(ks[-1], next(iter(counters)).n)
     return _block_reports(alphabet, counters)
 
 
