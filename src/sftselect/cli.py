@@ -310,20 +310,23 @@ def cmd_lemma_check(args) -> int:
         raise ValidationError("--epsilon does not apply without --equirun")
     if args.equirun is not None and args.w_max is not None:
         raise ValidationError("--w-max does not apply with --equirun")
+    if args.max_enum is not None and not args.measure:
+        raise ValidationError("--max-enum does not apply without --measure")
+    cap = DEFAULT_RUN_CAP if args.max_enum is None else args.max_enum
     selector = parse_selector(args.selector)
     mu, witness = _measure_and_witness(args, selector)
     footer = ""
     if args.equirun is not None:
         epsilon = 0.1 if args.epsilon is None else args.epsilon
         scan = equirun_scan(
-            selector, args.equirun, epsilon, args.n_max, mu=mu, witness=witness, cap=args.max_enum
+            selector, args.equirun, epsilon, args.n_max, mu=mu, witness=witness, cap=cap
         )
         tables, lengths = scan.rows, [args.equirun]
         if scan.passed:
             footer = f"# equirun witness n={scan.witness_n}\n"
     else:
         w_max = 4 if args.w_max is None else args.w_max
-        tables = _lemma_rows(selector, args.n_max, w_max, mu, witness, args.max_enum)
+        tables = _lemma_rows(selector, args.n_max, w_max, mu, witness, cap)
         lengths = range(min(args.n_max, w_max) + 1)
     # each word's token, each table's head and each bound's text (with either
     # status) are made once.  A table checks a prefix of the words in this
@@ -442,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-enum",
         type=int,
-        default=DEFAULT_RUN_CAP,
         help="cap on the nominal runs (#A**n) of a measure walk; counts are not capped",
     )
     p.add_argument("--equirun", type=int, help="run the two-sided scan for this block length")

@@ -6,11 +6,16 @@ length <= K to its count or measure at every run length n <= n_max:
 * counts come from a backward recurrence over the tables of all states,
   with exact integers, so they cost O(n * |Q| * #A**K * #A) and need no
   cap;
-* measures come from one pre-order walk of the run tree with children in
-  alphabet order, so every sum is taken over the runs in lexicographic
-  order, exactly as the enumeration adds them, and its floats are bit for
-  bit the enumeration's.  The walk visits all #A**n nodes, for a single
-  check too (only the count tables are cut to one word), and is capped.
+* measures come from one walk of the run tree for a group of start states
+  at once, which pops slices of at most ``machines._SLICE`` nodes of one
+  depth off a stack, in lexicographic run order at every depth.  Each
+  node's weight is added to its output prefixes' running sums in array
+  order (``np.add.at``, never per-slice sums added up), so every sum is
+  taken over the runs in lexicographic order, exactly as the enumeration
+  adds them, and its floats are bit for bit the enumeration's; whether a
+  prefix is output at all is tracked apart from its sum.  The walk visits
+  all #A**n nodes, for a single check too (only the count tables are cut
+  to one word), and is capped.
 
 Each check reads ``_count_tables`` or ``_measure_tables`` itself, and is
 made by one kernel, ``_check_rows``, one-sided or the two-sided equirun
@@ -21,15 +26,16 @@ objects from the rows as they are read; the CLI writes the rows themselves.
 
 Enumerating runs outright (:func:`enumerate_runs`, ``_walk_runs``) is the
 oracle the tables are tested against; it stays capped, and past the cap the
-statistical path is the right tool.  It walks the run tree as the measure
-walk does, with one stack of nodes (state, depth, symbol read into it,
-keeps, weight) pushed in reverse alphabet order, and keeps the path to the
-popped node in two lists, its inputs and their keep bits, written at the
-node's depth.
+statistical path is the right tool.  It walks the run tree a node at a
+time, with one stack of nodes (state, depth, symbol read into it, keeps,
+weight) pushed in reverse alphabet order, and keeps the path to the popped
+node in two lists, its inputs and their keep bits, written at the node's
+depth.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import compress, islice
@@ -39,7 +45,7 @@ import numpy as np
 
 from .compat import CompatibilityWitness, _step_weights
 from .errors import CapExceeded, NotCompatible, NotStronglyConnected, ValidationError
-from .machines import Automaton, Selector, _require_budget, _require_oblivious, scc_decomposition
+from .machines import _SLICE, Automaton, Selector, _require_budget, _require_oblivious, scc_decomposition
 from .measures import MarkovMeasure, conditional_word_measure
 
 DEFAULT_RUN_CAP = 1 << 20
@@ -140,14 +146,24 @@ def _words_to(size: int, length: int) -> int:
     return length + 1 if size == 1 else (size ** (min(length, 64) + 1) - 1) // (size - 1)
 
 
-def _check_size(length: int, words: int, keys: int, results: int = 0, result_bytes: int = 0):
-    """Refuse, before anything is built, a check whose words, count-table keys
-    and held results would pass ``COUNT_BUDGET_BYTES``, each counted at its
-    cost measured with tracemalloc: 40 + 8 * ``length`` bytes a word (as a
-    tuple; ``lemma-check`` holds each word's token in its place), 176 + 8 *
-    ``length`` a key (with its share of the prefix table) and
-    ``result_bytes`` a result, as its caller holds it."""
+def _check_length(n: int):
+    """Refuse a run length of ``sys.maxsize`` or more, which no table reaches
+    (``islice`` takes no longer count)."""
+    if n >= sys.maxsize:
+        raise ValidationError(f"run lengths from sys.maxsize = {sys.maxsize} on are out of reach")
+
+
+def _check_size(length: int, words: int, keys: int, results=0, result_bytes=0, cells=0):
+    """Refuse, before anything is built, a check whose words, count-table keys,
+    held results and measure-table cells would pass ``COUNT_BUDGET_BYTES``,
+    each counted at its cost measured with tracemalloc: 40 + 8 * ``length``
+    bytes a word (as a tuple; ``lemma-check`` holds each word's token in its
+    place), 176 + 8 * ``length`` a key (with its share of the prefix table),
+    ``result_bytes`` a result, as its caller holds it, and 120 a measure-table
+    cell (see :func:`_cells`: its float64 sum and presence byte, and its
+    table's entry and value once the tables are made)."""
     need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
+    need += cells * 120
     _require_budget(need, f"the checks would take {need} bytes")
 
 
@@ -184,49 +200,99 @@ def _weights(selector: Selector, mu, witness, n: int, cap: int):
     that ``witness`` has last-selected labels and that #A**n is within
     ``cap``; None without a measure (the count tables need neither).  Row q
     is the lift of the measure out of state index q (see
-    :func:`compat._step_weights`), as Python floats."""
+    :func:`compat._step_weights`)."""
     if mu is None:
         return None
     if witness is None or witness.last_selected is None:
         raise NotCompatible(["witness lacks the last-selected labeling"])
     _check_cap(selector, n, cap)
-    return _step_weights(selector, mu, witness).tolist()
+    return _step_weights(selector, mu, witness)
 
 
-def _measure_tables(selector: Selector, start, n_max: int, k: int, weight_rows) -> list:
-    """For n = 0..n_max, the table mapping every output prefix w with
-    |w| <= k to the total weight of the length-n runs from ``start`` whose
-    output begins with w (prefixes no run outputs are absent).
+def _cells(size: int, n: int, k: int) -> int:
+    """The cells one start state's measure tables hold to run length n, with
+    prefixes cut at k: at depth d, every word of length <= min(d, k)."""
+    m = min(n, k)
+    top = _words_to(size, m)
+    shorter = m * (m + 1) // 2 if size == 1 else (top - 1 - m) // (size - 1)
+    return shorter + (n - m + 1) * top
 
-    A run weighs the product, in reading order, of
-    ``weight_rows[state][symbol]`` over its steps.  One pre-order walk
-    visits the run tree with children in alphabet order, so the runs of
-    each length reach their sums in lexicographic order, and each sum
-    starts from 0.0: the floats are bit for bit those of adding up the
-    enumeration.  The value types match it too: 1.0 at n = 0 and
-    ``np.float64`` from n = 1 (the weights the enumeration multiplies are
-    numpy scalars)."""
-    steps = _steps(selector)
-    tables: list = [{} for _ in range(n_max + 1)]
-    stack = [(selector.state_index(start), 0, 1.0, ((),))]
+
+def _measure_tables(selector: Selector, starts, n_max: int, k: int, weight_rows) -> list:
+    """For each of ``starts`` and n = 0..n_max, the table mapping every
+    output prefix w with |w| <= k to the total weight of the length-n runs
+    from that start whose output begins with w (prefixes no run outputs are
+    absent).
+
+    A run weighs the product, in reading order, of ``weight_rows[state,
+    symbol]`` over its steps.  The walk pops slices of at most ``_SLICE``
+    nodes of one depth, the root slice holding every start; a node is
+    (start, state, weight, its output cut at k as its index among the words
+    of its length, that length).
+    A slice's children come from one gather of the next-state and keep
+    tables, parent-major and letter-minor, weighing ``acc * row[a]``, and
+    are pushed as slices in reverse, so at every depth the nodes of each
+    start are popped in lexicographic run order.  A node adds its weight
+    to each of its output prefixes, keyed (start, word code) over the words
+    of length <= k, with ``np.add.at``, which adds in array order to the
+    depth's running sums from 0.0: each sum is taken over the runs in
+    lexicographic order, bit for bit that of adding up the enumeration.
+    Presence is tracked apart from the sums, so a prefix whose runs all
+    weigh 0.0 is present.  The value types match the enumeration too: 1.0
+    at n = 0 and ``np.float64`` from n = 1 (the weights the enumeration
+    multiplies are numpy scalars)."""
+    nxt, keep = selector.tables()
+    weights = np.asarray(weight_rows, dtype=np.float64)
+    size, k, group = len(selector.alphabet), min(k, n_max), len(starts)
+    powers = size ** np.arange(k + 1, dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(powers)))  # the codes of the words shorter than j
+    widths = [_words_to(size, min(d, k)) for d in range(n_max + 1)]  # the codes at depth d
+    sums = [np.zeros(group * width) for width in widths]
+    seen = [np.zeros(group * width, dtype=bool) for width in widths]
+    letters, zeros = np.arange(size), np.zeros(group, dtype=np.int64)
+    states = np.array([selector.state_index(p) for p in starts], dtype=np.int64)
+    stack = [(0, (np.arange(group), states, np.ones(group), zeros, zeros))]
     while stack:
-        q, d, acc, prefixes = stack.pop()
-        table = tables[d]
-        for w in prefixes:
-            table[w] = table.get(w, 0.0) + acc
+        d, (s, q, acc, x, m) = stack.pop()
+        base = s * widths[d]
+        for j in range(min(d, k) + 1):
+            cut = m >= j
+            key = base[cut] + offsets[j] + x[cut] // powers[m[cut] - j]
+            np.add.at(sums[d], key, acc[cut])
+            seen[d][key] = True
         if d == n_max:
             continue
-        row = weight_rows[q]
-        out = prefixes[-1]
-        for ai, a, t, keeps in reversed(steps[q]):
-            child = prefixes
-            if keeps and len(out) < k:
-                child = prefixes + (out + (a,),)
-            stack.append((t, d + 1, acc * row[ai], child))
-    for table in tables[1:]:
-        for w, value in table.items():
-            table[w] = np.float64(value)
-    return tables
+        targets = nxt[q]
+        defined = targets >= 0
+        keeps = keep[q] & (m < k)[:, None]
+        children = (
+            np.broadcast_to(s[:, None], targets.shape)[defined],
+            targets[defined],
+            (acc[:, None] * weights[q])[defined],
+            np.where(keeps, x[:, None] * size + letters, x[:, None])[defined],
+            (m[:, None] + keeps)[defined],
+        )
+        for lo in reversed(range(0, len(children[0]), _SLICE)):
+            stack.append((d + 1, tuple(a[lo : lo + _SLICE] for a in children)))
+    # the word of each code some run outputs, made once: a code names the
+    # same word at every depth
+    output = np.zeros(widths[-1], dtype=bool)
+    for marks, width in zip(seen, widths):
+        output[:width] |= marks.reshape(group, width).any(axis=0)
+    codes, present = np.flatnonzero(output), [np.flatnonzero(marks) for marks in seen]
+    lengths = np.searchsorted(offsets, codes, side="right") - 1
+    shifts = np.maximum(lengths[:, None] - 1 - np.arange(k), 0)
+    digits = (codes - offsets[lengths])[:, None] // powers[shifts] % size
+    spelled = np.array(selector.alphabet.symbols, dtype=object)[digits].tolist()
+    word = dict(zip(codes.tolist(), map(lambda row, j: tuple(row[:j]), spelled, lengths.tolist())))
+    layers = [[{(): 1.0} for _ in starts]]
+    for d in range(1, n_max + 1):
+        layer = [{} for _ in starts]
+        at, code = np.divmod(present[d], widths[d])
+        for i, c, value in zip(at.tolist(), code.tolist(), sums[d][present[d]]):
+            layer[i][word[c]] = value
+        layers.append(layer)
+    return [list(per_n) for per_n in zip(*layers)]
 
 
 def _bound(mu: Optional[MarkovMeasure]):
@@ -282,11 +348,13 @@ def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap,
     if require_oblivious:
         _require_oblivious(selector)
     rows = _weights(selector, mu, witness, n, cap)
+    _check_length(n)
     if rows is None:
         q = selector.state_index(start)
         value = next(islice(_count_tables(selector, len(w), w), n, None))[q].get(w, 0)
-    else:
-        value = _measure_tables(selector, start, n, len(w), rows)[n].get(w, 0.0)
+    else:  # a group of one
+        _check_size(len(w), 0, 0, cells=_cells(len(selector.alphabet), n, len(w)))
+        value = _measure_tables(selector, [start], n, len(w), rows)[0][n].get(w, 0.0)
     return value, _result(selector, _bound(mu), witness, start, n, w, value, tol)
 
 
@@ -337,18 +405,29 @@ def _lemma_rows(selector, n_max: int, w_max: int, mu, witness, cap: int, tol: fl
         raise ValidationError(f"n_max {n_max} and w_max {w_max} must be >= 0")
     _require_oblivious(selector)
     weights = _weights(selector, mu, witness, n_max, cap)
-    nq, m = len(selector.states), min(n_max, w_max)
-    top = _words_to(len(selector.alphabet), m)
-    _check_size(m, top, nq * top)
+    _check_length(n_max)
+    states, size, m = selector.states, len(selector.alphabet), min(n_max, w_max)
+    top = _words_to(size, m)
+    if weights is None:
+        _check_size(m, top, len(states) * top)
+        tables = (  # each state's tables, counted lazily
+            (layer[q] for layer in islice(_count_tables(selector, w_max), n_max + 1))
+            for q in range(len(states))
+        )
+    else:  # a group of states walked at once, when its first state is reached
+        cells = _cells(size, n_max, w_max)
+        group = min(len(states), max(1, _SLICE // cells))
+        _check_size(m, top, 0, cells=group * cells)
+        tables = (
+            per_n
+            for lo in range(0, len(states), group)
+            for per_n in _measure_tables(selector, states[lo : lo + group], n_max, w_max, weights)
+        )
     bound, words = _bound(mu), selector.alphabet.words  # made as a table checks them, never held
     return (
         _check_rows(selector, bound, witness, p, n, table, groups, tol)
-        for q, p in enumerate(selector.states)
-        for n, table in enumerate(  # a state's tables, counted lazily or walked when reached
-            (layer[q] for layer in islice(_count_tables(selector, w_max), n_max + 1))
-            if weights is None
-            else _measure_tables(selector, p, n_max, w_max, weights)
-        )
+        for p, per_n in zip(states, tables)
+        for n, table in enumerate(per_n)
         for groups in [[(length, words(length)) for length in range(min(n, m) + 1)]]
     )
 
@@ -366,9 +445,12 @@ def lemma_check(
     ``witness``, of :func:`measure_output_prefix_runs`) for each state p,
     n = 0..n_max and word w with |w| <= min(n, w_max), in that order.
 
-    All checks from one state read one table, built once.  Only the
-    measure walk is capped at ``cap`` nominal runs (#A**n_max).  The cap
-    and the budget of :func:`_check_size` are checked at the call; the
+    All checks from one state read one table, built once; the measure
+    walk makes the tables of a group of consecutive states at once, as many
+    as hold at most ``_SLICE`` cells between them (see :func:`_cells`), or
+    one.  Only the measure walk is capped at ``cap`` nominal runs
+    (#A**n_max).  The cap and the budget of :func:`_check_size` are checked
+    at the call, the budget with one group's tables held; the
     results are made one at a time, from the rows of one table at a time,
     so the budget counts none of them, and each bound is computed once per
     table and length for counts, once per (label, word) for measures.
@@ -415,12 +497,14 @@ def equirun_scan(
     Uniform mode bounds run counts by #A**(n-k); Markov mode (measure plus
     witness) bounds the conditional run measure by the conditional measure
     of w after the last-selected label of p.  Only Markov mode walks runs,
-    and only it is capped at ``cap`` nominal runs (#A**n).  An ``n_max``
-    below k leaves nothing to scan and raises ValidationError, as do k < 1,
-    an epsilon that is negative or NaN, and a scan past the budget of
-    :func:`_check_size`: one count layer holds every state's table, and a
-    check row is counted at 640 + n_max bytes, what a result object cost
-    with the previous length's and its printed line; a row costs less.
+    once per n for all states, and only it is capped at ``cap`` nominal
+    runs (#A**n).  An ``n_max`` below k leaves nothing to scan and raises
+    ValidationError, as do k < 1, an epsilon that is negative or NaN, and a
+    scan past the budget of :func:`_check_size`: one count layer holds
+    every state's table, a walk to n every state's measure tables to n
+    (counted at each n, with the cap), and a check row is counted at 640 +
+    n_max bytes, what a result object cost with the previous length's and
+    its printed line; a row costs less.
     """
     if k < 1 or not epsilon >= 0:
         raise ValidationError(f"equirun scan needs k >= 1 and epsilon >= 0, got {k} and {epsilon}")
@@ -429,18 +513,22 @@ def equirun_scan(
     _require_oblivious(selector)
     if not scc_decomposition(selector).strongly_connected:
         raise NotStronglyConnected("equirun scan expects a strongly connected selector")
-    size, nq = len(selector.alphabet), len(selector.states)
-    blocks = size ** min(k, 64)
-    _check_size(k, blocks, nq * _words_to(size, k), nq * blocks, 640 + n_max)
+    size, states = len(selector.alphabet), selector.states
+    blocks, nq = size ** min(k, 64), len(states)
+    _check_size(k, blocks, nq * _words_to(size, k) if mu is None else 0, nq * blocks, 640 + n_max)
     words, bound = list(selector.alphabet.words(k)), _bound(mu)
     # the count tables of all states grow one layer per n; the measure walk
-    # is redone for each state and n, after the cap check for that n
+    # is redone for each n, over all states, after the cap and budget checks
+    # for that n
     counts = islice(_count_tables(selector, k), k, None)
     for n in range(k, n_max + 1):
         weights, checks = _weights(selector, mu, witness, n, cap), []
-        measured = (_measure_tables(selector, p, n, k, weights)[n] for p in selector.states)
-        tables = next(counts) if weights is None else measured
-        for p, table in zip(selector.states, tables):
+        if weights is None:
+            tables = next(counts)
+        else:
+            _check_size(k, blocks, 0, nq * blocks, 640 + n_max, nq * _cells(size, n, k))
+            tables = [per_n[n] for per_n in _measure_tables(selector, states, n, k, weights)]
+        for p, table in zip(states, tables):
             rows = _check_rows(selector, bound, witness, p, n, table, [(k, words)], tol, epsilon)
             checks.append(tuple(rows))
         if all(passed for rows in checks for *_check, passed, _strict in rows):

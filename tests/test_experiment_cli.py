@@ -615,7 +615,10 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: enumeration of 64 runs exceeds the cap of 32")
         assert "raise --max-enum" in captured.err
-        assert main([*args, "--max-enum", "32"]) == 0
+        # counts read no cap, so the option is refused without --measure
+        assert main([*args, "--max-enum", "32"]) == 1
+        assert capsys.readouterr() == ("", "error: --max-enum does not apply without --measure\n")
+        assert main(args) == 0
 
     def test_lemma_check_far_past_the_cap_is_one_error_line(self, capsys):
         """At n = 15000 the refusal names 2**15000, a count with more digits

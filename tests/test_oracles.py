@@ -6,10 +6,11 @@ import pytest
 
 import sftselect as ss
 from sftselect import fixtures as fx
-from sftselect import oracles
+from sftselect import machines, oracles
 from sftselect.cli import main
 
 from conftest import random_complete_dfa, txt
+from test_prefix_tables import assert_same_scan, reference_equirun
 
 
 class TestEnumerateRuns:
@@ -268,6 +269,11 @@ class TestEquirunScan:
         for witness in (None, ss.CompatibilityWitness(result.witness.last_read, None)):
             with pytest.raises(ss.NotCompatible, match="witness lacks the last-selected labeling"):
                 ss.equirun_scan(trimmed, 1, 0.5, 16, mu=golden, witness=witness)
+        # the rows of one walk per n over all states are those of walking
+        # every (state, n) on its own, up to the witness at n = 13
+        scan = ss.equirun_scan(trimmed, 2, 0.5, 13, mu=golden, witness=result.witness)
+        assert scan.witness_n == 13
+        assert_same_scan(scan, reference_equirun(trimmed, 2, 0.5, 13, golden, result.witness))
 
 
 def _alternating(size: int, states: int = 2) -> ss.Selector:
@@ -319,6 +325,28 @@ class TestBudget:
         with pytest.raises(ss.ValidationError, match=r"checks would take \d+ bytes, past the budget"):
             check(after_ones)
         assert time.perf_counter() - start < 1.0
+
+    def test_every_term_counts(self):
+        """A word, a result or a measure-table cell alone can pass the budget,
+        so no term may be subtracted."""
+        budget = machines.COUNT_BUDGET_BYTES
+        for args, kwargs in (
+            ((budget // 8, 1, 0), {}),  # one word of budget / 8 letters
+            ((0, 0, 0, 1, budget + 1), {}),  # one result
+            ((0, 0, 0), {"cells": budget // 120 + 1}),
+        ):
+            with pytest.raises(ss.ValidationError, match="past the budget"):
+                oracles._check_size(*args, **kwargs)
+        oracles._check_size(0, 1, 1, 1, budget // 2, budget // 480)
+
+    def test_equirun_counts_each_row_with_the_longest_line(self):
+        """A check row is counted at 640 + n_max bytes: scanning to n_max =
+        2**28, the four rows of a 2-state scan come past the budget, though
+        its witness is n = 1; to 2**27 they fit."""
+        selector = _alternating(2)
+        assert ss.equirun_scan(selector, 1, 1.0, 2**27).witness_n == 1
+        with pytest.raises(ss.ValidationError, match="past the budget"):
+            ss.equirun_scan(selector, 1, 1.0, 2**28)
 
     def test_equirun_counts_one_layer_of_keys(self):
         """A scan holds one count layer, every state's table, not one per
@@ -403,3 +431,10 @@ def test_strict_keeps_its_per_kind_meaning(even_positions, golden, golden_witnes
     assert (count.lemma, count.upper, count.passed, count.strict) == ("count-upper", 4, True, True)
     over = _result(even_positions, None, None, p, 4, w, 5, 5, 0.5)
     assert (over.lemma, over.lower, over.passed, over.strict) == ("equirun-count", 2.0, False, False)
+    # at its bound a value passes and is not strict, counts and measures alike
+    at = _result(even_positions, None, None, p, 4, w, 4, 0, 0.5)
+    assert (at.lemma, at.upper, at.passed, at.strict) == ("equirun-count", 4, True, False)
+    at = _result(even_positions, _bound(golden), golden_witness, p, 4, w, upper, tol, 0.1)
+    assert (at.lemma, at.passed, at.strict) == ("equirun-measure", True, False)
+    at = _result(even_positions, None, None, p, 4, w, 4, 0)
+    assert (at.lemma, at.passed, at.strict) == ("count-upper", True, False)

@@ -139,7 +139,7 @@ def test_measure_tables_equal_enumeration_bit_for_bit(seed, partial, n_max, k):
     selector = random_selector(rng, partial=partial)
     start = rng.choice(selector.states)
     rows, weights = random_weights(rng, selector)
-    tables = _measure_tables(selector, start, n_max, k, rows)
+    (tables,) = _measure_tables(selector, [start], n_max, k, rows)
     assert len(tables) == n_max + 1
     for n, table in enumerate(tables):
         assert set(table) == set(enumerated_counts(selector, start, n, k))
@@ -184,7 +184,7 @@ def test_count_tables_equal_forward_dp(seed, size, partial, oblivious, n_max, k)
 
 def test_measure_value_types(after_ones):
     rows = [[0.25, 0.75], [0.5, 0.5]]
-    tables = _measure_tables(after_ones, "q0", 2, 1, rows)
+    (tables,) = _measure_tables(after_ones, ["q0"], 2, 1, rows)
     assert repr(tables[0][()]) == "1.0"
     assert type(tables[1][()]) is np.float64
     # from q0 no run of length 1 keeps a symbol

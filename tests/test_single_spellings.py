@@ -207,6 +207,10 @@ class TestUnreadOptions:
              "--epsilon does not apply without --equirun"),
             (["lemma-check", "--selector", AFTER_ONES, "--equirun", "2", "--w-max", "3"],
              "--w-max does not apply with --equirun"),
+            (["lemma-check", "--selector", AFTER_ONES, "--max-enum", "1", "--n-max", "3"],
+             "--max-enum does not apply without --measure"),
+            (["lemma-check", "--selector", AFTER_ONES, "--equirun", "2", "--max-enum", "64"],
+             "--max-enum does not apply without --measure"),
         ],
     )
     def test_refused_with_one_error_line(self, argv, err, capsys):
@@ -221,6 +225,8 @@ class TestUnreadOptions:
             (["lemma-check", "--selector", AFTER_ONES, "--n-max", "5"], ["--w-max", "4"]),
             (["lemma-check", "--selector", AFTER_ONES, "--equirun", "2", "--n-max", "12"],
              ["--epsilon", "0.1"]),
+            (["lemma-check", "--selector", str(fx.data_path("even_positions.sel")), "--measure",
+              str(fx.data_path("golden_parry.msr")), "--n-max", "5"], ["--max-enum", "1048576"]),
         ],
     )
     def test_absent_options_take_their_defaults(self, absent, default, capsys):
