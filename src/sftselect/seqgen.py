@@ -23,6 +23,8 @@ counts the breaks <= u, read off the raw uint64 by integer thresholds
 measure) or by binary search past 255.  Its states, emitted as uint8, are
 the symbols plus a start state whose row is pi.  The walk composes blocks
 of k letters (k = 7 for golden mean) in groups: a few passes per letter.
+An i.i.d. measure's rows agree, so its table is 1-definite and each block
+starts where the last letter before it leads (k = 10 for uniform binary).
 
 One place, :func:`_block_counters`, maps each block counter of ``freq``
 and experiments to the lengths it serves: one sliding counter serves every
