@@ -1,11 +1,13 @@
 """Run-counting bounds, checked exactly, and the enumeration oracle.
 
-The checks read per-start-state tables that map every output prefix of
-length <= K to its count or measure at every run length n <= n_max:
+The checks read output-prefix tables of one layout: at run length n, a row
+per start state and a column per word w of length <= min(n, K), by length
+and then lexicographically, holding the count or measure of the length-n
+runs from that state whose output begins with w:
 
-* counts come from a backward recurrence over the tables of all states,
-  with exact integers, so they cost O(n * |Q| * #A**K * #A) and need no
-  cap;
+* counts come from one backward recurrence over the rows of all states,
+  with exact Python ints, so they cost O(n * |Q| * #A**K * #A) and need no
+  cap; ``lemma_check`` holds the layers of one pass for all states;
 * measures come from one walk of the run tree for a group of start states
   at once, which pops slices of at most ``machines._SLICE`` nodes of one
   depth off a stack, in lexicographic run order at every depth.  Each
@@ -13,13 +15,13 @@ length <= K to its count or measure at every run length n <= n_max:
   order (``np.add.at``, never per-slice sums added up), so every sum is
   taken over the runs in lexicographic order, exactly as the enumeration
   adds them, and its floats are bit for bit the enumeration's; whether a
-  prefix is output at all is tracked apart from its sum.  The walk visits
-  all #A**n nodes, for a single check too (only the count tables are cut
-  to one word), and is capped.
+  prefix is output at all is tracked apart from its sum (an absent one
+  reads 0.0).  The walk visits all #A**n nodes, for a single check too
+  (only the count tables are cut to one word), and is capped.
 
 Each check reads ``_count_tables`` or ``_measure_tables`` itself, and is
 made by one kernel, ``_check_rows``, one-sided or the two-sided equirun
-band, as plain rows a table at a time: a count is checked against
+band, which zips a table row with its words: a count is checked against
 #A**(n - |w|) exactly, a measure against the conditional measure of w with
 a float tolerance.  The public checks make :class:`LemmaCheckResult`
 objects from the rows as they are read; the CLI writes the rows themselves.
@@ -37,8 +39,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from itertools import compress, islice
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import chain, compress, islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -130,16 +132,6 @@ class LemmaCheckResult:
     strict: bool = False
 
 
-def _steps(selector: Selector) -> list:
-    """Per state index, the defined transitions in alphabet order as
-    (symbol index, symbol, target index, keeps)."""
-    symbols, keep = selector.alphabet.symbols, selector.tables()[1]
-    steps = [[] for _ in selector.states]
-    for q, a, t in selector._arcs():
-        steps[q].append((a, symbols[a], t, keep.item(q, a)))
-    return steps
-
-
 def _words_to(size: int, length: int) -> int:
     """The number of words of length <= ``length`` over ``size`` letters,
     counted at most to length 64 (past any budget) for two or more."""
@@ -153,46 +145,61 @@ def _check_length(n: int):
         raise ValidationError(f"run lengths from sys.maxsize = {sys.maxsize} on are out of reach")
 
 
-def _check_size(length: int, words: int, keys: int, results=0, result_bytes=0, cells=0):
-    """Refuse, before anything is built, a check whose words, count-table keys,
-    held results and measure-table cells would pass ``COUNT_BUDGET_BYTES``,
-    each counted at its cost measured with tracemalloc: 40 + 8 * ``length``
-    bytes a word (as a tuple; ``lemma-check`` holds each word's token in its
-    place), 176 + 8 * ``length`` a key (with its share of the prefix table),
-    ``result_bytes`` a result, as its caller holds it, and 120 a measure-table
-    cell (see :func:`_cells`: its float64 sum and presence byte, and its
-    table's entry and value once the tables are made)."""
-    need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
-    need += cells * 120
+def _check_size(length: int, words: int, results=0, result_bytes=0, cells=0, digits=0):
+    """Refuse, before anything is built, a check whose words, held results and
+    table cells would pass ``COUNT_BUDGET_BYTES``, each counted at its cost
+    measured with tracemalloc: 40 + 8 * ``length`` bytes a word (as a tuple;
+    ``lemma-check`` holds each word's token in its place), ``result_bytes`` a
+    result, as its caller holds it, 120 a table cell (see :func:`_cells`; a
+    count's slot and int or a measure's sum, presence byte, slot and value took
+    17-50 on tables of many cells a layer), and an int digit's size for each
+    of ``digits``, the digits of big counts past their first."""
+    need = words * (40 + 8 * length) + results * result_bytes + cells * 120
+    need += digits * sys.int_info.sizeof_digit
     _require_budget(need, f"the checks would take {need} bytes")
 
 
-def _count_tables(selector: Selector, k: int, word: Optional[tuple] = None) -> Iterator[list]:
-    """Yield, for n = 0, 1, 2, ..., every state index's table: output prefix
-    w (|w| <= k) -> the number of length-n runs from that state whose output
-    begins with w (absent if none).  A run from q that reads a to t outputs
-    what the run from t outputs, behind a if q keeps a, so a table at n + 1
-    adds up its targets' tables at n: a drop keeps w; a keep of a moves w to
-    a.w while |a.w| <= k, and () to () as well.  Given ``word`` (k = |word|),
-    only its suffixes, the words its count is made from, are kept."""
-    steps = _steps(selector)
-    layer = [{(): 1} for _ in selector.states]
+def _digits(size: int, n: int) -> int:
+    """The int digits past the first of a count of length-n runs, at most ``size``**n."""
+    return n * (size - 1).bit_length() // sys.int_info.bits_per_digit
+
+
+def _count_tables(selector: Selector, k: int, word: Optional[tuple] = None) -> Iterator[np.ndarray]:
+    """Yield, for n = 0, 1, 2, ..., the count table at n: an object array of
+    Python ints, a row per state index and a column per word w of length
+    <= min(n, k), by length and then lexicographically, holding the number
+    of length-n runs from that state whose output begins with w.  A run from
+    q that reads a to t outputs what the run from t outputs, behind a if q
+    keeps a, so a row at n + 1 adds up its targets' rows at n: a drop adds
+    the row as it is; a keep of a adds the column of () to () and the
+    column of each w shorter than k to that of a.w.  Given ``word`` (k =
+    |word|), column j is its suffix of length j, which a keep of the letter
+    before it moves to j + 1.  Layers are held column by column, so one map
+    of the cells arcs add from and into, in source order, cut, serves all."""
+    nxt, keep = selector.tables()
+    nq, size = nxt.shape
+    if word is None:  # a keep of a moves code x of length j < k to x + (a + 1) * #A**j
+        short = np.arange(_words_to(size, k - 1))
+        reach = size ** np.repeat(np.arange(k), size ** np.arange(k))
+        moves = [(short, short + (a + 1) * reach) for a in range(size)]
+    else:  # one word of each length, as over one letter
+        hits = [np.flatnonzero([word[k - 1 - j] == a for j in range(k)]) for a in selector.alphabet]
+        moves, size = [(hit, hit + 1) for hit in hits], 1
+    every, pairs = np.arange(_words_to(size, k)), []
+    for a, (src, dst) in enumerate(moves):  # cell (column, row) is column * nq + row
+        for kept, (cols, into) in ((False, (every, every)), (True, (np.r_[0, src], np.r_[0, dst]))):
+            rows = np.flatnonzero((nxt[:, a] >= 0) & (keep[:, a] == kept))
+            pairs.append(((cols[:, None] * nq + nxt[rows, a]).ravel(), (into[:, None] * nq + rows).ravel()))
+    src, dst = map(np.concatenate, zip(*pairs))
+    order = np.argsort(src)
+    src, dst = src[order], dst[order]
+    layer, n = np.ones((1, nq), dtype=object), 0
     while True:
-        yield layer
-        following = []
-        for arcs in steps:
-            table: dict = {}
-            for _ai, a, t, keeps in arcs:
-                for w, c in layer[t].items():
-                    if keeps:
-                        if not w:
-                            table[w] = table.get(w, 0) + c
-                        w = (a,) + w
-                        if len(w) > k or word is not None and word[k - len(w) :] != w:
-                            continue
-                    table[w] = table.get(w, 0) + c
-            following.append(table)
-        layer = following
+        yield layer.T
+        cells, n = layer.reshape(-1), n + 1
+        layer = np.zeros((_words_to(size, min(n, k)), nq), dtype=object)
+        cut = src.searchsorted(len(cells))
+        np.add.at(layer.reshape(-1), dst[:cut], cells[src[:cut]])
 
 
 def _weights(selector: Selector, mu, witness, n: int, cap: int):
@@ -210,8 +217,8 @@ def _weights(selector: Selector, mu, witness, n: int, cap: int):
 
 
 def _cells(size: int, n: int, k: int) -> int:
-    """The cells one start state's measure tables hold to run length n, with
-    prefixes cut at k: at depth d, every word of length <= min(d, k)."""
+    """The cells one start state's count or measure tables hold to run length
+    n, with prefixes cut at k: at depth d, every word of length <= min(d, k)."""
     m = min(n, k)
     top = _words_to(size, m)
     shorter = m * (m + 1) // 2 if size == 1 else (top - 1 - m) // (size - 1)
@@ -219,10 +226,11 @@ def _cells(size: int, n: int, k: int) -> int:
 
 
 def _measure_tables(selector: Selector, starts, n_max: int, k: int, weight_rows) -> list:
-    """For each of ``starts`` and n = 0..n_max, the table mapping every
-    output prefix w with |w| <= k to the total weight of the length-n runs
-    from that start whose output begins with w (prefixes no run outputs are
-    absent).
+    """For each of ``starts`` and n = 0..n_max, its row of the measure
+    table at n in the columns of :func:`_count_tables`: an object array
+    holding, for every output prefix w with |w| <= k, the total weight of
+    the length-n runs from that start whose output begins with w, or the
+    0.0 an absent prefix (one no run outputs) reads.
 
     A run weighs the product, in reading order, of ``weight_rows[state,
     symbol]`` over its steps.  The walk pops slices of at most ``_SLICE``
@@ -240,7 +248,7 @@ def _measure_tables(selector: Selector, starts, n_max: int, k: int, weight_rows)
     Presence is tracked apart from the sums, so a prefix whose runs all
     weigh 0.0 is present.  The value types match the enumeration too: 1.0
     at n = 0 and ``np.float64`` from n = 1 (the weights the enumeration
-    multiplies are numpy scalars)."""
+    multiplies are numpy scalars), the Python 0.0 where absent."""
     nxt, keep = selector.tables()
     weights = np.asarray(weight_rows, dtype=np.float64)
     size, k, group = len(selector.alphabet), min(k, n_max), len(starts)
@@ -274,25 +282,12 @@ def _measure_tables(selector: Selector, starts, n_max: int, k: int, weight_rows)
         )
         for lo in reversed(range(0, len(children[0]), _SLICE)):
             stack.append((d + 1, tuple(a[lo : lo + _SLICE] for a in children)))
-    # the word of each code some run outputs, made once: a code names the
-    # same word at every depth
-    output = np.zeros(widths[-1], dtype=bool)
-    for marks, width in zip(seen, widths):
-        output[:width] |= marks.reshape(group, width).any(axis=0)
-    codes, present = np.flatnonzero(output), [np.flatnonzero(marks) for marks in seen]
-    lengths = np.searchsorted(offsets, codes, side="right") - 1
-    shifts = np.maximum(lengths[:, None] - 1 - np.arange(k), 0)
-    digits = (codes - offsets[lengths])[:, None] // powers[shifts] % size
-    spelled = np.array(selector.alphabet.symbols, dtype=object)[digits].tolist()
-    word = dict(zip(codes.tolist(), map(lambda row, j: tuple(row[:j]), spelled, lengths.tolist())))
-    layers = [[{(): 1.0} for _ in starts]]
+    layers = [np.full((group, 1), 1.0, dtype=object)]
     for d in range(1, n_max + 1):
-        layer = [{} for _ in starts]
-        at, code = np.divmod(present[d], widths[d])
-        for i, c, value in zip(at.tolist(), code.tolist(), sums[d][present[d]]):
-            layer[i][word[c]] = value
-        layers.append(layer)
-    return [list(per_n) for per_n in zip(*layers)]
+        values = np.full(group * widths[d], 0.0, dtype=object)
+        values[seen[d]] = list(sums[d][seen[d]])
+        layers.append(values.reshape(group, widths[d]))
+    return [[layer[i] for layer in layers] for i in range(group)]
 
 
 def _bound(mu: Optional[MarkovMeasure]):
@@ -301,41 +296,39 @@ def _bound(mu: Optional[MarkovMeasure]):
     return None if mu is None else lru_cache(maxsize=None)(partial(conditional_word_measure, mu))
 
 
-def _check_rows(selector, bound, witness, p, n: int, table: dict, groups, tol, epsilon=None):
-    """The checks of the table of (p, n) for the words of ``groups``, pairs
-    (length, words), in order, as tuples in :class:`LemmaCheckResult`'s
-    field order: the run count (``bound`` None) or measure of w in
-    ``table`` (0 if absent) against #A**(n - |w|), once per length, or the
-    conditional measure of w after the last-selected label of p, read from
-    ``bound`` (see :func:`_bound`).  Counts are exact, so ``tol`` applies to
-    measures only.  Given ``epsilon``, the two-sided equirun check with
-    lower bound (1 - epsilon) * upper; ``strict`` is then ``value < upper``,
-    and ``value < upper - tol`` for the one-sided checks (Python bools)."""
+def _check_rows(selector, bound, witness, p, n: int, values, words, tol, epsilon=None):
+    """The checks of the table row of (p, n), its ``values`` zipped with
+    ``words``, in order, as tuples in :class:`LemmaCheckResult`'s field
+    order: the run count (``bound`` None) or measure of w against
+    #A**(n - |w|), once per length, or the conditional measure of w after
+    the last-selected label of p, read from ``bound`` (see :func:`_bound`).
+    Counts are exact, so ``tol`` applies to measures only.  Given
+    ``epsilon``, the two-sided equirun check with lower bound (1 - epsilon) *
+    upper; ``strict`` is then ``value < upper``, and ``value < upper - tol``
+    for the one-sided checks (Python bools)."""
     if bound is None:
-        kind, zero, size, tol = "count", 0, len(selector.alphabet), 0
+        kind, size, tol, length = "count", len(selector.alphabet), 0, None
     else:
-        kind, zero, label = "measure", 0.0, witness.last_selected[p]
-    lemma, get = f"{kind}-upper" if epsilon is None else f"equirun-{kind}", table.get
-    for length, words in groups:
-        if bound is None:
+        kind, label = "measure", witness.last_selected[p]
+    lemma = f"{kind}-upper" if epsilon is None else f"equirun-{kind}"
+    for w, value in zip(words, values):
+        if bound is not None:
+            upper = bound(label, w)
+        elif len(w) != length:
+            length = len(w)
             upper = size ** (n - length)
-        for w in words:
-            value = get(w, zero)
-            if bound is not None:
-                upper = bound(label, w)
-            if epsilon is None:
-                passed, strict = bool(value <= upper + tol), bool(value < upper - tol)
-                yield lemma, p, n, w, value, upper, None, None, passed, strict
-            else:
-                lower = (1.0 - epsilon) * upper
-                passed = bool(lower - tol <= value <= upper + tol)
-                yield lemma, p, n, w, value, upper, lower, epsilon, passed, bool(value < upper)
+        if epsilon is None:
+            passed, strict = bool(value <= upper + tol), bool(value < upper - tol)
+            yield lemma, p, n, w, value, upper, None, None, passed, strict
+        else:
+            lower = (1.0 - epsilon) * upper
+            passed = bool(lower - tol <= value <= upper + tol)
+            yield lemma, p, n, w, value, upper, lower, epsilon, passed, bool(value < upper)
 
 
 def _result(selector, bound, witness, p, n: int, w: tuple, value, tol, epsilon=None):
     """The check of one count or measure ``value`` of w (see :func:`_check_rows`)."""
-    rows = _check_rows(selector, bound, witness, p, n, {w: value}, [(len(w), [w])], tol, epsilon)
-    return LemmaCheckResult(*next(rows))
+    return LemmaCheckResult(*next(_check_rows(selector, bound, witness, p, n, [value], [w], tol, epsilon)))
 
 
 def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap, tol):
@@ -351,10 +344,12 @@ def _prefix_check(selector, mu, witness, start, n, word, require_oblivious, cap,
     _check_length(n)
     if rows is None:
         q = selector.state_index(start)
-        value = next(islice(_count_tables(selector, len(w), w), n, None))[q].get(w, 0)
-    else:  # a group of one
-        _check_size(len(w), 0, 0, cells=_cells(len(selector.alphabet), n, len(w)))
-        value = _measure_tables(selector, [start], n, len(w), rows)[0][n].get(w, 0.0)
+        value = next(islice(_count_tables(selector, len(w), w), n, None))[q, -1]
+    else:  # a group of one; w's column, by length then lexicographically, in bijective base #A
+        alphabet = selector.alphabet
+        _check_size(len(w), 0, cells=_cells(len(alphabet), n, len(w)))
+        column = reduce(lambda c, a: c * len(alphabet) + alphabet.index(a) + 1, w, 0)
+        value = _measure_tables(selector, [start], n, len(w), rows)[0][n][column]
     return value, _result(selector, _bound(mu), witness, start, n, w, value, tol)
 
 
@@ -408,27 +403,26 @@ def _lemma_rows(selector, n_max: int, w_max: int, mu, witness, cap: int, tol: fl
     _check_length(n_max)
     states, size, m = selector.states, len(selector.alphabet), min(n_max, w_max)
     top = _words_to(size, m)
-    if weights is None:
-        _check_size(m, top, len(states) * top)
-        tables = (  # each state's tables, counted lazily
-            (layer[q] for layer in islice(_count_tables(selector, w_max), n_max + 1))
-            for q in range(len(states))
-        )
+    if weights is None:  # one pass for all states, at the first read, its layers held
+        cells = len(states) * _cells(size, n_max, m) + 3 * (n_max + 1)  # and three a layer's arrays
+        digits = len(states) * top * (n_max + 1) * _digits(size, n_max) // 2
+        _check_size(m, top, cells=cells, digits=digits)
+        held = (list(islice(_count_tables(selector, m), n_max + 1)) for _ in [0])
+        tables = ((layer[q] for layer in layers) for layers in held for q in range(len(states)))
     else:  # a group of states walked at once, when its first state is reached
         cells = _cells(size, n_max, w_max)
         group = min(len(states), max(1, _SLICE // cells))
-        _check_size(m, top, 0, cells=group * cells)
+        _check_size(m, top, cells=group * cells)
         tables = (
             per_n
             for lo in range(0, len(states), group)
             for per_n in _measure_tables(selector, states[lo : lo + group], n_max, w_max, weights)
         )
-    bound, words = _bound(mu), selector.alphabet.words  # made as a table checks them, never held
+    bound, words = _bound(mu), selector.alphabet.words  # made as a row checks them, never held
     return (
-        _check_rows(selector, bound, witness, p, n, table, groups, tol)
+        _check_rows(selector, bound, witness, p, n, values, chain(*map(words, range(min(n, m) + 1))), tol)
         for p, per_n in zip(states, tables)
-        for n, table in enumerate(per_n)
-        for groups in [[(length, words(length)) for length in range(min(n, m) + 1)]]
+        for n, values in enumerate(per_n)
     )
 
 
@@ -445,12 +439,14 @@ def lemma_check(
     ``witness``, of :func:`measure_output_prefix_runs`) for each state p,
     n = 0..n_max and word w with |w| <= min(n, w_max), in that order.
 
-    All checks from one state read one table, built once; the measure
-    walk makes the tables of a group of consecutive states at once, as many
-    as hold at most ``_SLICE`` cells between them (see :func:`_cells`), or
-    one.  Only the measure walk is capped at ``cap`` nominal runs
-    (#A**n_max).  The cap and the budget of :func:`_check_size` are checked
-    at the call, the budget with one group's tables held; the
+    All checks from one state read its rows of one table per n, built
+    once: one count pass makes every state's rows, at the first read, and
+    holds its layers; the measure walk makes the tables of a group of
+    consecutive states at once, as many as hold at most ``_SLICE`` cells
+    between them (see :func:`_cells`), or one.  Only the measure walk is
+    capped at ``cap`` nominal runs (#A**n_max).  The cap and the budget of
+    :func:`_check_size` are checked at the call, the budget with every
+    count layer, or one group's measure tables, held; the
     results are made one at a time, from the rows of one table at a time,
     so the budget counts none of them, and each bound is computed once per
     table and length for counts, once per (label, word) for measures.
@@ -500,9 +496,10 @@ def equirun_scan(
     once per n for all states, and only it is capped at ``cap`` nominal
     runs (#A**n).  An ``n_max`` below k leaves nothing to scan and raises
     ValidationError, as do k < 1, an epsilon that is negative or NaN, and a
-    scan past the budget of :func:`_check_size`: one count layer holds
-    every state's table, a walk to n every state's measure tables to n
-    (counted at each n, with the cap), and a check row is counted at 640 +
+    scan past the budget of :func:`_check_size`: the count pass holds a
+    layer of every state's rows and the next, with counts as large as at
+    n_max, a walk to n every state's measure tables to n (counted at each
+    n, with the cap), and a check row is counted at 640 +
     n_max bytes, what a result object cost with the previous length's and
     its printed line; a row costs less.
     """
@@ -514,8 +511,9 @@ def equirun_scan(
     if not scc_decomposition(selector).strongly_connected:
         raise NotStronglyConnected("equirun scan expects a strongly connected selector")
     size, states = len(selector.alphabet), selector.states
-    blocks, nq = size ** min(k, 64), len(states)
-    _check_size(k, blocks, nq * _words_to(size, k) if mu is None else 0, nq * blocks, 640 + n_max)
+    blocks, nq, first = size ** min(k, 64), len(states), _words_to(size, k - 1)
+    cells = 2 * nq * _words_to(size, k) if mu is None else 0  # a count layer and the next
+    _check_size(k, blocks, nq * blocks, 640 + n_max, cells, cells * _digits(size, n_max))
     words, bound = list(selector.alphabet.words(k)), _bound(mu)
     # the count tables of all states grow one layer per n; the measure walk
     # is redone for each n, over all states, after the cap and budget checks
@@ -526,10 +524,10 @@ def equirun_scan(
         if weights is None:
             tables = next(counts)
         else:
-            _check_size(k, blocks, 0, nq * blocks, 640 + n_max, nq * _cells(size, n, k))
+            _check_size(k, blocks, nq * blocks, 640 + n_max, nq * _cells(size, n, k))
             tables = [per_n[n] for per_n in _measure_tables(selector, states, n, k, weights)]
-        for p, table in zip(states, tables):
-            rows = _check_rows(selector, bound, witness, p, n, table, [(k, words)], tol, epsilon)
+        for p, values in zip(states, tables):
+            rows = _check_rows(selector, bound, witness, p, n, values[first:], words, tol, epsilon)
             checks.append(tuple(rows))
         if all(passed for rows in checks for *_check, passed, _strict in rows):
             return EquirunScanResult(k=k, epsilon=epsilon, witness_n=n, rows=tuple(checks))

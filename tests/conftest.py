@@ -33,6 +33,12 @@ def even_positions_full():
 
 
 @pytest.fixture
+def even_positions_sc():
+    """``even_positions`` without its transient state 010: strongly connected."""
+    return fx.parse_selector(fx.data_path("even_positions_sc.sel"))
+
+
+@pytest.fixture
 def golden():
     return fx.golden_parry_measure()
 

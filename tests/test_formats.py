@@ -35,6 +35,8 @@ BUNDLED = [
      "c80ed1e7c2a2cc4f3a504cf9aeaa5253fc24a1822535b4e188dc05955020fb62"),
     ("even_positions_full.sel", parse_selector, serialize_selector,
      "fc1cbc69453ccf0319ef234bde9ef5df706a31209e9222d336a1a60e9ff885d6"),
+    ("even_positions_sc.sel", parse_selector, serialize_selector,
+     "4ef60785fbf65ae43b10ae4ff9315f44b4d205b0f9d73d0dc8a7ac226e02b31b"),
     ("golden_mean.mat", parse_matrix, serialize_matrix,
      "183de18653f7c66d48959dd097a6d45c20de3b4dbcc1368d38bfa9733d47937c"),
     ("golden_parry.msr", parse_measure, serialize_measure,

@@ -1,6 +1,9 @@
+import inspect
 import random
+import sys
 import time
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -245,19 +248,10 @@ class TestEquirunScan:
         with pytest.raises(ss.NotStronglyConnected):
             ss.equirun_scan(dangling, 1, 0.5, 5)
 
-    def test_markov_mode_on_golden_fixture(self, even_positions, golden, golden_witness):
-        # strongly connected part only: restrict to the recurrent component
-        solid = even_positions
-        # the solid machine is not strongly connected (010 is transient), so
-        # build the scan on the machine without 010
-        states = [q for q in solid.states if q != "010"]
-        trimmed = ss.Selector(
-            solid.alphabet,
-            states,
-            solid.initial,
-            [t for t in solid.transitions() if t[0] != "010"],
-        )
-        trimmed.declare_labels(last_read={"000": "0"})
+    def test_markov_mode_on_golden_fixture(self, even_positions_sc, golden):
+        # even_positions is not strongly connected (010 is transient), so
+        # scan the machine without 010
+        trimmed = even_positions_sc
         result = ss.check_selector_compatibility(trimmed, golden)
         assert result.ok
         scan = ss.equirun_scan(
@@ -294,21 +288,27 @@ class TestBudget:
 
     @pytest.mark.parametrize("size, states", [(1, 1), (1, 3), (2, 2), (3, 2)])
     def test_counted_results_are_the_results(self, monkeypatch, size, states):
-        seen = []
-        monkeypatch.setattr(oracles, "_check_size", lambda *args: seen.append(args))
+        seen, signature = [], inspect.signature(oracles._check_size)
+        monkeypatch.setattr(
+            oracles, "_check_size", lambda *args, **kw: seen.append(signature.bind(*args, **kw).arguments)
+        )
         selector = _alternating(size, states)
         for n_max, w_max in ((0, 0), (3, 1), (4, 4), (5, 2), (2, 6), (6, 0)):
             # lemma results are made one at a time, so none is counted
             results = ss.lemma_check(selector, n_max, w_max)
-            length, words, keys = seen.pop()
+            call = seen.pop()
+            length, words = call["length"], call["words"]
             assert length == min(n_max, w_max)
             assert words == sum(size**m for m in range(length + 1))
-            assert keys == states * words
             made = states * sum(size**m for n in range(n_max + 1) for m in range(min(n, w_max) + 1))
+            # every layer of the count pass is held: a cell per check, and
+            # three a layer for its arrays
+            assert call["cells"] == made + 3 * (n_max + 1)
             assert sum(1 for _ in results) == made
         for k, n_max in ((1, 3), (3, 4)):
             scan = ss.equirun_scan(selector, k, 1.0, n_max)
-            assert seen.pop()[1::2] == (size**k, len(scan.results))
+            call = seen.pop()
+            assert (call["words"], call["results"]) == (size**k, len(scan.results))
 
     @pytest.mark.parametrize(
         "check",
@@ -331,13 +331,14 @@ class TestBudget:
         so no term may be subtracted."""
         budget = machines.COUNT_BUDGET_BYTES
         for args, kwargs in (
-            ((budget // 8, 1, 0), {}),  # one word of budget / 8 letters
-            ((0, 0, 0, 1, budget + 1), {}),  # one result
-            ((0, 0, 0), {"cells": budget // 120 + 1}),
+            ((budget // 8, 1), {}),  # one word of budget / 8 letters
+            ((0, 0, 1, budget + 1), {}),  # one result
+            ((0, 0), {"cells": budget // 120 + 1}),
+            ((0, 0), {"digits": budget // sys.int_info.sizeof_digit + 1}),
         ):
             with pytest.raises(ss.ValidationError, match="past the budget"):
                 oracles._check_size(*args, **kwargs)
-        oracles._check_size(0, 1, 1, 1, budget // 2, budget // 480)
+        oracles._check_size(0, 1, 1, budget // 2, budget // 480, budget // 32)
 
     def test_equirun_counts_each_row_with_the_longest_line(self):
         """A check row is counted at 640 + n_max bytes: scanning to n_max =
@@ -354,16 +355,36 @@ class TestBudget:
         scan = ss.equirun_scan(_alternating(2, 300), 6, 1.0, 6)
         assert scan.witness_n == 6 and len(scan.results) == 300 * 2**6
 
+    @pytest.mark.parametrize("equirun", [False, True])
+    def test_counted_digits_bound_the_held_counts(self, monkeypatch, after_ones, equirun):
+        """The int digits counted past each count's first bound those the
+        held counts take, within a tenth: to 2**3000, every layer of a
+        lemma pass, or a scan's layer at n_max and the next."""
+        seen, signature = [], inspect.signature(oracles._check_size)
+        monkeypatch.setattr(
+            oracles, "_check_size", lambda *args, **kw: seen.append(signature.bind(*args, **kw).arguments)
+        )
+        n_max, digit = 3000, sys.int_info.bits_per_digit
+        layers = list(islice(oracles._count_tables(after_ones, int(equirun)), n_max + 2))
+        if equirun:
+            ss.equirun_scan(after_ones, 1, 1.0, n_max)
+            layers = layers[-2:]
+        else:
+            ss.lemma_check(after_ones, n_max, 0)
+            layers = layers[:-1]
+        held = sum(max(0, -(-c.bit_length() // digit) - 1) for layer in layers for c in layer.flat)
+        assert held <= seen[0]["digits"] <= 1.1 * held
+
     def test_traced_peak_is_within_the_counted_bytes(self, monkeypatch, after_ones, tmp_path):
         """The CLI run stays within what is counted: lemma lines are written
         as they are made, equirun results and lines are held."""
         counted = []
         check_size = oracles._check_size
 
-        def spy(length, words, keys, results=0, result_bytes=0):
-            need = words * (40 + 8 * length) + keys * (176 + 8 * length) + results * result_bytes
-            counted.append(need)
-            check_size(length, words, keys, results, result_bytes)
+        def spy(length, words, results=0, result_bytes=0, cells=0, digits=0):
+            need = words * (40 + 8 * length) + results * result_bytes + cells * 120
+            counted.append(need + digits * sys.int_info.sizeof_digit)
+            check_size(length, words, results, result_bytes, cells, digits)
 
         monkeypatch.setattr(oracles, "_check_size", spy)
         selector = str(fx.data_path("after_ones.sel"))

@@ -3,22 +3,48 @@ checks against the run enumeration ``_walk_runs``: counts must be equal,
 measures ``repr``-identical (type included), and the equirun scan must give
 the lines an enumeration-based scan gives.  The count tables are also
 checked against the forward (state, output) dynamic program they replaced,
-kept here as ``reference_count_layers`` and ``reference_prefix_counts``."""
+kept here as ``reference_count_layers`` and ``reference_prefix_counts``.
+Tables are read through ``row_table``, which turns a row of a table's
+word-code columns back into a dict of its present cells."""
 
 import random
-from itertools import islice
+from itertools import chain, count, islice
 from typing import Iterator, Optional
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sftselect as ss
+from sftselect import oracles
 from sftselect.cli import _format_lemma_line
-from sftselect.oracles import _count_tables, _measure_tables, _steps, _walk_runs
+from sftselect.oracles import _count_tables, _measure_tables, _walk_runs
 
 from conftest import random_complete_dfa, random_irreducible_measure, random_selector
+
+
+def _steps(selector) -> list:
+    """Per state index, the defined transitions in alphabet order as
+    (symbol index, symbol, target index, keeps)."""
+    symbols, keep = selector.alphabet.symbols, selector.tables()[1]
+    steps = [[] for _ in selector.states]
+    for q, a, t in selector._arcs():
+        steps[q].append((a, symbols[a], t, keep.item(q, a)))
+    return steps
+
+
+def row_table(row, alphabet, word=None) -> dict:
+    """A table row as {word: value} over its present cells: a count that is
+    not 0, a measure that is a np.float64 sum (absent prefixes read the
+    Python float 0.0), and 1.0 at n = 0.  The columns are the words by
+    length and then lexicographically, or given ``word``, its suffixes by
+    length."""
+    if word is None:
+        words = chain.from_iterable(map(alphabet.words, count()))
+    else:
+        words = (word[len(word) - j :] for j in count())
+    return {w: v for v, w in zip(row, words) if v != 0 or type(v) is np.float64}
 
 
 def reference_count_layers(selector, start, k: int, word: Optional[tuple] = None) -> Iterator[dict]:
@@ -114,9 +140,9 @@ def test_count_tables_equal_enumeration(seed, partial, n_max, k):
     for n, layer in enumerate(_count_tables(selector, k)):
         if n > n_max:
             break
-        # one table of words of length <= k per state: polynomially many keys
-        assert sum(map(len, layer)) <= key_limit
-        table = layer[q]
+        # one row of words of length <= k per state: polynomially many cells
+        assert layer.size <= key_limit
+        table = row_table(layer[q], selector.alphabet)
         assert table == enumerated_counts(selector, start, n, k)
         for w in all_words(selector.alphabet, min(n, k)):
             count, result = ss.count_output_prefix_runs(
@@ -141,7 +167,8 @@ def test_measure_tables_equal_enumeration_bit_for_bit(seed, partial, n_max, k):
     rows, weights = random_weights(rng, selector)
     (tables,) = _measure_tables(selector, [start], n_max, k, rows)
     assert len(tables) == n_max + 1
-    for n, table in enumerate(tables):
+    for n, row in enumerate(tables):
+        table = row_table(row, selector.alphabet)
         assert set(table) == set(enumerated_counts(selector, start, n, k))
         for w in all_words(selector.alphabet, k):
             expected = enumerated_measure(selector, start, n, w, weights)
@@ -170,7 +197,8 @@ def test_count_tables_equal_forward_dp(seed, size, partial, oblivious, n_max, k)
     layers = list(islice(_count_tables(selector, k), n_max + 1))
     for q, start in enumerate(selector.states):
         reference = islice(reference_count_layers(selector, start, k), n_max + 1)
-        assert [layer[q] for layer in layers] == list(map(reference_prefix_counts, reference))
+        got = [row_table(layer[q], selector.alphabet) for layer in layers]
+        assert got == list(map(reference_prefix_counts, reference))
     # one word per length, each letter drawn at random: its suffixes only
     for length in range(min(k, n_max) + 1):
         word = tuple(rng.choice(selector.alphabet.symbols) for _ in range(length))
@@ -178,17 +206,64 @@ def test_count_tables_equal_forward_dp(seed, size, partial, oblivious, n_max, k)
         for start in selector.states:
             reference = islice(reference_count_layers(selector, start, length, word), n_max + 1)
             expected = [reference_prefix_counts(layer).get(word, 0) for layer in reference]
-            got = [layer[selector.state_index(start)].get(word, 0) for layer in tables]
+            q = selector.state_index(start)
+            got = [row_table(layer[q], selector.alphabet, word).get(word, 0) for layer in tables]
             assert got == expected
 
 
 def test_measure_value_types(after_ones):
     rows = [[0.25, 0.75], [0.5, 0.5]]
-    (tables,) = _measure_tables(after_ones, ["q0"], 2, 1, rows)
+    (cells,) = _measure_tables(after_ones, ["q0"], 2, 1, rows)
+    tables = [row_table(row, after_ones.alphabet) for row in cells]
     assert repr(tables[0][()]) == "1.0"
     assert type(tables[1][()]) is np.float64
-    # from q0 no run of length 1 keeps a symbol
-    assert tables[1].get(("0",), 0.0) == 0.0 and type(tables[1].get(("0",), 0.0)) is float
+    # from q0 no run of length 1 keeps a symbol: its cell holds the Python 0.0
+    assert ("0",) not in tables[1]
+    assert cells[1][1] == 0.0 and type(cells[1][1]) is float
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    size=st.integers(1, 3),
+    max_states=st.integers(1, 12),
+    partial=st.booleans(),
+    n_max=st.integers(0, 70),
+    k=st.integers(0, 3),
+)
+@example(seed=0, size=2, max_states=12, partial=False, n_max=70, k=3)
+@example(seed=1, size=3, max_states=5, partial=True, n_max=70, k=2)
+def test_held_count_rows_past_int64_equal_forward_dp(seed, size, max_states, partial, n_max, k):
+    """Every row of the layers a count pass holds equals the forward DP,
+    past 2**63 too, with Python ints in every cell, absent prefixes' 0
+    included."""
+    rng = random.Random(seed)
+    selector = random_selector(rng, max_states, partial=partial, symbols=tuple("012"[:size]))
+    layers = list(islice(_count_tables(selector, k), n_max + 1))
+    for q, start in enumerate(selector.states):
+        reference = islice(reference_count_layers(selector, start, k), n_max + 1)
+        for n, (layer, expected) in enumerate(zip(layers, reference)):
+            assert all(type(value) is int for value in layer[q])
+            assert row_table(layer[q], selector.alphabet) == reference_prefix_counts(expected)
+            if not partial:  # every input is a run
+                assert layer[q, 0] == size**n
+
+
+def test_lemma_check_makes_one_count_pass(monkeypatch, even_positions):
+    """Count mode makes one pass for all start states, at the first read,
+    and reads every state's rows off its held layers."""
+    expected = [_format_lemma_line(r) for r in ss.lemma_check(even_positions, 9, 3)]
+    calls, count_tables = [], oracles._count_tables
+
+    def spy(selector, *args):
+        calls.append(args)
+        return count_tables(selector, *args)
+
+    monkeypatch.setattr(oracles, "_count_tables", spy)
+    results = ss.lemma_check(even_positions, 9, 3)
+    assert calls == []
+    assert [_format_lemma_line(r) for r in results] == expected
+    assert calls == [(3,)]
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -202,7 +277,7 @@ def test_nonoblivious_counts_equal_enumeration(nonoblivious, n):
             assert count == table.get(w, 0)
         # n + 1 symbols is longer than any output of a length-n run
         layer = next(islice(_count_tables(nonoblivious, n + 1), n, None))
-        assert layer[nonoblivious.state_index(p)] == table
+        assert row_table(layer[nonoblivious.state_index(p)], nonoblivious.alphabet) == table
 
 
 def test_lemma_check_equals_per_word_calls(after_ones, even_positions, golden, golden_witness):
@@ -343,14 +418,8 @@ def test_equirun_markov_equals_enumeration(seed, k, epsilon, n_max):
 
 
 @pytest.mark.parametrize("k,epsilon", [(1, 0.5), (2, 0.2), (2, 0.001)])
-def test_equirun_markov_on_golden_fixture_equals_enumeration(even_positions, golden, k, epsilon):
-    trimmed = ss.Selector(
-        even_positions.alphabet,
-        [q for q in even_positions.states if q != "010"],
-        even_positions.initial,
-        [t for t in even_positions.transitions() if t[0] != "010"],
-    )
-    trimmed.declare_labels(last_read={"000": "0"})
+def test_equirun_markov_on_golden_fixture_equals_enumeration(even_positions_sc, golden, k, epsilon):
+    trimmed = even_positions_sc
     witness = ss.check_selector_compatibility(trimmed, golden).witness
     scan = ss.equirun_scan(trimmed, k, epsilon, 10, mu=golden, witness=witness)
     assert_same_scan(scan, reference_equirun(trimmed, k, epsilon, 10, golden, witness))

@@ -19,7 +19,7 @@ from sftselect.cli import _format_lemma_line, main
 from sftselect.oracles import _cells, _measure_tables, _walk_runs, _words_to
 
 from conftest import random_selector
-from test_prefix_tables import random_weights
+from test_prefix_tables import random_weights, row_table
 
 
 def enumerated_tables(selector, start, n, k, weights) -> dict:
@@ -61,7 +61,8 @@ def test_group_walk_equals_per_start_enumeration(seed, size, partial, n_max, k, 
     assert len(tables) == len(starts)
     for start, per_n in zip(starts, tables):
         assert len(per_n) == n_max + 1
-        for n, table in enumerate(per_n):
+        for n, row in enumerate(per_n):
+            table = row_table(row, selector.alphabet)
             expected = enumerated_tables(selector, start, n, k, weights)
             assert table.keys() == expected.keys()
             for w, value in expected.items():
@@ -72,7 +73,8 @@ def test_group_walk_equals_per_start_enumeration(seed, size, partial, n_max, k, 
 def test_prefixes_of_weightless_runs_are_present(after_ones):
     """A prefix output only by runs that weigh 0.0 is present, as the
     enumeration's np.float64(0.0), apart from the prefixes no run outputs."""
-    (tables,) = _measure_tables(after_ones, ["q0"], 3, 2, [[0.0, 0.0], [0.0, 0.0]])
+    (cells,) = _measure_tables(after_ones, ["q0"], 3, 2, [[0.0, 0.0], [0.0, 0.0]])
+    tables = [row_table(row, after_ones.alphabet) for row in cells]
     assert tables[0] == {(): 1.0} and type(tables[0][()]) is float
     for n, table in enumerate(tables[1:], 1):
         expected = enumerated_tables(after_ones, "q0", n, 2, lambda _q, _a: np.float64(0.0))
@@ -146,17 +148,11 @@ def test_one_walk_per_n_over_all_states(monkeypatch):
     assert walked == [(("s0", "s1"), n) for n in range(2, last + 1)]
 
 
-def test_equirun_counts_each_walk_before_it(monkeypatch, even_positions, golden):
+def test_equirun_counts_each_walk_before_it(monkeypatch, even_positions_sc, golden):
     """The scan counts the tables of each n's walk at that n, with the cap:
     under a budget the rows fit but the walk to n = 5 does not, the scan
     that finds its witness at n = 13 is refused."""
-    trimmed = ss.Selector(
-        even_positions.alphabet,
-        [q for q in even_positions.states if q != "010"],
-        even_positions.initial,
-        [t for t in even_positions.transitions() if t[0] != "010"],
-    )
-    trimmed.declare_labels(last_read={"000": "0"})
+    trimmed = even_positions_sc
     witness = ss.check_selector_compatibility(trimmed, golden).witness
     assert ss.equirun_scan(trimmed, 2, 0.5, 13, mu=golden, witness=witness).witness_n == 13
     rows = 4 * (40 + 8 * 2) + 7 * 4 * (640 + 13)
