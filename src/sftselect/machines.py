@@ -34,18 +34,18 @@ k states inside each block, read off the word-end tables of
 so partial machines walk like complete ones and :func:`walk` finds the first
 undefined step in the path.  :func:`_emitted` finds each k-block's end state
 and writes the entries of the blocks with one ``np.take``; the fewer than k
-letters after the last block read the row of their zero-padded block.  A
-complete table that is j-definite for some j <= k (Perles, Rabin and
-Shamir, 1963: every j-letter word leads every state to one state) needs
-no sequential step, since each block then ends in the state that its own
-last j letters give, whatever state it began in: every i.i.d. draw table
-(its rows agree, so j = 1) and ``after_ones.sel`` are walked so, by one
-gather of the block codes.  Other block ends follow the enumerative
-data-parallel walk of Mytkowicz, Musuvathi and Schulte (ASPLOS 2014): for
-at most ``_GROUP_STATES`` states, ``_GROUP`` gathers map every start state
-through each group of ``_GROUP`` blocks at once, a Python loop walks the
-group starts, and ``_GROUP`` gathers from those give the block ends.
-Snakes take a Python step a block.
+letters after the last block read the row of their zero-padded block.  On a
+complete table, a block that synchronizes (Volkov, LATA 2008: its word
+leads every state to one state) ends in that state wherever it began, so
+from a live state one gather of the codes gives the ends of such blocks,
+and each loose block takes a Python step, if a slice has at most one in
+``_GROUP``: i.i.d. draw tables, ``after_ones.sel`` and the golden-mean
+Parry draw table (94% of its 7-letter codes) are walked so.  Other block
+ends follow the enumerative data-parallel walk of Mytkowicz, Musuvathi and
+Schulte (ASPLOS 2014): for at most ``_GROUP_STATES`` states, ``_GROUP``
+gathers map every start state through each group of ``_GROUP`` blocks at
+once, a Python loop walks the group starts, and ``_GROUP`` gathers from
+those give the block ends.  Snakes take a Python step a block.
 
 Every big-endian block code in the package is :func:`block_codes`: its
 ``step`` is k for disjoint blocks (the walk, aligned block counting) and 1
@@ -425,11 +425,11 @@ class WalkTable:
     row depends only on the first j+1 letters of the block, so the letters
     that do not fill a block read the row of their zero-padded block.
     ``end[s, c]`` is ``rows[s][c] * letters**k``, a trace row to gather.
-    ``window`` is the least j <= k for which the table is j-definite:
-    complete, with every j-letter word leading every state to one state,
-    ``starts[c]`` for the word of code c.  A block from a live state then
-    ends where its last j letters lead, which :func:`_trace_rows` reads off
-    the codes.  It is 0, and ``starts`` None, when there is no such j.
+    On a complete table, ``sync[c]`` is the state that the block of code c
+    leads every live state to, if that block synchronizes, and -1 where
+    those states differ; a block from a live state then ends in ``sync[c]``
+    whatever state it began in.  It is None for a partial table and when
+    no block synchronizes.
     """
 
     dead: int
@@ -438,8 +438,7 @@ class WalkTable:
     rows: list = field(repr=False)
     trace: np.ndarray = field(repr=False)
     end: np.ndarray = field(repr=False)
-    window: int = 0
-    starts: Optional[np.ndarray] = field(default=None, repr=False)
+    sync: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def transition_rows(nxt: np.ndarray) -> WalkTable:
@@ -448,8 +447,8 @@ def transition_rows(nxt: np.ndarray) -> WalkTable:
     k is the largest (at least 1, at most ``_MAX_BLOCK``) with
     ``(len(nxt)+1) * letters**k * k`` within ``_BLOCK_BUDGET``.  Building
     it costs one row entry per table entry plus that budget, so a caller
-    that walks in chunks builds it once.  The least j-letter end table whose
-    live rows are all equal, if the machine is complete, gives the window."""
+    that walks in chunks builds it once.  The columns of the k-letter end
+    table whose live rows agree give ``sync``, if the machine is complete."""
     nq, na = nxt.shape
     k = 1
     while k < _MAX_BLOCK and (nq + 1) * na ** (k + 1) * (k + 1) <= _BLOCK_BUDGET:
@@ -457,12 +456,11 @@ def transition_rows(nxt: np.ndarray) -> WalkTable:
     # trace[s, c, j] is the state after the first j+1 letters of block c,
     # which is end[s, c // na**(k-1-j)] for the (j+1)-letter end table
     trace = np.empty((nq + 1, na**k, k), dtype=np.int64)
-    definite, window, starts = bool((nxt >= 0).all()), 0, None
     for j, end in enumerate(_word_ends(nxt, k)):
         trace.reshape(nq + 1, na ** (j + 1), -1, k)[:, :, :, j] = end[:, :, None]
-        if definite and not window and (end[:nq] == end[0]).all():
-            window, starts = j + 1, end[0]
-    return WalkTable(nq, na, k, _rows(end), trace.reshape(-1, k), end * na**k, window, starts)
+    sync = np.where((end[:nq] == end[0]).all(axis=0), end[0], -1)
+    sync = None if (nxt < 0).any() or sync.max() < 0 else sync
+    return WalkTable(nq, na, k, _rows(end), trace.reshape(-1, k), end * na**k, sync)
 
 
 def _word_ends(nxt: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -493,17 +491,23 @@ def _block_ends(rows: list, codes: np.ndarray, state: int) -> list:
 
 def _trace_rows(table: WalkTable, codes: np.ndarray, state: int) -> tuple:
     """The trace row of each block of ``codes`` from ``state`` and the
-    state after the last block.  On a definite table (``table.window``)
-    from a live state, every block after the first starts in the state that
-    the last ``window`` letters of the block before it lead every state to:
-    one gather of ``table.starts``.  Otherwise by the group walk of the
-    module docstring or by one Python step a block.  The codes are widened
-    to int64 first, so the row arithmetic ``state * width + code`` cannot wrap."""
+    state after the last block.  From a live state over a table with
+    ``sync``, one gather ``sync[codes]`` gives the ends of the blocks that
+    synchronize, and each loose block (-1) takes a Python step, in block
+    order, from the end of the one before (the first from ``state``), if
+    at most ``m // _GROUP`` are loose: no more steps than the group walk.
+    Otherwise the group walk of the module docstring or a step a block.
+    The codes are widened to int64 first, so ``state * width + code``
+    cannot wrap."""
     codes = codes.astype(np.int64, copy=False)
     flat, width, m = table.end.ravel(), table.letters**table.k, len(codes)
-    if table.window and state != table.dead:
-        starts = table.starts[codes % table.letters**table.window]
-        return np.concatenate(([state], starts[:-1])) * width + codes, int(starts[-1])
+    if table.sync is not None and state != table.dead:
+        ends = table.sync[codes]
+        loose = np.flatnonzero(ends < 0)
+        if len(loose) <= m // _GROUP:
+            for i in loose.tolist():
+                ends[i] = table.rows[ends.item(i - 1) if i else state][codes.item(i)]
+            return np.concatenate(([state], ends[:-1])) * width + codes, ends.item(-1)
     if len(table.end) > _GROUP_STATES or m < _GROUP:
         lanes, ends = codes[None, :], _block_ends(table.rows, codes, state)
     else:  # lanes[j, i] is block j of group i; codes repeat to pad the last

@@ -321,7 +321,11 @@ def _check_rows(selector, bound, witness, p, n: int, values, words, tol, epsilon
             passed, strict = bool(value <= upper + tol), bool(value < upper - tol)
             yield lemma, p, n, w, value, upper, None, None, passed, strict
         else:
-            lower = (1.0 - epsilon) * upper
+            try:
+                lower = (1.0 - epsilon) * upper
+            except OverflowError:  # a count past the float range
+                band = f"equirun band at n = {n} cannot be a float"
+                raise ValidationError(f"{band}: #A**(n - k) = {size}**{n - length}") from None
             passed = bool(lower - tol <= value <= upper + tol)
             yield lemma, p, n, w, value, upper, lower, epsilon, passed, bool(value < upper)
 
@@ -495,7 +499,8 @@ def equirun_scan(
     of w after the last-selected label of p.  Only Markov mode walks runs,
     once per n for all states, and only it is capped at ``cap`` nominal
     runs (#A**n).  An ``n_max`` below k leaves nothing to scan and raises
-    ValidationError, as do k < 1, an epsilon that is negative or NaN, and a
+    ValidationError, as do k < 1, an epsilon that is negative or NaN, the
+    first n whose count band #A**(n-k) is past the float range, and a
     scan past the budget of :func:`_check_size`: the count pass holds a
     layer of every state's rows and the next, with counts as large as at
     n_max, a walk to n every state's measure tables to n (counted at each

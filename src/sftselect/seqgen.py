@@ -21,10 +21,10 @@ measure.  Its letters are the intervals that the distinct cumulative sums
 counts the breaks <= u, read off the raw uint64 by integer thresholds
 (:func:`_thresholds`), one comparison each (2 for the golden-mean Parry
 measure) or by binary search past 255.  Its states, emitted as uint8, are
-the symbols plus a start state whose row is pi.  The walk composes blocks
-of k letters (k = 7 for golden mean) in groups: a few passes per letter.
-An i.i.d. measure's rows agree, so its table is 1-definite and each block
-starts where the last letter before it leads (k = 10 for uniform binary).
+the symbols plus a start state whose row is pi.  The walk gathers the end
+of each k-letter block that synchronizes (its letters lead every state to
+one state): every block of an i.i.d. measure, whose rows agree (k = 10 for
+uniform binary), and 94% for golden mean (k = 7); a loose block takes a step.
 
 One place, :func:`_block_counters`, maps each block counter of ``freq``
 and experiments to the lengths it serves: one sliding counter serves every

@@ -1,13 +1,14 @@
-"""Differential tests of the definite branch of the block walk: a complete
-table whose j-letter words (j <= k) each lead every state to one state is
-walked by reading each block's start state off the letters before it.
+"""Differential tests of the block walk on definite tables: a complete
+table whose j-letter words (j <= k) each lead every state to one state has
+every k-letter block synchronize, so each block's end is read off its code.
 
 Machines are drawn m-definite (m = 1..4, with and without transient
 states), complete with a permutation letter (never definite), random
 complete and partial.  Their walks from every start state, over the trace
 and over a selector's keep table, are checked against a scalar loop and
-``run_word``; ``window`` against a scalar search for the least order; and
-i.i.d. draws against the scalar ``SplitMix64`` inverse-CDF reference."""
+``run_word``; ``sync`` against a scalar search of the image of the live
+states under each k-letter word; and i.i.d. draws against the scalar
+``SplitMix64`` inverse-CDF reference."""
 
 import itertools
 import random
@@ -47,18 +48,27 @@ def suffix_machine(rng: np.random.Generator, m: int, na: int, transients: bool) 
     return nxt
 
 
-def least_order(nxt: np.ndarray, k: int) -> int:
-    """The least j <= k for which every j-letter word leads every state to
-    one state, by scalar images of the state set (the image of w a is the
-    image of w under a); 0 for a partial table or when there is none."""
+def scalar_sync(nxt: np.ndarray, k: int):
+    """Per k-letter code, the one state that its word leads every state to,
+    or -1, by scalar images of the state set in code order (the image of w
+    a is the image of w under a); None for a partial table or when no word
+    synchronizes."""
     if (nxt < 0).any():
-        return 0
-    images = {frozenset(range(len(nxt)))}
-    for j in range(1, k + 1):
-        images = {frozenset(nxt[list(s), a].tolist()) for s in images for a in range(nxt.shape[1])}
-        if all(len(s) == 1 for s in images):
-            return j
-    return 0
+        return None
+    images = [frozenset(range(len(nxt)))]
+    for _ in range(k):
+        images = [frozenset(nxt[list(s), a].tolist()) for s in images for a in range(nxt.shape[1])]
+    sync = [min(s) if len(s) == 1 else -1 for s in images]
+    return sync if max(sync) >= 0 else None
+
+
+def sync_list(table):
+    """``table.sync`` as a list, or None."""
+    return None if table.sync is None else table.sync.tolist()
+
+
+def synchronizes_every_block(table) -> bool:
+    return table.sync is not None and bool((table.sync >= 0).all())
 
 
 @st.composite
@@ -96,48 +106,55 @@ def scalar_keeps(nxt: np.ndarray, keep: np.ndarray, letters, state: int) -> list
 
 @settings(max_examples=150, deadline=None)
 @given(drawn=tables())
-def test_window_is_the_least_order(drawn):
+def test_sync_is_the_image_of_the_live_states(drawn):
     kind, nxt = drawn
     table = transition_rows(nxt)
-    assert table.window == least_order(nxt, table.k)
-    if kind in ("permutation", "partial"):
-        assert table.window == 0
-    if table.window:
-        # the common row: the state after each window-letter code from every state
-        ends = list(machines._word_ends(nxt, table.window))[-1]
-        assert (ends[: len(nxt)] == table.starts).all()
-    else:
-        assert table.starts is None
+    assert sync_list(table) == scalar_sync(nxt, table.k)
+    if kind == "partial":
+        assert table.sync is None
+    if kind == "permutation":  # the block of the permutation letter alone
+        assert not synchronizes_every_block(table)
+    if table.sync is not None:
+        # a block that synchronizes ends in sync[c] from every live state
+        ends = list(machines._word_ends(nxt, table.k))[-1]
+        c = np.flatnonzero(table.sync >= 0)
+        assert (ends[: len(nxt), c] == table.sync[c]).all()
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), m=st.integers(1, 4), na=st.integers(2, 3), transients=st.booleans())
-def test_suffix_machines_have_order_m_within_k(data, m, na, transients):
+def test_suffix_machines_synchronize_every_block_within_k(data, m, na, transients):
+    """Every block synchronizes for m <= k, and none past it, since a k-letter
+    word keeps the m - k letters before it."""
     nxt = suffix_machine(np.random.default_rng(data.draw(st.integers(0, 2**32))), m, na, transients)
     table = transition_rows(nxt)
-    assert table.window == (m if m <= table.k else 0)
+    assert synchronizes_every_block(table) == (m <= table.k)
+    assert (table.sync is None) == (m > table.k)
 
 
-def test_window_is_0_past_k_and_on_tables_that_are_not_definite():
+def test_no_sync_past_k_and_on_tables_whose_blocks_do_not_synchronize():
     # 4-letter words with transients: 341 states give k = 2 < 4
     nxt = suffix_machine(np.random.default_rng(0), 4, 4, True)
-    assert transition_rows(nxt).k < 4 and least_order(nxt, 4) == 4
-    assert transition_rows(nxt).window == 0
-    for full in (False, True):
+    assert transition_rows(nxt).k < 4 and scalar_sync(nxt, 4) is not None
+    assert transition_rows(nxt).sync is None
+    for full in (False, True):  # position parity survives every block
         selector = fx.even_positions_selector(include_forbidden_reads=full)
-        assert transition_rows(selector.tables()[0]).window == 0
+        assert transition_rows(selector.tables()[0]).sync is None
     breaks, draws = _draw_table(fx.golden_parry_measure())
-    assert transition_rows(draws[:, : _thresholds(breaks).size + 1]).window == 0
+    nxt = draws[:, : _thresholds(breaks).size + 1]
+    table = transition_rows(nxt)
+    assert (table.k, int((table.sync >= 0).sum()), table.sync.size) == (7, 2059, 3**7)
+    assert sync_list(table) == scalar_sync(nxt, 7)
     partial = np.array([[0, 1], [1, -1]])  # 1-definite but for its hole
-    assert transition_rows(partial).window == 0
+    assert transition_rows(partial).sync is None
 
 
-def test_after_ones_and_uniform_draws_are_1_definite():
+def test_after_ones_and_uniform_draws_synchronize_every_block():
     table = transition_rows(fx.after_ones_selector().tables()[0])
-    assert (table.window, table.starts.tolist()) == (1, [0, 1])
+    assert table.sync.tolist() == [c % 2 for c in range(2**table.k)]  # q1 after a 1
     breaks, draws = _draw_table(fx.uniform_binary_measure())
     table = transition_rows(draws[:, : _thresholds(breaks).size + 1])
-    assert (table.k, table.letters, table.window) == (10, 2, 1)
+    assert (table.k, table.letters, synchronizes_every_block(table)) == (10, 2, True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,7 +179,7 @@ def test_walks_from_every_state_match_scalar_loop(data, drawn, span):
         for state in range(len(nxt) + 1):
             path = run_states(table, letters, state)
             assert path.tolist() == scalar_states(nxt, letters.tolist(), state)
-            assert not (table.window and state < len(nxt) and steps)
+            assert not (synchronizes_every_block(table) and state < len(nxt) and steps)
             steps.clear()
 
 
@@ -170,7 +187,7 @@ def test_walks_from_every_state_match_scalar_loop(data, drawn, span):
 @given(data=st.data(), drawn=tables(), span=SPANS)
 def test_keep_walks_from_every_state_match_run_word(data, drawn, span):
     """Over a selector's keep table, the kept bits from every start state
-    match the scalar loop, and on a definite table ``run_word``'s output."""
+    match the scalar loop, and on a table with ``sync`` ``run_word``'s output."""
     _kind, nxt = drawn
     seed = data.draw(st.integers(0, 2**32))
     selector = table_selector(nxt, random.Random(seed))
@@ -184,7 +201,7 @@ def test_keep_walks_from_every_state_match_run_word(data, drawn, span):
             kept, end = _emitted(table, keeps, letters, state)
             assert kept.tolist() == scalar_keeps(nxt, selector.tables()[1], letters.tolist(), state)
             assert end == scalar_states(nxt, letters.tolist(), state)[-1]
-            if state < len(nxt) and table.window:
+            if state < len(nxt) and table.sync is not None:
                 run = ss.run_word(selector, selector.states[state], word)
                 assert selector.alphabet.decode(np.compress(kept, letters)) == run.output
                 assert selector.states[end] == run.end
@@ -195,7 +212,7 @@ def test_definite_walk_across_full_slices(m):
     """At the real slice length: 3 slices and 7 letters from every state."""
     nxt = suffix_machine(np.random.default_rng(m), m, 2, True)
     table = transition_rows(nxt)
-    assert table.window == m
+    assert synchronizes_every_block(table)
     letters = np.random.default_rng(5).integers(0, 2, size=3 * machines._SLICE + 7)
     for state in range(len(nxt)):
         path = run_states(table, letters, state)
@@ -212,12 +229,13 @@ def test_definite_walk_across_full_slices(m):
     ],
 )
 def test_iid_draws_match_scalar_reference(make, seed):
-    """i.i.d. draw tables are 1-definite; their samples match the scalar
-    reference over chunks that split blocks and cross chunk boundaries."""
+    """Every block of an i.i.d. draw table synchronizes; its samples match
+    the scalar reference over chunks that split blocks and cross chunk
+    boundaries."""
     mu = make()
     assert (mu.P.entries == mu.pi.weights).all()
     breaks, draws = _draw_table(mu)
-    assert transition_rows(draws[:, : _thresholds(breaks).size + 1]).window == 1
+    assert synchronizes_every_block(transition_rows(draws[:, : _thresholds(breaks).size + 1]))
     spec = ss.GeneratorSpec(ss.MARKOV_SAMPLE, mu.alphabet, 3000, measure=mu, seed=seed)
     expected = reference_sample(mu, seed, spec.n)
     for chunk in (7, 79, 1001, 1 << 16):

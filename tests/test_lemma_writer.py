@@ -86,6 +86,19 @@ def test_equirun_fail_lines_equal_the_library(capsys, after_ones):
     assert " FAIL\n" in out and " PASS\n" in out and "# equirun" not in out
 
 
+def test_count_band_past_the_float_range_is_one_error_line(capsys):
+    """A count-mode scan that reaches an n whose band no float holds exits
+    1 with one error line naming n and #A**(n - k), and prints nothing."""
+    argv = ["--selector", AFTER_ONES, "--equirun", "1", "--epsilon", "0", "--n-max", "1100"]
+    status = main(["lemma-check", *argv])
+    captured = capsys.readouterr()
+    error = "error: equirun band at n = 1025 cannot be a float: #A**(n - k) = 2**1024\n"
+    assert (status, captured.out, captured.err) == (1, "", error)
+    # a scan that finds its witness first prints what it printed before
+    argv = ["--selector", AFTER_ONES, "--equirun", "1", "--epsilon", "0.5"]
+    assert _cli([*argv, "--n-max", "1100"], capsys) == _cli([*argv, "--n-max", "2"], capsys)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32), n_max=st.integers(0, 8), w_max=st.integers(0, 4))
 def test_random_oblivious_selectors_equal_the_library(seed, n_max, w_max):

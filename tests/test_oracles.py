@@ -233,6 +233,24 @@ class TestEquirunScan:
         scan = ss.equirun_scan(after_ones, 2, 0.1, 20)
         assert scan.passed and scan.witness_n <= 20
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_count_band_past_the_float_range_is_refused(self, after_ones, k):
+        """The first n whose #A**(n - k) no float holds is refused with a
+        ValidationError naming it; a scan that stops short of it, or finds
+        its witness before it, returns as before."""
+        n = 1024 + k  # 2**1024 is the least power of 2 past the float range
+        with pytest.raises(ss.ValidationError) as err:
+            ss.equirun_scan(after_ones, k, 0.0, n + 50)
+        assert str(err.value) == (
+            f"equirun band at n = {n} cannot be a float: #A**(n - k) = 2**1024"
+        )
+        scan = ss.equirun_scan(after_ones, k, 0.0, n - 1)
+        assert scan.witness_n is None
+        assert {r.lower for r in scan.results} == {float(2 ** (n - 1 - k))}
+        found = ss.equirun_scan(after_ones, k, 0.5, n + 50)
+        assert found.witness_n is not None and found.witness_n < n
+        assert found.results == ss.equirun_scan(after_ones, k, 0.5, found.witness_n).results
+
     def test_requires_strong_connectivity(self, binary):
         dangling = ss.Selector(
             binary,
